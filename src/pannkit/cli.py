@@ -167,6 +167,14 @@ def _load_network(path) -> nn.Network:
         raise ConfigError(f"{path}: not a model checkpoint: {exc}")
 
 
+def _load_pann(backbone: nn.Network, path) -> nn.Network:
+    desc = _load_json(path, what="descriptor")
+    try:
+        return tf.apply_descriptor(backbone, desc)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _sweep_spec(cfg) -> sd.SweepSpec:
     s = _field(cfg, "sweep", dict)
     w = "config.sweep"
@@ -246,11 +254,17 @@ def _cmd_train(args) -> int:
     try:
         result = training.train(net0, data, sgd, epochs=epochs,
                                 batch_size=batch, mixup=mixup, ngnv=ngnv,
-                                seed=seed, loss_kind=loss_kind)
+                                seed=seed, loss_kind=loss_kind,
+                                epoch_metrics=False)
     except training.TrainingDiverged as exc:
         _emit({"config_hash": chash, "status": "failed",
                "diverged_at_epoch": exc.epoch})
         return 1
+    # only the final network is reported, so evaluate it once
+    train_loss, _ = training.evaluate(result.net, data.x_train, data.y_train,
+                                      loss_kind=loss_kind)
+    test_loss, test_acc = training.evaluate(result.net, data.x_test,
+                                            data.y_test, loss_kind=loss_kind)
     if args.out:
         doc = {"config_hash": chash, "arch": arch,
                "dataset": data.name or "dataset",
@@ -261,19 +275,16 @@ def _cmd_train(args) -> int:
         store = records.RecordStore(args.records,
                                     columns=records.RECORD_COLUMNS)
         if args.force or not store.has(chash):
-            fin = result.final()
             base = {"config_hash": chash, "timestamp": records.timestamp(),
                     "arch": arch, "dataset": data.name or "dataset",
                     "method": _method_label(mixup, ngnv),
                     "wd": sgd.weight_decay, "precision": "", "seed": seed}
-            rows = [dict(base, metric="train_loss", value=fin.train_loss),
-                    dict(base, metric="test_loss", value=fin.test_loss),
-                    dict(base, metric="test_accuracy",
-                         value=fin.test_accuracy)]
+            rows = [dict(base, metric="train_loss", value=train_loss),
+                    dict(base, metric="test_loss", value=test_loss),
+                    dict(base, metric="test_accuracy", value=test_acc)]
             written = store.append_rows(rows, force=args.force)
-    fin = result.final()
     _emit({"config_hash": chash, "status": "ok", "epochs": epochs,
-           "train_loss": fin.train_loss, "test_accuracy": fin.test_accuracy,
+           "train_loss": train_loss, "test_accuracy": test_acc,
            "rows_written": written})
     return 0
 
@@ -324,8 +335,7 @@ def _cmd_eval_pann(args) -> int:
                                         batch_size=args.batch_size)
     doc = {"backbone_accuracy": bb_acc, "backbone_loss": bb_loss}
     if args.pann:
-        pann = tf.apply_descriptor(backbone,
-                                   tf.load_pann_descriptor(args.pann))
+        pann = _load_pann(backbone, args.pann)
         p_loss, p_acc = training.evaluate(pann, data.x_test, data.y_test,
                                           batch_size=args.batch_size)
         doc.update(pann_accuracy=p_acc, pann_loss=p_loss,
@@ -447,7 +457,7 @@ def _cmd_perturb_exp(args) -> int:
         try:
             result = training.train(net0, data, sgd, epochs=epochs,
                                     batch_size=batch, seed=train_seed,
-                                    loss_kind=loss_kind)
+                                    loss_kind=loss_kind, epoch_metrics=False)
         except training.TrainingDiverged as exc:
             rows = [dict(base, precision="", seed=train_seed,
                          metric="failed", value=float(exc.epoch))]
@@ -520,7 +530,7 @@ def _cmd_validate_theorems(args) -> int:
 
 def _cmd_attack(args) -> int:
     backbone = _load_network(args.model)
-    pann = tf.apply_descriptor(backbone, tf.load_pann_descriptor(args.pann))
+    pann = _load_pann(backbone, args.pann)
     cfg = _load_json(args.config)
     data = datasets.load_dataset(_dataset_spec(cfg))
     acfg = atk.AttackConfig(

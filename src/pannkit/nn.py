@@ -94,8 +94,8 @@ class Dense:
                 f"dense expects [N, {self.W.shape[1]}], got {x.shape}")
         return x @ self.W.T + self.b
 
-    def backward(self, x: np.ndarray, gy: np.ndarray):
-        gx = gy @ self.W
+    def backward(self, x: np.ndarray, gy: np.ndarray, input_grad=True):
+        gx = gy @ self.W if input_grad else None
         return gx, {"W": gy.T @ x, "b": gy.sum(axis=0)}
 
     def params(self) -> dict:
@@ -149,7 +149,7 @@ class Conv2d:
         oh, ow = x.shape[2] - kh + 1, x.shape[3] - kw + 1
         return out.reshape(x.shape[0], f, oh, ow) + self.b[None, :, None, None]
 
-    def backward(self, x: np.ndarray, gy: np.ndarray):
+    def backward(self, x: np.ndarray, gy: np.ndarray, input_grad=True):
         f, c, kh, kw = self.kernel.shape
         xp = _pad_same(x, kh, kw) if self.padding == "same" else x
         n = x.shape[0]
@@ -158,6 +158,8 @@ class Conv2d:
         gyf = gy.reshape(n, f, oh * ow)
         gk = np.einsum("nfl,nkl->fk", gyf, cols).reshape(self.kernel.shape)
         gb = gy.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None, {"kernel": gk, "b": gb}
         gcols = self.kernel.reshape(f, -1).T @ gyf  # [N, C*kh*kw, OH*OW]
         gcols = gcols.reshape(n, c, kh, kw, oh, ow)
         gxp = np.zeros_like(xp)
@@ -191,7 +193,18 @@ class AvgPool:
         n, c, h, w = x.shape
         if h % p or w % p:
             raise ValueError(f"avgpool {p} does not divide spatial dims {h}x{w}")
-        return x.reshape(n, c, h // p, p, w // p, p).mean(axis=(3, 5))
+        if p >= 8 or not x.flags.c_contiguous:
+            # numpy's reduction order differs here; keep its exact result
+            return x.reshape(n, c, h // p, p, w // p, p).mean(axis=(3, 5))
+        # strided slice sums in the order numpy reduces a contiguous window:
+        # each window row left to right, then the row sums top to bottom
+        total = None
+        for i in range(p):
+            row = x[:, :, i::p, 0::p]
+            for j in range(1, p):
+                row = row + x[:, :, i::p, j::p]
+            total = row if total is None else total + row
+        return total / (p * p)
 
     def backward(self, x: np.ndarray, gy: np.ndarray):
         p = self.size
@@ -343,15 +356,26 @@ def loss_and_logit_grad(logits: np.ndarray, target: np.ndarray, kind: str):
 
 
 def _backprop(net: Network, x: np.ndarray, target: np.ndarray, kind: str,
-              act_hook=None):
+              act_hook=None, input_grad=True):
+    """Reverse pass. Without ``input_grad`` it stops at the first layer with
+    parameters and asks that layer for its parameter gradients only; the
+    layers below it have none, and dL/dx is not needed."""
     logits, caches, adjust, _ = _run_layers(net, x, act_hook)
     loss, g = loss_and_logit_grad(logits, target, kind)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"non-finite loss {loss!r}")
     grads: list[dict] = [{} for _ in net.layers]
-    for i in range(len(net.layers) - 1, -1, -1):
+    stop = 0
+    if not input_grad:
+        stop = next((i for i, l in enumerate(net.layers) if l.params()),
+                    len(net.layers))
+    for i in range(len(net.layers) - 1, stop - 1, -1):
         gy = g
-        g, pg = net.layers[i].backward(caches[i], g)
+        if i == stop and not input_grad:
+            # positional, so wrappers that forward *args keep working
+            g, pg = net.layers[i].backward(caches[i], g, False)
+        else:
+            g, pg = net.layers[i].backward(caches[i], g)
         if i in adjust:
             g = g + gy * adjust[i]
         grads[i] = pg
@@ -365,7 +389,8 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray,
     Returns ``(grads, loss)``; grads is a per-layer list of dicts whose
     entries match the layer's parameter shapes exactly.
     """
-    grads, _, loss, _ = _backprop(net, x, target, loss_kind, act_hook)
+    grads, _, loss, _ = _backprop(net, x, target, loss_kind, act_hook,
+                                  input_grad=False)
     return grads, loss
 
 
@@ -416,7 +441,8 @@ class SgdState:
 
 
 def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
-    """One optimizer step; returns a new network, old arrays untouched."""
+    """One optimizer step; returns a new network, old parameter arrays
+    untouched. The velocity buffers in ``state`` are updated in place."""
     eta = state.lr_at(state.epoch)
     layers = list(net.layers)
     for i, layer in enumerate(layers):
@@ -429,8 +455,11 @@ def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
             g = pg[name] + state.weight_decay * w
             key = (i, name)
             v = state.velocities.get(key)
-            v = g if v is None else state.momentum * v + g
-            state.velocities[key] = v
+            if v is None:
+                v = state.velocities[key] = g
+            else:  # the state owns its buffers: update them in place
+                v *= state.momentum
+                v += g
             new_params[name] = w - eta * v
         layers[i] = layer.with_params(new_params)
     return replace(net, layers=tuple(layers))

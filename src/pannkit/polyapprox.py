@@ -152,20 +152,21 @@ def _fit_grid(interval, odd: bool, size: int) -> np.ndarray:
 def _alternating_extrema(xs: np.ndarray, err: np.ndarray):
     """One argmax of |err| per maximal same-sign run; alternates by design."""
     sign = np.sign(err)
-    # zeros inherit the previous sign so they do not split a run
-    for i in range(1, len(sign)):
-        if sign[i] == 0:
-            sign[i] = sign[i - 1]
+    # zeros inherit the previous sign so they do not split a run: carry each
+    # entry forward from the last nonzero one (leading zeros stay zero)
+    last = np.where(sign != 0, np.arange(len(sign)), 0)
+    np.maximum.accumulate(last, out=last)
+    sign = sign[last]
     if sign[0] == 0:
         sign[0] = 1.0
-    idx = []
-    start = 0
-    for i in range(1, len(sign) + 1):
-        if i == len(sign) or sign[i] != sign[start]:
-            run = np.arange(start, i)
-            idx.append(run[np.argmax(np.abs(err[run]))])
-            start = i
-    return np.array(idx)
+    new_run = np.concatenate(([True], sign[1:] != sign[:-1]))
+    run = np.cumsum(new_run) - 1
+    mag = np.abs(err)
+    peak = np.maximum.reduceat(mag, np.flatnonzero(new_run))
+    # the first index per run reaching its maximum (or a NaN, as argmax)
+    hit = np.flatnonzero((mag == peak[run]) | np.isnan(mag))
+    first = np.concatenate(([True], run[hit][1:] != run[hit][:-1]))
+    return hit[first]
 
 
 def _refine_extremum(f, p, x0, x1, x2):

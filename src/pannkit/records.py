@@ -68,6 +68,8 @@ class RecordStore:
 
     Writes happen through a single store instance per file; concurrent sweep
     cells must funnel their rows through one store (single-writer rule).
+    Being the only writer, the store reads the stored hashes once and keeps
+    them up to date as it appends.
     """
 
     def __init__(self, path, columns=RECORD_COLUMNS):
@@ -82,20 +84,22 @@ class RecordStore:
                 raise ValueError(
                     f"{self.path}: existing header {header} does not match "
                     f"schema {list(self.columns)}")
+            self._hashes = {r["config_hash"] for r in self.read_rows()}
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("w", newline="") as fh:
                 csv.writer(fh).writerow(self.columns)
+            self._hashes = set()
 
     def read_rows(self) -> list[dict]:
         with self.path.open(newline="") as fh:
             return list(csv.DictReader(fh))
 
     def hashes(self) -> frozenset:
-        return frozenset(r["config_hash"] for r in self.read_rows())
+        return frozenset(self._hashes)
 
     def has(self, chash: str) -> bool:
-        return chash in self.hashes()
+        return chash in self._hashes
 
     def append_rows(self, rows, force: bool = False) -> int:
         """Write rows whose config_hash is new; returns the count written.
@@ -113,12 +117,12 @@ class RecordStore:
                     f"row keys do not match schema (missing {sorted(missing)},"
                     f" unexpected {sorted(extra)})")
         if not force:
-            seen = self.hashes()
-            rows = [r for r in rows if r["config_hash"] not in seen]
+            rows = [r for r in rows if r["config_hash"] not in self._hashes]
         if not rows:
             return 0
         with self.path.open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=self.columns)
             for r in rows:
                 writer.writerow({k: str(r[k]) for k in self.columns})
+        self._hashes.update(r["config_hash"] for r in rows)
         return len(rows)

@@ -324,12 +324,14 @@ def _run_cell(spec: SweepSpec, arch: str, data: Dataset, wd: float,
     try:
         result = train(net0, data, sgd, epochs=spec.epochs,
                        batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv,
-                       seed=seed,
+                       seed=seed, epoch_metrics=False,
                        snapshot_epochs=range(1, spec.epochs + 1))
     except TrainingDiverged as exc:
         return [dict(base, t_prime="", beta="", metric="failed",
                      value=float(exc.epoch))]
-    plateau = detect_plateau([m.train_loss for m in result.metrics])
+    plateau = detect_plateau(
+        [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
+         for e in range(1, spec.epochs + 1)])
     if plateau is None:
         plateau = spec.epochs
     calib = data.x_train[:spec.calib_samples]
@@ -433,7 +435,7 @@ def _run_beta_cell(spec: SweepSpec, arch: str, data: Dataset, wd: float,
     try:
         result = train(net0, data, sgd, epochs=spec.epochs,
                        batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv,
-                       seed=seed)
+                       seed=seed, epoch_metrics=False)
     except TrainingDiverged as exc:
         return [dict(base, beta="", metric="failed",
                      value=float(exc.epoch))]
@@ -490,7 +492,7 @@ def _run_trunc_cell(arch: str, data: Dataset, l_xs, seed: int, *, epochs,
     sgd = nn.SgdState(lr=lr, momentum=momentum, weight_decay=wd)
     try:
         result = train(net0, data, sgd, epochs=epochs,
-                       batch_size=batch_size, seed=seed)
+                       batch_size=batch_size, seed=seed, epoch_metrics=False)
     except TrainingDiverged as exc:
         return [dict(base, beta="", metric="failed",
                      value=float(exc.epoch))]

@@ -116,7 +116,15 @@ def _ngnv_draw(z: np.ndarray, cfg: NgnvConfig, rng):
     if neg.size == 0 or not cfg.enabled:
         return None, None
     k = math.ceil(cfg.r * neg.size)
-    order = np.argsort(flat[neg], kind="stable")[:k]  # most negative first
+    vals = flat[neg]
+    # the k smallest, ties at the k-th value taken in index order, so a
+    # stable sort of just these gives the prefix of a full stable argsort
+    thr = np.partition(vals, k - 1)[k - 1]
+    below = vals < thr
+    below[np.flatnonzero(vals == thr)[:k - int(below.sum())]] = True
+    keep = np.flatnonzero(below)
+    neg, vals = neg[keep], vals[keep]
+    order = np.argsort(vals, kind="stable")  # most negative first
     chosen = neg[order]
     eps = rng.standard_normal(k)
     s = np.sign(eps) if cfg.fixed_sign else eps
@@ -195,14 +203,18 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
           epochs: int, batch_size: int = 64,
           mixup: MixupConfig | None = None, ngnv: NgnvConfig | None = None,
           seed: int = 0, loss_kind: str = "cross_entropy",
-          snapshot_epochs=(), eval_batch_size: int = 512) -> TrainResult:
+          snapshot_epochs=(), eval_batch_size: int = 512,
+          epoch_metrics: bool = True) -> TrainResult:
     """Minibatch SGD for ``epochs`` passes; deterministic given ``seed``.
 
     ``sgd`` is a hyperparameter template; velocities always start fresh.
     Shuffling, mixup draws and noise draws come from independent labeled
     streams, so disabling one option never shifts another. Per-epoch metrics
-    are measured with ``evaluate`` (noise-free). ``snapshot_epochs`` keeps a
-    reference to the network as of those epochs (networks are immutable).
+    are measured with ``evaluate`` (noise-free) on the train and test sets;
+    with ``epoch_metrics=False`` nothing is measured and ``metrics`` is
+    empty, which never changes the trained network. ``snapshot_epochs``
+    keeps a reference to the network as of those epochs (networks are
+    immutable).
     A non-finite minibatch loss aborts with the epoch index.
     """
     mixup = mixup if mixup is not None else MixupConfig()
@@ -243,14 +255,15 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
                     epoch, f"training diverged at epoch {epoch}: {exc}"
                 ) from exc
             net = nn.sgd_step(net, grads, state)
-        tr_loss, tr_acc = evaluate(net, data.x_train, data.y_train,
-                                   loss_kind=loss_kind,
-                                   batch_size=eval_batch_size)
-        te_loss, te_acc = evaluate(net, data.x_test, data.y_test,
-                                   loss_kind=loss_kind,
-                                   batch_size=eval_batch_size)
-        metrics.append(EpochMetrics(epoch, state.lr_at(epoch), tr_loss,
-                                    tr_acc, te_loss, te_acc))
+        if epoch_metrics:
+            tr_loss, tr_acc = evaluate(net, data.x_train, data.y_train,
+                                       loss_kind=loss_kind,
+                                       batch_size=eval_batch_size)
+            te_loss, te_acc = evaluate(net, data.x_test, data.y_test,
+                                       loss_kind=loss_kind,
+                                       batch_size=eval_batch_size)
+            metrics.append(EpochMetrics(epoch, state.lr_at(epoch), tr_loss,
+                                        tr_acc, te_loss, te_acc))
         if epoch in snapshot_epochs:
             snapshots[epoch] = net
     return TrainResult(net=net, metrics=tuple(metrics), snapshots=snapshots)

@@ -305,11 +305,32 @@ def pann_descriptor(net: nn.Network) -> dict:
 
 
 def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
-    if desc.get("format") != "pannkit-pann-descriptor":
+    """The backbone with each activation slot rebuilt from the descriptor.
+
+    A malformed descriptor, or one whose slot count does not match the
+    backbone's activation layers, raises ValueError naming ``slots[i]``.
+    """
+    if not isinstance(desc, dict) or \
+            desc.get("format") != "pannkit-pann-descriptor":
         raise ValueError("not a pann descriptor")
+    slots = desc.get("slots")
+    acts = backbone.activation_indices()
+    if not isinstance(slots, list) or len(slots) != len(acts):
+        raise ValueError(f"slots: expected a list of {len(acts)} slot "
+                         "descriptors, one per activation layer")
     out = backbone
-    for slot_pos, layer_idx in enumerate(backbone.activation_indices()):
-        mode = nn.mode_from_descriptor(desc["slots"][slot_pos])
+    for slot_pos, (slot, layer_idx) in enumerate(zip(slots, acts)):
+        try:
+            mode = nn.mode_from_descriptor(slot)
+        except KeyError as exc:
+            raise ValueError(f"slots[{slot_pos}]: missing field {exc}") \
+                from exc
+        except (AttributeError, ArithmeticError, TypeError,
+                ValueError) as exc:
+            # AttributeError: an object expected (a slot or its approx)
+            # holds some other JSON type; ArithmeticError: an integer field
+            # holds Infinity or 1e400
+            raise ValueError(f"slots[{slot_pos}]: {exc}") from exc
         out = out.replace_layer(layer_idx, nn.Activation(mode))
     return out
 
@@ -317,11 +338,6 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
 def save_pann_descriptor(net: nn.Network, path) -> None:
     with open(path, "w") as fh:
         json.dump(pann_descriptor(net), fh)
-
-
-def load_pann_descriptor(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _composite_from_descriptor(d: dict) -> CompositeReLU:

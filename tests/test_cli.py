@@ -133,6 +133,40 @@ class TestConfigErrors:
         assert cli.main(["train", "--config", str(cfg)]) == 2
         assert "config.dataset.nois" in capsys.readouterr().err
 
+    def test_malformed_descriptor_exits_2(self, tmp_path, capsys,
+                                          train_cfg):
+        model = tmp_path / "model.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        desc = tmp_path / "exact.json"
+        run(capsys, "transform", "--model", model, "--out", desc,
+            "--mode", "exact")
+        text = desc.read_text()
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(text[:len(text) // 2])
+        doc = json.loads(text)
+        short = write_config(tmp_path / "short.json",
+                             dict(doc, slots=doc["slots"][:-1]))
+        nokind = write_config(tmp_path / "nokind.json",
+                              dict(doc, slots=[{}] * len(doc["slots"])))
+        nondict = write_config(tmp_path / "nondict.json",
+                               dict(doc, slots=[[]] * len(doc["slots"])))
+        cert = {"beta": 6, "grid_points": 8, "max_error": 0.0,
+                "argmax_u": 0.0, "band_max_error": 0.0, "passed": True}
+        approx = {"format": "pannkit-sgn-approx", "chain": [[0.0, 1.0]],
+                  "certificate": cert, "bound": 1.0, "eps0": 0.1,
+                  "beta": float("inf"), "max_stage_degree": 3}
+        infbeta = write_config(tmp_path / "infbeta.json", dict(
+            doc, slots=[{"kind": "composite_relu", "policy": "clamp_to_B",
+                         "approx": approx}] * len(doc["slots"])))
+        for bad, detail in ((truncated, "invalid JSON"), (short, "slots"),
+                            (nokind, "slots[0]"), (nondict, "slots[0]"),
+                            (infbeta, "slots[0]")):
+            for cmd in ("eval-pann", "attack"):
+                assert cli.main([cmd, "--model", str(model), "--config",
+                                 str(train_cfg), "--pann", str(bad)]) == 2
+                err = capsys.readouterr().err
+                assert str(bad) in err and detail in err
+
     def test_missing_model_file(self, tmp_path, capsys, train_cfg):
         assert cli.main(["eval-pann", "--model",
                          str(tmp_path / "nope.json"),

@@ -84,6 +84,15 @@ class TestForward:
         out = nn.AvgPool(2).forward(x)
         np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_avgpool_bit_identical_to_reshape_mean(self, p, n):
+        rng = np.random.default_rng(10 * p + n)
+        x = rng.standard_normal((n, 3, 4 * p, 2 * p))
+        x *= 10.0 ** rng.integers(-4, 4, size=x.shape)  # mixed magnitudes
+        want = x.reshape(n, 3, 4, p, 2, p).mean(axis=(3, 5))
+        assert np.array_equal(nn.AvgPool(p).forward(x), want)
+
     def test_relu_subgradient_zero_at_zero(self):
         mode = nn.ExactReLU()
         z = np.array([-1.0, 0.0, 2.0])
@@ -195,6 +204,24 @@ class TestGradients:
             fd[idx] = (lp - lm) / (2 * h)
         assert max_rel_err(gx, fd) < 1e-4
 
+    @pytest.mark.parametrize("net", [
+        nn.build_cnn((1, 14, 14), [2, 3], 3, seed=4, kernel=3, pool=2,
+                     dense_hidden=(5,)),
+        nn.build_mlp((2, 3), [4], 3, seed=4)], ids=["cnn", "flatten-mlp"])
+    def test_parameter_gradients_bit_identical_to_full_backprop(self, net):
+        # backward stops below the first parameter layer; the gradients it
+        # does compute must equal those of the pass that reaches dL/dx
+        rng = derive_rng(4, "test")
+        x = rng.normal(size=(5, *net.input_shape))
+        y = rng.integers(0, 3, size=5)
+        grads, loss = nn.backward(net, x, y)
+        full, gx, full_loss, _ = nn._backprop(net, x, y, "cross_entropy")
+        assert gx.shape == x.shape and loss == full_loss
+        assert len(grads) == len(full)
+        for g, f in zip(grads, full):
+            assert g.keys() == f.keys()
+            assert all(np.array_equal(g[k], f[k]) for k in g)
+
     def test_gradient_shapes_match_parameters(self):
         net = nn.build_cnn((1, 8, 8), [2], 3, seed=1, kernel=3)
         x = np.zeros((2, 1, 8, 8))
@@ -246,6 +273,20 @@ class TestSgd:
         after = [l.W for l in net.layers if isinstance(l, nn.Dense)]
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
+
+    def test_velocity_updated_in_place_params_fresh(self):
+        net = nn.build_mlp((3,), [4], 2, seed=0)
+        state = nn.SgdState(lr=0.5, momentum=0.9)
+        x, y = np.ones((2, 3)), np.array([0, 1])
+        grads, _ = nn.backward(net, x, y)
+        net1 = nn.sgd_step(net, grads, state)
+        v = state.velocities[(0, "W")]
+        expect = 0.9 * v + grads[0]["W"]
+        net2 = nn.sgd_step(net1, grads, state)
+        assert state.velocities[(0, "W")] is v
+        assert np.array_equal(v, expect)
+        assert net2.layers[0].W is not net1.layers[0].W
+        assert np.array_equal(net2.layers[0].W, net1.layers[0].W - 0.5 * v)
 
     def test_lr_schedule_milestones(self):
         s = nn.SgdState(lr=0.1, milestones=(10, 20), gamma=0.1)

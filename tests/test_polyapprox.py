@@ -89,6 +89,32 @@ class TestRemez:
         assert exc.value.last_polynomial is not None
         assert exc.value.last_max_error is not None
 
+    def test_alternating_extrema_matches_loop(self):
+        def loop(err):
+            sign = np.sign(err)
+            for i in range(1, len(sign)):
+                if sign[i] == 0:
+                    sign[i] = sign[i - 1]
+            if sign[0] == 0:
+                sign[0] = 1.0
+            idx, start = [], 0
+            for i in range(1, len(sign) + 1):
+                if i == len(sign) or sign[i] != sign[start]:
+                    run = np.arange(start, i)
+                    idx.append(run[np.argmax(np.abs(err[run]))])
+                    start = i
+            return np.array(idx)
+
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n = int(rng.integers(1, 120))
+            err = np.round(rng.standard_normal(n), trial % 3)  # ties
+            err[rng.random(n) < 0.2] = 0.0
+            if trial % 5 == 0:
+                err[:int(rng.integers(1, n + 1))] = 0.0  # leading zeros
+            got = pa._alternating_extrema(None, err)
+            assert np.array_equal(got, loop(err)), err
+
 
 @pytest.fixture(scope="module")
 def ap8():

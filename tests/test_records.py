@@ -79,6 +79,17 @@ class TestRecordStore:
         assert store.has("aa" * 8)
         assert not store.has("bb" * 8)
 
+    def test_hashes_read_once_and_tracked(self, tmp_path, monkeypatch):
+        rec.RecordStore(tmp_path / "r.csv").append_rows([_record()])
+        store = rec.RecordStore(tmp_path / "r.csv")
+        reads = []
+        monkeypatch.setattr(store, "read_rows", lambda: reads.append(1))
+        assert store.has("aa" * 8)
+        assert store.append_rows([_record(value=0.9)]) == 0
+        assert store.append_rows([_record(chash="cc" * 8)]) == 1
+        assert store.has("cc" * 8) and "cc" * 8 in store.hashes()
+        assert reads == []
+
     def test_schema_mismatch_rejected(self, tmp_path):
         rec.RecordStore(tmp_path / "r.csv", columns=rec.RECORD_COLUMNS)
         with pytest.raises(ValueError, match="does not match schema"):

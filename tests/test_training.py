@@ -134,6 +134,29 @@ class TestNgnv:
         changed = np.flatnonzero(out != z)
         assert set(changed.tolist()) == {1, 2}  # ceil(0.5*3)=2 most negative
 
+    @pytest.mark.parametrize("r", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("decimals", [0, 1, None])
+    def test_draw_matches_stable_argsort(self, r, decimals):
+        # selection by partition must pick the same entries in the same
+        # order as a full stable argsort (ties broken by index), so the
+        # noise draws land on the same units
+        def reference(z, cfg, rng):
+            flat = z.ravel()
+            neg = np.flatnonzero(flat < 0)
+            k = math.ceil(cfg.r * neg.size)
+            chosen = neg[np.argsort(flat[neg], kind="stable")[:k]]
+            return chosen, cfg.noise_scale * rng.standard_normal(k)
+
+        cfg = tr.NgnvConfig(r=r, noise_scale=0.05)
+        for seed in range(20):
+            z = np.random.default_rng(seed).standard_normal((8, 3, 6, 6))
+            if decimals is not None:
+                z = np.round(z, decimals)  # heavy ties
+            got = tr._ngnv_draw(z, cfg, np.random.default_rng(seed))
+            want = reference(z, cfg, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
     def test_output_adjustment_matches_perturb_delta(self):
         z = np.random.default_rng(5).standard_normal((2, 6))
         cfg = tr.NgnvConfig(r=0.5, noise_scale=0.1)
@@ -281,6 +304,19 @@ class TestTrain:
         short = tr.train(net, blobs, self.SGD, epochs=3, seed=7)
         assert set(long.snapshots) == {3}
         assert nets_equal(long.snapshots[3], short.net)
+
+    def test_unmeasured_run_keeps_trajectory(self, blobs):
+        net = nn.build_mlp((2,), (8,), 2, seed=0)
+        ngnv = tr.NgnvConfig(r=0.3, noise_scale=0.05)
+        full = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv)
+        out = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv,
+                       snapshot_epochs=(1, 2, 3), epoch_metrics=False)
+        assert out.metrics == ()
+        assert nets_equal(out.net, full.net)
+        # evaluating the snapshots afterwards gives the per-epoch losses
+        assert [tr.evaluate(out.snapshots[e], blobs.x_train,
+                            blobs.y_train) for e in (1, 2, 3)] == \
+            [(m.train_loss, m.train_accuracy) for m in full.metrics]
 
     def test_milestone_lr_in_metrics(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)

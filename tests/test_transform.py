@@ -1,5 +1,7 @@
 """Transform tests: mode swaps, interval policies, replacement arithmetic."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ class TestDescriptors:
         pann = tf.transform(backbone, tf.CompositeReLU(ap))
         path = tmp_path / "desc.json"
         tf.save_pann_descriptor(pann, path)
-        rebuilt = tf.apply_descriptor(backbone, tf.load_pann_descriptor(path))
+        rebuilt = tf.apply_descriptor(backbone, json.loads(path.read_text()))
         np.testing.assert_array_equal(nn.forward(rebuilt, eval_x)[0],
                                       nn.forward(pann, eval_x)[0])
 
@@ -200,7 +202,7 @@ class TestDescriptors:
                                                       "worst_case_fixed", 9))
         path = tmp_path / "desc.json"
         tf.save_pann_descriptor(pann, path)
-        rebuilt = tf.apply_descriptor(backbone, tf.load_pann_descriptor(path))
+        rebuilt = tf.apply_descriptor(backbone, json.loads(path.read_text()))
         np.testing.assert_array_equal(nn.forward(rebuilt, eval_x)[0],
                                       nn.forward(pann, eval_x)[0])
 
@@ -208,7 +210,7 @@ class TestDescriptors:
         pann = tf.transform(backbone, TruncatedReLU(FixedPointFormat(8)))
         path = tmp_path / "desc.json"
         tf.save_pann_descriptor(pann, path)
-        rebuilt = tf.apply_descriptor(backbone, tf.load_pann_descriptor(path))
+        rebuilt = tf.apply_descriptor(backbone, json.loads(path.read_text()))
         np.testing.assert_array_equal(nn.forward(rebuilt, eval_x)[0],
                                       nn.forward(pann, eval_x)[0])
 
