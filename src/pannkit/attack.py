@@ -71,12 +71,6 @@ def _predict_one(net: nn.Network, x1: np.ndarray) -> int:
     return int(nn.predict(net, x1[None])[0])
 
 
-def _loss_one(net: nn.Network, x1: np.ndarray, y: int, kind: str) -> float:
-    logits, _ = nn.forward(net, x1[None])
-    loss, _ = nn.loss_and_logit_grad(logits, np.array([y]), kind)
-    return loss
-
-
 def _input_grad_one(net, x1, y, kind) -> np.ndarray:
     g, _ = nn.input_gradient(net, x1[None], np.array([y]), kind)
     return g[0]
@@ -86,20 +80,26 @@ def _random_search(x, delta, y, backbone, pann, cfg, rng):
     """Best of k uniform ∞-ball draws around delta, by approximated-model
     loss, restricted to candidates the backbone still gets right. The
     current iterate competes on the same terms; if no candidate qualifies
-    the iterate is returned unchanged."""
-    cands = [delta]
-    for _ in range(cfg.search_draws):
-        step = rng.uniform(-cfg.search_radius, cfg.search_radius,
-                           size=delta.shape)
-        cands.append(np.clip(delta + step, -cfg.eps, cfg.eps))
-    best, best_loss = delta, None
-    for cand in cands:
-        if _predict_one(backbone, x + cand) != y:
-            continue
-        loss = _loss_one(pann, x + cand, y, cfg.loss_kind)
+    the iterate is returned unchanged. Ties go to the earliest candidate.
+
+    The candidates run as one batch through each model. A batched Dense
+    layer may round its logits differently from a single-sample one in the
+    last ulps, which can only matter for a loss tie at that level."""
+    steps = rng.uniform(-cfg.search_radius, cfg.search_radius,
+                        size=(cfg.search_draws,) + delta.shape)
+    cands = np.concatenate(
+        (delta[None], np.clip(delta + steps, -cfg.eps, cfg.eps)))
+    cands = cands[nn.predict(backbone, x + cands) == y]
+    if not len(cands):
+        return delta
+    logits, _ = nn.forward(pann, x + cands)
+    best, best_loss = 0, None
+    for i in range(len(cands)):
+        loss, _ = nn.loss_and_logit_grad(logits[i:i + 1], np.array([y]),
+                                         cfg.loss_kind)
         if best_loss is None or loss > best_loss:
-            best, best_loss = cand, loss
-    return best
+            best, best_loss = i, loss
+    return cands[best]
 
 
 def attack_pann(x, y, backbone: nn.Network, pann: nn.Network,
@@ -132,9 +132,12 @@ def attack_pann(x, y, backbone: nn.Network, pann: nn.Network,
     alpha = cfg.alpha
     trace = []
     iters = 0
+    # the approximated model's prediction at the current delta; each
+    # iteration ends by computing it for the next
+    pp = _predict_one(pann, x + delta)
     while iters < cfg.max_iters:
         iters += 1
-        if _predict_one(pann, x + delta) == y:
+        if pp == y:
             g_pann = _input_grad_one(pann, x + delta, y, cfg.loss_kind)
             delta = clip(delta + alpha * g_pann)
             delta = clip(_random_search(x, delta, y, backbone, pann,
@@ -143,16 +146,17 @@ def attack_pann(x, y, backbone: nn.Network, pann: nn.Network,
             g_bb = _input_grad_one(backbone, x + delta, y, cfg.loss_kind)
             delta = clip(delta * (np.abs(g_pann - g_bb) >= cfg.eps_atk))
             delta = clip(delta * (np.abs(g_bb - g_bb_clean) <= cfg.eps_lim))
-        if _predict_one(backbone, x + delta) != y:
+        pb = _predict_one(backbone, x + delta)
+        if pb != y:
             # revert to the most recent safe state and probe more gently
             delta = checkpoints.pop() if checkpoints else np.zeros_like(x)
             alpha /= 2.0
+            pb = _predict_one(backbone, x + delta)
         else:
             checkpoints.append(delta.copy())
             if len(checkpoints) > cfg.backtrack_depth:
                 checkpoints.pop(0)
             alpha = cfg.alpha
-        pb = _predict_one(backbone, x + delta)
         pp = _predict_one(pann, x + delta)
         trace.append((pb, pp))
         if pb == y and pp != y:

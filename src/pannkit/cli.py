@@ -24,7 +24,7 @@ from . import sturdiness as sd
 from . import training
 from . import transform as tf
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import approx_to_json, build_appsgn
+from .polyapprox import MAX_GRID_POINTS, approx_to_json, build_appsgn
 
 __all__ = ["main", "ConfigError"]
 
@@ -566,6 +566,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    if not 2 <= args.grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--grid-points: expected an integer in "
+                          f"[2, {MAX_GRID_POINTS}], got {args.grid_points}")
     approx = build_appsgn(beta=args.beta, eps0=args.eps0, bound=args.bound,
                           max_stage_degree=args.max_stage_degree,
                           grid_points=args.grid_points)

@@ -264,11 +264,12 @@ def synthetic_digits(n: int, seed: int, noise: float = 0.1):
     y = _balanced_labels(n, 10, rng)
     shifts = rng.integers(-3, 4, size=(n, 2))
     brightness = 0.7 + 0.3 * rng.random(n)
-    images = np.empty((n, 28, 28))
-    for i in range(n):
-        g = templates[y[i]] * brightness[i]
-        g = np.roll(g, (int(shifts[i, 0]), int(shifts[i, 1])), axis=(0, 1))
-        images[i] = g
+    # np.roll by (dr, dc): output pixel (r, c) reads (r - dr, c - dc) mod 28
+    pix = np.arange(28)
+    images = templates[y[:, None, None],
+                       (pix[:, None] - shifts[:, None, :1]) % 28,
+                       (pix - shifts[:, None, 1:]) % 28]
+    images *= brightness[:, None, None]
     images += noise * rng.standard_normal((n, 28, 28))
     images = np.clip(images, 0.0, 1.0)
     return np.round(images * 255.0).astype(np.uint8), y

@@ -25,6 +25,9 @@ class FixedPointFormat:
     total_bits: int
 
     def __post_init__(self):
+        if type(self.total_bits) is not int:  # bool is not a width
+            raise ValueError(f"total_bits must be an integer, got "
+                             f"{self.total_bits!r}")
         if self.total_bits % 2:
             raise ValueError("total_bits must be even")
         if not 4 <= self.total_bits <= 32:
@@ -138,14 +141,3 @@ class TruncatedReLU:
 
     def __repr__(self):
         return f"TruncatedReLU(l_x={self.fmt.total_bits})"
-
-
-def truncated_relu_network_eval(net, x: np.ndarray, y: np.ndarray,
-                                fmt: FixedPointFormat) -> float:
-    """Accuracy of the network with every ReLU run through the truncation
-    protocol; everything else stays in float64."""
-    from .transform import transform  # deferred: transform imports this module
-
-    swapped = transform(net, TruncatedReLU(fmt))
-    from .nn import predict
-    return float(np.mean(predict(swapped, x) == np.asarray(y)))

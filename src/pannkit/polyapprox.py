@@ -14,9 +14,9 @@ error is at most 2^-beta everywhere on the certified domain.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -55,17 +55,39 @@ class Polynomial:
     def is_odd(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[0::2])
 
+    @cached_property
+    def _horner_adds(self) -> tuple:
+        """Horner's adds below the leading coefficient, None where skipping
+        is bit-exact: adding -0.0 is an identity, and adding +0.0 only turns
+        -0.0 into +0.0, which the constant term (always added) erases
+        unless it is -0.0 itself."""
+        c0 = self.coeffs[0]
+        skip_plus_zero = c0 != 0.0 or math.copysign(1.0, c0) > 0
+        adds = []
+        for k in range(self.degree - 1, -1, -1):
+            c = self.coeffs[k]
+            skip = c == 0.0 and (skip_plus_zero or math.copysign(1.0, c) < 0)
+            adds.append(None if k and skip else c)
+        return tuple(adds)
+
     def __call__(self, z):
         z = np.asarray(z, dtype=np.float64)
-        acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
+        # zeros * z keeps inf and NaN inputs propagating as NaN
+        acc = np.zeros_like(z) * z + self.coeffs[-1]
+        for c in self._horner_adds:
+            acc *= z
+            if c is not None:
+                acc += c
         return acc if acc.ndim else float(acc)
 
-    def derivative(self) -> "Polynomial":
+    @cached_property
+    def _derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+
+    def derivative(self) -> "Polynomial":
+        return self._derivative
 
 
 def _affine_substitute(coeffs_u, alpha: float, gamma: float):
@@ -169,18 +191,22 @@ def _alternating_extrema(xs: np.ndarray, err: np.ndarray):
     return hit[first]
 
 
-def _refine_extremum(f, p, x0, x1, x2):
-    """Parabolic sharpening of a grid extremum of |p - f|."""
-    xs = np.array([x0, x1, x2])
-    ys = np.abs(p(xs) - f(xs))
-    d0, d1, d2 = ys
+def _refine_extrema(f, p, grid, idx):
+    """Parabolic sharpening of the grid extrema grid[idx] of |p - f|, each
+    through its two grid neighbours; an extremum stays put where the
+    parabola does not open downward or is not finite."""
+    x0 = grid[np.maximum(idx - 1, 0)]
+    x1 = grid[idx]
+    x2 = grid[np.minimum(idx + 1, len(grid) - 1)]
+    xs = np.concatenate((x0, x1, x2))
+    d0, d1, d2 = np.abs(p(xs) - f(xs)).reshape(3, -1)
     denom = (d0 - 2 * d1 + d2)
-    if denom >= 0 or not np.isfinite(denom):
-        return x1
-    dx = 0.5 * (d0 - d2) / denom
-    x_new = x1 + dx * (x2 - x1) if dx > 0 else x1 + dx * (x1 - x0)
-    lo, hi = min(x0, x2), max(x0, x2)
-    return float(np.clip(x_new, lo, hi))
+    keep = (denom >= 0) | ~np.isfinite(denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = 0.5 * (d0 - d2) / denom
+        x_new = np.where(dx > 0, x1 + dx * (x2 - x1), x1 + dx * (x1 - x0))
+    x_new = np.clip(x_new, np.minimum(x0, x2), np.maximum(x0, x2))
+    return np.where(keep, x1, x_new)
 
 
 def remez_minimax(target, interval, degree: int, tol: float = 1e-10,
@@ -237,14 +263,9 @@ def remez_minimax(target, interval, degree: int, tol: float = 1e-10,
         poly = _basis_to_polynomial(gamma, degree, odd, (a, b))
 
         err = poly(grid) - fgrid
-        ext_idx = _alternating_extrema(grid, err)
         # sharpen each extremum, then measure deviations at the refined spots
-        ext_x = []
-        for j in ext_idx:
-            lo = grid[j - 1] if j > 0 else grid[j]
-            hi = grid[j + 1] if j + 1 < len(grid) else grid[j]
-            ext_x.append(_refine_extremum(f, poly, lo, grid[j], hi))
-        ext_x = np.array(sorted(set(ext_x)))
+        ext_x = np.unique(_refine_extrema(
+            f, poly, grid, _alternating_extrema(grid, err)))
         ext_err = poly(ext_x) - f(ext_x)
 
         max_err = float(np.max(np.abs(ext_err)))
@@ -419,9 +440,17 @@ class CompositeSgnApprox:
         return d
 
 
+MAX_GRID_POINTS = 1_000_000
+
+
 def _certify_chain(chain, bound, eps0, beta, grid_points=100_000):
     """Measure the composite error on the positive branch, refine around
     every local extremum, and inspect band behavior."""
+    # checked before any grid is allocated; bool is not a count
+    if type(grid_points) is not int or \
+            not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be an integer in "
+                         f"[2, {MAX_GRID_POINTS}], got {grid_points!r}")
 
     def chain_eval(u):
         v = u
@@ -437,16 +466,18 @@ def _certify_chain(chain, bound, eps0, beta, grid_points=100_000):
     arg = int(err.argmax())
 
     # local refinement with cosine-clustered nodes around each grid extremum,
-    # plus a log-spaced sweep to resolve crowding toward t0
+    # one row per extremum, plus a log-spaced sweep to resolve crowding
+    # toward t0. A row whose maximum is NaN never raises max_err.
     ext = _alternating_extrema(grid, signed)
-    for j in ext:
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, len(grid) - 1)]
-        local = (lo + hi) / 2 + (hi - lo) / 2 * _cheb_extrema(64)
-        lerr = np.abs(chain_eval(local) - 1.0)
-        if lerr.max() > max_err:
-            max_err = float(lerr.max())
-    lerr = np.abs(chain_eval(np.geomspace(t0, 1.0, grid_points // 10)) - 1.0)
+    lo = grid[np.maximum(ext - 1, 0)][:, None]
+    hi = grid[np.minimum(ext + 1, len(grid) - 1)][:, None]
+    local = (lo + hi) / 2 + (hi - lo) / 2 * _cheb_extrema(64)
+    row_max = np.abs(chain_eval(local) - 1.0).max(axis=1)
+    row_max = row_max[~np.isnan(row_max)]
+    if row_max.size and row_max.max() > max_err:
+        max_err = float(row_max.max())
+    lerr = np.abs(chain_eval(
+        np.geomspace(t0, 1.0, max(grid_points // 10, 1))) - 1.0)
     if lerr.max() > max_err:
         max_err = float(lerr.max())
     argmax_u = float(grid[arg])
@@ -648,6 +679,9 @@ def approx_from_json(doc: dict, recertify: bool = True) -> CompositeSgnApprox:
                   for stage in doc["chain"])
     c = doc["certificate"]
     if recertify:
+        if not 0 < doc["eps0"] < doc["bound"]:
+            raise ValueError(f"eps0 must lie in (0, bound), got eps0 "
+                             f"{doc['eps0']!r}, bound {doc['bound']!r}")
         cert = _certify_chain(chain, doc["bound"], doc["eps0"], doc["beta"],
                               grid_points=c["grid_points"])
         if not cert.passed:
@@ -664,12 +698,3 @@ def approx_from_json(doc: dict, recertify: bool = True) -> CompositeSgnApprox:
                               max_stage_degree=int(doc["max_stage_degree"]),
                               certificate=cert)
 
-
-def save_approx(approx: CompositeSgnApprox, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(approx_to_json(approx), fh, indent=1)
-
-
-def load_approx(path, recertify: bool = True) -> CompositeSgnApprox:
-    with open(path) as fh:
-        return approx_from_json(json.load(fh), recertify=recertify)

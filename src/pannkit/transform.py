@@ -278,20 +278,6 @@ def calibrate_bound(net: nn.Network, x: np.ndarray, safety: float = 1.2,
     return safety * worst
 
 
-def overflow_report(net: nn.Network) -> dict:
-    """Clamp accounting over all composite slots of a transformed network."""
-    clamped = total = recert = 0
-    for layer in net.layers:
-        if isinstance(layer, nn.Activation) and isinstance(layer.mode,
-                                                           CompositeReLU):
-            clamped += layer.mode.clamped
-            total += layer.mode.total
-            recert += layer.mode.recertifications
-    return {"clamped": clamped, "total": total,
-            "clamp_fraction": clamped / total if total else 0.0,
-            "recertifications": recert}
-
-
 # ---------------------------------------------------------------------------
 # descriptors: reconstruct a transformed network from its backbone
 
@@ -307,8 +293,10 @@ def pann_descriptor(net: nn.Network) -> dict:
 def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
     """The backbone with each activation slot rebuilt from the descriptor.
 
-    A malformed descriptor, or one whose slot count does not match the
-    backbone's activation layers, raises ValueError naming ``slots[i]``.
+    Composite slots are re-certified, each distinct approximant once. A
+    malformed descriptor, an approximant that fails re-certification, or a
+    slot count that does not match the backbone's activation layers raises
+    ValueError naming ``slots[i]``.
     """
     if not isinstance(desc, dict) or \
             desc.get("format") != "pannkit-pann-descriptor":
@@ -319,9 +307,13 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
         raise ValueError(f"slots: expected a list of {len(acts)} slot "
                          "descriptors, one per activation layer")
     out = backbone
+    certified = {}
     for slot_pos, (slot, layer_idx) in enumerate(zip(slots, acts)):
         try:
-            mode = nn.mode_from_descriptor(slot)
+            if isinstance(slot, dict) and slot.get("kind") == "composite_relu":
+                mode = _composite_from_descriptor(slot, certified)
+            else:
+                mode = nn.mode_from_descriptor(slot)
         except KeyError as exc:
             raise ValueError(f"slots[{slot_pos}]: missing field {exc}") \
                 from exc
@@ -340,9 +332,13 @@ def save_pann_descriptor(net: nn.Network, path) -> None:
         json.dump(pann_descriptor(net), fh)
 
 
-def _composite_from_descriptor(d: dict) -> CompositeReLU:
-    approx = approx_from_json(d["approx"], recertify=False)
-    return CompositeReLU(approx, IntervalPolicy(d["policy"]))
+def _composite_from_descriptor(d: dict, certified: dict) -> CompositeReLU:
+    """A composite slot with its approximant re-certified, unless
+    ``certified`` (approximant JSON -> approximant) already holds it."""
+    key = json.dumps(d["approx"], sort_keys=True)
+    if key not in certified:
+        certified[key] = approx_from_json(d["approx"], recertify=True)
+    return CompositeReLU(certified[key], IntervalPolicy(d["policy"]))
 
 
 def _injected_from_descriptor(d: dict) -> InjectedReLU:
@@ -359,7 +355,8 @@ def _truncated_from_descriptor(d: dict) -> TruncatedReLU:
     return TruncatedReLU(FixedPointFormat(d["total_bits"]))
 
 
-nn.register_mode("composite_relu", _composite_from_descriptor)
+nn.register_mode("composite_relu",
+                 lambda d: _composite_from_descriptor(d, {}))
 nn.register_mode("injected_relu", _injected_from_descriptor)
 nn.register_mode("partial_replace_relu", _partial_from_descriptor)
 nn.register_mode("truncated_relu", _truncated_from_descriptor)

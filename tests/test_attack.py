@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from pannkit import attack, nn
+from pannkit import polyapprox as pa
 from pannkit import transform as tf
+from pannkit.seeding import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,111 @@ class TestAttack:
         out = attack.attack_pann(ANCHOR, LABEL, backbone, pann, cfg, seed=0)
         assert not out.success
         assert np.all(out.delta == 0.0)
+
+
+def _search_loop(x, delta, y, backbone, pann, cfg, rng):
+    """The per-candidate random search the batched one replaced."""
+    cands = [delta]
+    for _ in range(cfg.search_draws):
+        step = rng.uniform(-cfg.search_radius, cfg.search_radius,
+                           size=delta.shape)
+        cands.append(np.clip(delta + step, -cfg.eps, cfg.eps))
+    best, best_loss = delta, None
+    for cand in cands:
+        if attack._predict_one(backbone, x + cand) != y:
+            continue
+        logits, _ = nn.forward(pann, (x + cand)[None])
+        loss, _ = nn.loss_and_logit_grad(logits, np.array([y]),
+                                         cfg.loss_kind)
+        if best_loss is None or loss > best_loss:
+            best, best_loss = cand, loss
+    return best
+
+
+def _attack_loop(x, y, backbone, pann, cfg, seed=0):
+    """attack_pann as it was before predictions were reused and the random
+    search was batched."""
+    predict, grad = attack._predict_one, attack._input_grad_one
+    x = np.asarray(x, dtype=np.float64)
+    rng = derive_rng(seed, "attack")
+    clip = lambda d: np.clip(d, -cfg.eps, cfg.eps)
+    delta = np.zeros_like(x)
+    if predict(pann, x) != y:
+        return attack.AttackOutcome(True, delta, 0)
+    g_bb_clean = grad(backbone, x, y, cfg.loss_kind)
+    checkpoints = [delta.copy()]
+    alpha = cfg.alpha
+    trace = []
+    iters = 0
+    while iters < cfg.max_iters:
+        iters += 1
+        if predict(pann, x + delta) == y:
+            g_pann = grad(pann, x + delta, y, cfg.loss_kind)
+            delta = clip(delta + alpha * g_pann)
+            delta = clip(_search_loop(x, delta, y, backbone, pann, cfg,
+                                      rng))
+            g_pann = grad(pann, x + delta, y, cfg.loss_kind)
+            g_bb = grad(backbone, x + delta, y, cfg.loss_kind)
+            delta = clip(delta * (np.abs(g_pann - g_bb) >= cfg.eps_atk))
+            delta = clip(delta * (np.abs(g_bb - g_bb_clean) <= cfg.eps_lim))
+        if predict(backbone, x + delta) != y:
+            delta = checkpoints.pop() if checkpoints else np.zeros_like(x)
+            alpha /= 2.0
+        else:
+            checkpoints.append(delta.copy())
+            if len(checkpoints) > cfg.backtrack_depth:
+                checkpoints.pop(0)
+            alpha = cfg.alpha
+        pb = predict(backbone, x + delta)
+        pp = predict(pann, x + delta)
+        trace.append((pb, pp))
+        if pb == y and pp != y:
+            return attack.AttackOutcome(True, delta, iters, tuple(trace))
+    return attack.AttackOutcome(False, delta, iters, tuple(trace),
+                                failure_reason="iteration cap reached")
+
+
+@pytest.fixture(scope="module")
+def composite_pann(backbone):
+    calib = ANCHOR + np.linspace(-EPS, EPS, 21)[:, None]
+    bound = tf.calibrate_bound(backbone, calib)
+    return tf.transform(backbone, tf.CompositeReLU(pa.build_appsgn(
+        6, bound=bound)))
+
+
+class TestMatchesLoop:
+    def test_random_search_picks_same_candidate(self, backbone, pann,
+                                                composite_pann):
+        cfg = _cfg()
+        for model in (pann, composite_pann):
+            for s in range(50):
+                delta = np.clip(derive_rng(s, "delta").uniform(
+                    -EPS, EPS, size=2), -EPS, EPS) * (s % 3 != 0)
+                rng_a, rng_b = derive_rng(s, "a"), derive_rng(s, "a")
+                got = attack._random_search(ANCHOR, delta, LABEL, backbone,
+                                            model, cfg, rng_a)
+                want = _search_loop(ANCHOR, delta, LABEL, backbone, model,
+                                    cfg, rng_b)
+                assert np.array_equal(got, want), s
+                assert rng_a.random() == rng_b.random()
+
+    def test_attack_same_outcome_and_trace(self, backbone, pann,
+                                           composite_pann):
+        cfgs = (_cfg(), _cfg(alpha=5.0, search_radius=0.02, search_draws=4,
+                             max_iters=40),
+                _cfg(eps_atk=1e9, max_iters=10), _cfg(max_iters=0))
+        for model in (pann, composite_pann):
+            for cfg in cfgs:
+                for seed in range(6):
+                    got = attack.attack_pann(ANCHOR, LABEL, backbone, model,
+                                             cfg, seed=seed)
+                    want = _attack_loop(ANCHOR, LABEL, backbone, model, cfg,
+                                        seed=seed)
+                    assert np.array_equal(got.delta, want.delta)
+                    assert (got.success, got.iterations, got.trace,
+                            got.failure_reason) == \
+                        (want.success, want.iterations, want.trace,
+                         want.failure_reason)
 
 
 class TestVerify:

@@ -52,6 +52,14 @@ class TestApprox:
         z, p, err = (float(v) for v in rows[1])
         assert err == p - np.sign(z)
 
+    def test_grid_points_out_of_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "appr.json"
+        for bad in (1, 10 ** 12):
+            assert cli.main(["approx", "--beta", "6", "--out", str(out),
+                             "--grid-points", str(bad)]) == 2
+            assert "--grid-points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_and_records(self, tmp_path, capsys, train_cfg):
@@ -158,14 +166,52 @@ class TestConfigErrors:
         infbeta = write_config(tmp_path / "infbeta.json", dict(
             doc, slots=[{"kind": "composite_relu", "policy": "clamp_to_B",
                          "approx": approx}] * len(doc["slots"])))
-        for bad, detail in ((truncated, "invalid JSON"), (short, "slots"),
-                            (nokind, "slots[0]"), (nondict, "slots[0]"),
-                            (infbeta, "slots[0]")):
+        cases = [(truncated, "invalid JSON"), (short, "slots"),
+                 (nokind, "slots[0]"), (nondict, "slots[0]"),
+                 (infbeta, "slots[0]")]
+
+        # tampered composite and truncated slots fail on load
+        comp, trunc = tmp_path / "comp.json", tmp_path / "trunc.json"
+        run(capsys, "transform", "--model", model, "--out", comp,
+            "--mode", "composite", "--beta", 6, "--config", train_cfg)
+        run(capsys, "transform", "--model", model, "--out", trunc,
+            "--mode", "truncated", "--bits", 8)
+
+        def tampered(name, src, edit, detail):
+            doc = json.loads(src.read_text())
+            edit(doc["slots"][0])
+            cases.append((write_config(tmp_path / f"{name}.json", doc),
+                          f"slots[0]: {detail}"))
+
+        def scale_coeff(slot):
+            stage = slot["approx"]["chain"][0]
+            stage[1] = repr(float(stage[1]) * 1.5)
+
+        def set_grid(n):
+            return lambda slot: slot["approx"]["certificate"].update(
+                grid_points=n)
+
+        fails = "stored approximant fails re-certification"
+        tampered("nochain", comp,
+                 lambda slot: slot["approx"].update(chain=[]), fails)
+        tampered("negbound", comp,
+                 lambda slot: slot["approx"].update(bound=-1), "eps0")
+        tampered("coeff", comp, scale_coeff, fails)
+        tampered("hugegrid", comp, set_grid(10 ** 12), "grid_points")
+        tampered("fracgrid", comp, set_grid(1.5), "grid_points")
+        tampered("strbits", trunc, lambda slot: slot.update(total_bits="x"),
+                 "total_bits")
+        tampered("floatbits", trunc,
+                 lambda slot: slot.update(total_bits=8.0), "total_bits")
+        for bad, detail in cases:
             for cmd in ("eval-pann", "attack"):
                 assert cli.main([cmd, "--model", str(model), "--config",
                                  str(train_cfg), "--pann", str(bad)]) == 2
                 err = capsys.readouterr().err
-                assert str(bad) in err and detail in err
+                assert str(bad) in err and detail in err, err
+        for good in (comp, trunc):
+            assert run(capsys, "eval-pann", "--model", model, "--config",
+                       train_cfg, "--pann", good)[0] == 0
 
     def test_missing_model_file(self, tmp_path, capsys, train_cfg):
         assert cli.main(["eval-pann", "--model",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pannkit import datasets as ds
+from pannkit.seeding import derive_rng
 
 
 def _idx_bytes(magic, dims, payload: bytes) -> bytes:
@@ -157,6 +158,29 @@ class TestSynthetic:
         assert counts.max() - counts.min() <= 1
         img2, lab2 = ds.synthetic_digits(40, seed=2)
         assert np.array_equal(img, img2) and np.array_equal(lab, lab2)
+
+    def test_digits_match_per_image_loop(self):
+        def loop(n, seed, noise=0.1):
+            rng = derive_rng(seed, "digits")
+            templates = ds._digit_templates()
+            y = ds._balanced_labels(n, 10, rng)
+            shifts = rng.integers(-3, 4, size=(n, 2))
+            brightness = 0.7 + 0.3 * rng.random(n)
+            images = np.empty((n, 28, 28))
+            for i in range(n):
+                g = templates[y[i]] * brightness[i]
+                g = np.roll(g, (int(shifts[i, 0]), int(shifts[i, 1])),
+                            axis=(0, 1))
+                images[i] = g
+            images += noise * rng.standard_normal((n, 28, 28))
+            images = np.clip(images, 0.0, 1.0)
+            return np.round(images * 255.0).astype(np.uint8), y
+
+        for n, seed in ((1800, 3), (1000, 7), (2500, 0), (40, 2)):
+            img, lab = ds.synthetic_digits(n, seed)
+            want_img, want_lab = loop(n, seed)
+            assert np.array_equal(img, want_img)
+            assert np.array_equal(lab, want_lab)
 
     def test_digit_classes_distinct(self):
         # shift-searched cosine matched filter recovers the class; cosine

@@ -19,6 +19,11 @@ class TestFormat:
         with pytest.raises(ValueError):
             fp.FixedPointFormat(bad)
 
+    @pytest.mark.parametrize("bad", ["x", 8.0, True, None])
+    def test_non_integer_width_named(self, bad):
+        with pytest.raises(ValueError, match="total_bits"):
+            fp.FixedPointFormat(bad)
+
 
 class TestQuantize:
     def test_frozen_examples_lx8(self):
@@ -111,9 +116,10 @@ class TestTruncatedReLUMode:
         """32-bit words resolve these small activations exactly enough that
         predictions cannot move."""
         from pannkit import nn
+        from pannkit.transform import transform
         net = nn.build_mlp((4,), [8], 3, seed=3)
         x = np.random.default_rng(1).uniform(-1, 1, size=(64, 4))
         y = nn.predict(net, x)
-        acc = fp.truncated_relu_network_eval(net, x, y,
-                                             fp.FixedPointFormat(32))
+        swapped = transform(net, fp.TruncatedReLU(fp.FixedPointFormat(32)))
+        acc = float(np.mean(nn.predict(swapped, x) == y))
         assert acc == 1.0

@@ -40,6 +40,53 @@ class TestPolynomial:
         assert pa.Polynomial((0.0, 1.0, 0.0, -2.0)).is_odd()
         assert not pa.Polynomial((0.1, 1.0)).is_odd()
 
+    def test_horner_matches_loop_bitwise(self):
+        def loop(coeffs, z):
+            z = np.asarray(z, dtype=np.float64)
+            acc = np.zeros_like(z)
+            for c in reversed(coeffs):
+                acc = acc * z + c
+            return acc if acc.ndim else float(acc)
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return (np.array_equal(a, b, equal_nan=True)
+                    and np.array_equal(np.signbit(a), np.signbit(b)))
+
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300,
+                            -1e-300, 1e300, -1.0, 0.5])
+        polys = [(-0.0, 0.0, -1.0), (-0.0, -0.0, 0.0, 2.0), (0.0, -0.0, 1.0),
+                 (3.0,), (0.0,), (-0.0,), (np.nan, 0.0, 1.0),
+                 (0.0, np.inf, 0.0, 1.0)]
+        for trial in range(60):
+            deg = int(rng.integers(1, 16))
+            c = rng.standard_normal(deg + 1)
+            if trial % 2:
+                c[0::2] = 0.0  # odd
+            else:
+                c[1::2] = 0.0  # even
+            c[rng.random(deg + 1) < 0.2] = rng.choice([0.0, -0.0])
+            polys.append(tuple(c))
+        z = np.concatenate([special, rng.standard_normal(30) * 3])
+        with np.errstate(all="ignore"):  # overflow and inf * 0 on purpose
+            for coeffs in polys:
+                p = pa.Polynomial(coeffs)
+                assert same(p(z), loop(p.coeffs, z)), coeffs
+                assert same(p(z.reshape(4, 10)),
+                            loop(p.coeffs, z.reshape(4, 10)))
+                for v in special:
+                    got, want = p(v), loop(p.coeffs, v)
+                    assert isinstance(got, float), (coeffs, v)
+                    assert same(got, want), (coeffs, v)
+                    assert same(p(np.float64(v)), want)
+
+    def test_derivative_cached(self):
+        p = pa.Polynomial((0.0, 3.0, 0.0, -1.0))
+        assert p.derivative() is p.derivative()
+        assert p.derivative().coeffs == (3.0, 0.0, -3.0)
+        assert pa.Polynomial((2.0,)).derivative().coeffs == (0.0,)
+
 
 class TestRemez:
     def test_degree1_odd_closed_form(self):
@@ -88,6 +135,46 @@ class TestRemez:
                              tol=1e-15, max_iter=2)
         assert exc.value.last_polynomial is not None
         assert exc.value.last_max_error is not None
+
+    def test_refinement_matches_loop(self, monkeypatch):
+        def refine_one(f, p, x0, x1, x2):
+            xs = np.array([x0, x1, x2])
+            ys = np.abs(p(xs) - f(xs))
+            d0, d1, d2 = ys
+            denom = (d0 - 2 * d1 + d2)
+            if denom >= 0 or not np.isfinite(denom):
+                return x1
+            dx = 0.5 * (d0 - d2) / denom
+            x_new = x1 + dx * (x2 - x1) if dx > 0 else x1 + dx * (x1 - x0)
+            lo, hi = min(x0, x2), max(x0, x2)
+            return float(np.clip(x_new, lo, hi))
+
+        def loop(f, p, grid, idx):
+            out = []
+            for j in idx:
+                lo = grid[j - 1] if j > 0 else grid[j]
+                hi = grid[j + 1] if j + 1 < len(grid) else grid[j]
+                out.append(refine_one(f, p, lo, grid[j], hi))
+            return np.array(sorted(set(out)))
+
+        fast = pa._refine_extrema
+        seen = []
+
+        def checked(f, p, grid, idx):
+            got = fast(f, p, grid, idx)
+            seen.append(len(idx))
+            assert np.array_equal(np.unique(got), loop(f, p, grid, idx))
+            return got
+
+        cases = [(pa.SGN_POSITIVE_BRANCH, (2.0 ** -8, 1.0), 15),
+                 (pa.SGN_POSITIVE_BRANCH, (0.5, 1.5), 7),
+                 (np.exp, (-1.0, 1.0), 5), (np.exp, (0.0, 2.0), 6)]
+        fits = [pa.remez_minimax(t, iv, d) for t, iv, d in cases]
+        monkeypatch.setattr(pa, "_refine_extrema", checked)
+        assert [pa.remez_minimax(t, iv, d) for t, iv, d in cases] == fits
+        monkeypatch.setattr(pa, "_refine_extrema", loop)
+        assert [pa.remez_minimax(t, iv, d) for t, iv, d in cases] == fits
+        assert len(seen) >= len(cases)
 
     def test_alternating_extrema_matches_loop(self):
         def loop(err):
@@ -169,8 +256,8 @@ class TestCompositeSgn:
 
     def test_json_round_trip_bit_exact(self, ap8, tmp_path):
         path = tmp_path / "ap.json"
-        pa.save_approx(ap8, path)
-        back = pa.load_approx(path)
+        path.write_text(json.dumps(pa.approx_to_json(ap8)))
+        back = pa.approx_from_json(json.loads(path.read_text()))
         for p, q in zip(ap8.chain, back.chain):
             assert p.coeffs == q.coeffs
         z = np.linspace(-1, 1, 101)
@@ -178,6 +265,70 @@ class TestCompositeSgn:
                               np.asarray(back.eval(z)))
         doc = json.loads(path.read_text())
         assert all(isinstance(c, str) for st_ in doc["chain"] for c in st_)
+
+    def test_certificate_matches_loop(self):
+        def loop(chain, bound, eps0, beta, grid_points=100_000):
+            def chain_eval(u):
+                v = u
+                for p in chain:
+                    v = p(v)
+                return v
+
+            t0 = eps0 / bound
+            grid = np.linspace(t0, 1.0, grid_points)
+            signed = chain_eval(grid) - 1.0
+            err = np.abs(signed)
+            max_err = float(err.max())
+            arg = int(err.argmax())
+            for j in pa._alternating_extrema(grid, signed):
+                lo = grid[max(j - 1, 0)]
+                hi = grid[min(j + 1, len(grid) - 1)]
+                local = (lo + hi) / 2 + (hi - lo) / 2 * pa._cheb_extrema(64)
+                lerr = np.abs(chain_eval(local) - 1.0)
+                if lerr.max() > max_err:
+                    max_err = float(lerr.max())
+            lerr = np.abs(chain_eval(np.geomspace(t0, 1.0,
+                                                  grid_points // 10)) - 1.0)
+            if lerr.max() > max_err:
+                max_err = float(lerr.max())
+            band = np.linspace(0.0, t0, 2048)
+            band_max_error = float(np.max(np.abs(chain_eval(band) - 1.0)))
+            passed = bool(max_err <= 2.0 ** -beta and band_max_error <= 2.0)
+            return pa.PrecisionCertificate(
+                beta=beta, grid_points=grid_points, max_error=max_err,
+                argmax_u=float(grid[arg]), band_max_error=band_max_error,
+                passed=passed)
+
+        for beta in range(6, 13):
+            chain = pa.build_appsgn(beta).chain
+            for bound in (1.0, 3.7):
+                eps0 = 2.0 ** -beta * bound
+                assert pa._certify_chain(chain, bound, eps0, beta) == \
+                    loop(chain, bound, eps0, beta)
+        # a refinement window whose maximum is NaN never raises max_error
+        grid = np.linspace(2.0 ** -6, 1.0, 1000)
+        # alternating on the grid, so every grid point is an extremum
+        on_grid = {u: 1.0 + 1e-4 * (-1) ** k for k, u in enumerate(grid)}
+
+        def spiky(v):
+            out = np.array([on_grid.get(u, np.nan) for u in v.ravel()])
+            out = out.reshape(v.shape)
+            off = np.isnan(out)
+            out[off] = 1.0 + 1e-3 * v[off]
+            return np.where(off & (v > 0.2) & (v < 0.5), np.nan, out)
+
+        got = pa._certify_chain((spiky,), 1.0, 2.0 ** -6, 6, 1000)
+        assert got == loop((spiky,), 1.0, 2.0 ** -6, 6, 1000)
+        assert 1e-4 < got.max_error < 1e-3
+
+    @pytest.mark.parametrize("bad", [10 ** 12, 1.5, True, 1, "100"])
+    def test_bad_grid_points_rejected(self, ap8, bad):
+        with pytest.raises(ValueError, match="grid_points"):
+            pa._certify_chain(ap8.chain, 1.0, 2.0 ** -8, 8, bad)
+        doc = pa.approx_to_json(ap8)
+        doc["certificate"]["grid_points"] = bad
+        with pytest.raises(ValueError, match="grid_points"):
+            pa.approx_from_json(doc)
 
     def test_tampered_file_fails_recertification(self, ap8, tmp_path):
         doc = pa.approx_to_json(ap8)
