@@ -9,9 +9,12 @@ configuration or input files.
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,8 @@ from . import sturdiness as sd
 from . import training
 from . import transform as tf
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import MAX_GRID_POINTS, approx_to_json, build_appsgn
+from .polyapprox import (INJECTION_MODES, MAX_GRID_POINTS, SIGN_FILTERS,
+                         STAGE_CANDIDATES, approx_to_json, build_appsgn)
 
 __all__ = ["main", "ConfigError"]
 
@@ -47,95 +51,85 @@ def _load_json(path, what="config"):
                           f"column {exc.colno}: {exc.msg}")
 
 
-def _field(cfg, name, kind, default=_MISSING, check=None, where="config"):
-    """Fetch cfg[name] with a type check; dotted-path error messages."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
-    if name not in cfg:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"{where}.{name}: required field missing")
-    value = cfg[name]
-    if kind is float and isinstance(value, int) and not isinstance(value,
-                                                                   bool):
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
-        raise ConfigError(f"{where}.{name}: expected {kind.__name__}, "
-                          f"got {type(value).__name__} ({value!r})")
-    if check is not None and not check(value):
-        raise ConfigError(f"{where}.{name}: invalid value {value!r}")
+def _value(value, kind, where):
+    """Check one JSON value against a field type: ints stand in for floats,
+    lists become tuples, and None fills an optional field."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return None if value is None else _value(value, args[0], where)
+    if typing.get_origin(kind) is tuple:
+        return tuple(_value(v, args[0], f"{where}[{i}]")
+                     for i, v in enumerate(_value(value, list, where)))
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf
+    if type(value) is not kind:  # bool is no number, int no float
+        raise ConfigError(f"{where}: expected {kind.__name__}, got "
+                          f"{type(value).__name__} ({value!r})")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
     return value
 
 
-def _tuple_of(cfg, name, kind, where="config", default=_MISSING):
-    raw = _field(cfg, name, list, default=None if default is not _MISSING
-                 else _MISSING, where=where)
-    if raw is None:
-        return tuple(default)
-    out = []
-    for i, v in enumerate(raw):
-        if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-        if not isinstance(v, kind) or isinstance(v, bool):
-            raise ConfigError(f"{where}.{name}[{i}]: expected "
-                              f"{kind.__name__}, got {v!r}")
-        out.append(v)
-    return tuple(out)
+def _parse(cls, obj, where):
+    """Build the config dataclass cls from a JSON object, field by field:
+    an absent field takes the dataclass default, and every error names its
+    dotted path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    kinds = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
+    kw = {}
+    for key, value in obj.items():
+        if key not in names:
+            raise ConfigError(f"{where}.{key}: unknown field")
+        kw[key] = _value(value, kinds[key], f"{where}.{key}")
+    for f in dataclasses.fields(cls):
+        if f.name not in kw and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}.{f.name}: required field missing")
+    try:
+        return cls(**kw)
+    except sd.FieldError as exc:
+        raise ConfigError(f"{where}.{exc}")
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
-_DATASET_FIELDS = {"source", "path", "n", "classes", "dim", "noise", "seed",
-                   "train_fraction", "limit_train", "limit_test",
-                   "normalize_mean", "normalize_std"}
+def _field(cfg, name, kind, default=_MISSING, check=None):
+    """One top-level config field, type-checked like a dataclass field."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected an object")
+    if name not in cfg:
+        if default is _MISSING:
+            raise ConfigError(f"config.{name}: required field missing")
+        return default
+    value = _value(cfg[name], kind, f"config.{name}")
+    if check is not None and not check(value):
+        raise ConfigError(f"config.{name}: invalid value {value!r}")
+    return value
 
 
 def _dataset_spec(cfg) -> datasets.DatasetSpec:
-    d = _field(cfg, "dataset", dict)
-    w = "config.dataset"
-    for key in d:
-        if key not in _DATASET_FIELDS:
-            raise ConfigError(f"{w}.{key}: unknown field")
-    kw = {"source": _field(d, "source", str, where=w)}
-    path = _field(d, "path", str, default=None, where=w)
-    if path is not None:
-        base = os.environ.get("PANNKIT_DATA_DIR", "")
-        if base and not os.path.isabs(path):
-            path = os.path.join(base, path)
-        kw["path"] = path
-    for name in ("n", "classes", "dim", "seed", "limit_train", "limit_test"):
-        v = _field(d, name, int, default=None, where=w)
-        if v is not None:
-            kw[name] = v
-    for name in ("noise", "train_fraction", "normalize_mean",
-                 "normalize_std"):
-        v = _field(d, name, float, default=None, where=w)
-        if v is not None:
-            kw[name] = v
-    try:
-        return datasets.DatasetSpec(**kw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{w}: {exc}")
+    spec = _parse(datasets.DatasetSpec, _field(cfg, "dataset", dict),
+                  "config.dataset")
+    base = os.environ.get("PANNKIT_DATA_DIR", "")
+    if spec.path is not None and base and not os.path.isabs(spec.path):
+        spec = dataclasses.replace(spec, path=os.path.join(base, spec.path))
+    return spec
 
 
 def _train_options(cfg):
-    mixup = None
-    m = _field(cfg, "mixup", dict, default=None)
-    if m is not None:
-        w = "config.mixup"
-        mixup = training.MixupConfig(
-            enabled=_field(m, "enabled", bool, default=True, where=w),
-            alpha=_field(m, "alpha", float, default=0.5, where=w),
-            fixed_lambda=_field(m, "fixed_lambda", float, default=None,
-                                where=w))
-    ngnv = None
-    g = _field(cfg, "ngnv", dict, default=None)
-    if g is not None:
-        w = "config.ngnv"
-        ngnv = training.NgnvConfig(
-            r=_field(g, "r", float, default=0.0, where=w),
-            noise_scale=_field(g, "noise_scale", float, default=0.05,
-                               where=w),
-            fixed_sign=_field(g, "fixed_sign", bool, default=False, where=w))
+    mixup = ngnv = None
+    if "mixup" in cfg:
+        # a mixup object turns mixup on unless it says otherwise
+        mixup = _parse(training.MixupConfig,
+                       {"enabled": True, **_field(cfg, "mixup", dict)},
+                       "config.mixup")
+    if "ngnv" in cfg:
+        ngnv = _parse(training.NgnvConfig, _field(cfg, "ngnv", dict),
+                      "config.ngnv")
     return mixup, ngnv
 
 
@@ -144,7 +138,7 @@ def _sgd_from(cfg) -> nn.SgdState:
         lr=_field(cfg, "lr", float, default=0.05),
         momentum=_field(cfg, "momentum", float, default=0.9),
         weight_decay=_field(cfg, "wd", float, default=0.0),
-        milestones=_tuple_of(cfg, "milestones", int, default=()),
+        milestones=_field(cfg, "milestones", tuple[int, ...], default=()),
         gamma=_field(cfg, "gamma", float, default=0.1))
 
 
@@ -175,34 +169,11 @@ def _load_pann(backbone: nn.Network, path) -> nn.Network:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _sweep_spec(cfg) -> sd.SweepSpec:
-    s = _field(cfg, "sweep", dict)
-    w = "config.sweep"
+def _open_store(path, columns) -> records.RecordStore:
     try:
-        return sd.SweepSpec(
-            wds=_tuple_of(s, "wds", float, where=w),
-            seeds=_tuple_of(s, "seeds", int, where=w),
-            betas=_tuple_of(s, "betas", int, where=w),
-            t_primes=_tuple_of(s, "t_primes", int, where=w, default=(0,)),
-            epochs=_field(s, "epochs", int, default=20, where=w),
-            lr=_field(s, "lr", float, default=0.05, where=w),
-            momentum=_field(s, "momentum", float, default=0.9, where=w),
-            batch_size=_field(s, "batch_size", int, default=64, where=w),
-            method=_field(s, "method", str, default="vanilla", where=w),
-            mixup_alpha=_field(s, "mixup_alpha", float, default=0.5,
-                               where=w),
-            ngnv_r=_field(s, "ngnv_r", float, default=0.3, where=w),
-            ngnv_scale=_field(s, "ngnv_scale", float, default=0.05, where=w),
-            bound_safety=_field(s, "bound_safety", float, default=1.2,
-                                where=w),
-            max_stage_degree=_field(s, "max_stage_degree", int, default=15,
-                                    where=w),
-            calib_samples=_field(s, "calib_samples", int, default=512,
-                                 where=w))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{w}: {exc}")
+        return records.RecordStore(path, columns=columns)
+    except ValueError as exc:  # a file written by another command
+        raise ConfigError(f"--records: {exc}")
 
 
 def _plot_csv(path, header, rows) -> None:
@@ -210,21 +181,6 @@ def _plot_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _cell_statuses(rows, known_hashes) -> list:
-    """Per (wd, seed) cell status from result rows: failed beats cached."""
-    cells = {}
-    for r in rows:
-        key = (float(r["wd"]), int(r["seed"]))
-        st = cells.setdefault(key, {"wd": key[0], "seed": key[1],
-                                    "status": "ok"})
-        if r["config_hash"] in known_hashes and st["status"] == "ok":
-            st["status"] = "cached"
-        if r["metric"] == "failed":
-            st["status"] = "failed"
-            st["diverged_at_epoch"] = int(float(r["value"]))
-    return [cells[k] for k in sorted(cells)]
 
 
 def _emit(doc, out_path=None) -> None:
@@ -246,10 +202,11 @@ def _cmd_train(args) -> int:
     epochs = _field(cfg, "epochs", int, check=lambda v: v >= 1)
     batch = _field(cfg, "batch_size", int, default=64,
                    check=lambda v: v >= 1)
-    loss_kind = _field(cfg, "loss", str, default="cross_entropy")
+    loss_kind = _field(cfg, "loss", str, default="cross_entropy",
+                       check=lambda v: v in nn.LOSS_KINDS)
     mixup, ngnv = _train_options(cfg)
     sgd = _sgd_from(cfg)
-    chash = records.config_hash(cfg)
+    chash = records.config_hash(dict(cfg, dataset=data.spec.key()))
     net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
     try:
         result = training.train(net0, data, sgd, epochs=epochs,
@@ -272,8 +229,7 @@ def _cmd_train(args) -> int:
         Path(args.out).write_text(json.dumps(doc))
     written = 0
     if args.records:
-        store = records.RecordStore(args.records,
-                                    columns=records.RECORD_COLUMNS)
+        store = _open_store(args.records, records.RECORD_COLUMNS)
         if args.force or not store.has(chash):
             base = {"config_hash": chash, "timestamp": records.timestamp(),
                     "arch": arch, "dataset": data.name or "dataset",
@@ -289,7 +245,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _approx_flags(args) -> None:
+    """Exit 2 on a flag value that build_appsgn would reject."""
+    least = min(STAGE_CANDIDATES)
+    if args.beta is not None and args.beta < 1:
+        raise ConfigError(f"--beta: expected an integer >= 1, got "
+                          f"{args.beta}")
+    if args.max_stage_degree < least:
+        raise ConfigError(f"--max-stage-degree: expected an integer >= "
+                          f"{least}, got {args.max_stage_degree}")
+    if args.bound is not None and not 0 < args.bound < math.inf:
+        raise ConfigError(f"--bound: expected a positive number, got "
+                          f"{args.bound}")
+
+
 def _cmd_transform(args) -> int:
+    _approx_flags(args)
     backbone = _load_network(args.model)
     if args.mode == "composite":
         if args.beta is None:
@@ -318,8 +289,11 @@ def _cmd_transform(args) -> int:
         pann = tf.transform(backbone, tf.PartialReplaceReLU(
             c=args.mix_c, binarized=args.binarized))
     elif args.mode == "truncated":
-        pann = tf.transform(backbone,
-                            TruncatedReLU(FixedPointFormat(args.bits)))
+        try:
+            fmt = FixedPointFormat(args.bits)
+        except ValueError as exc:
+            raise ConfigError(f"--bits: {exc}")
+        pann = tf.transform(backbone, TruncatedReLU(fmt))
     else:  # exact: descriptor of the unchanged backbone
         pann = backbone
     tf.save_pann_descriptor(pann, args.out)
@@ -344,153 +318,63 @@ def _cmd_eval_pann(args) -> int:
     return 0
 
 
-def _run_sweep(args, driver_name) -> int:
+# command -> spec class, the config object holding it ("" for the top
+# level), the sturdiness preset that runs it, and its plot CSV header
+_EXPERIMENTS = {
+    "sweep-wd": (sd.SweepSpec, "sweep", "weight_decay_sweep",
+                 ("beta", "wd", "mean_pann_accuracy")),
+    "sweep-beta": (sd.SweepSpec, "sweep", "beta_sweep",
+                   ("beta", "mean_pann_accuracy")),
+    "trunc-sweep": (sd.TruncSpec, "sweep", "truncation_sweep",
+                    ("l_x", "mean_accuracy")),
+    "perturb-exp": (sd.PerturbSpec, "", "perturbation_sweep",
+                    ("wd", "beta", "sign_filter", "mean_delta_loss")),
+}
+
+
+def _plot_rows(res) -> list:
+    if res.trend is None:  # one mean row per (wd, beta, sign filter)
+        return [(r["wd"], str(r["precision"]).removeprefix("beta="),
+                 r["metric"].removeprefix("delta_loss_"), r["value"])
+                for r in res.rows if str(r["seed"]) == "mean"]
+    rows = []
+    for key, mean in sorted(res.trend.items()):  # sweep-wd: beta -> wd
+        rows += ([(key, *sub) for sub in sorted(mean.items())]
+                 if isinstance(mean, dict) else [(key, mean)])
+    return rows
+
+
+def _cmd_experiment(args) -> int:
+    spec_cls, section, preset, plot_header = _EXPERIMENTS[args.command]
     cfg = _load_json(args.config)
-    data = datasets.load_dataset(_dataset_spec(cfg))
     arch = _field(cfg, "arch", str)
-    store = records.RecordStore(args.records,
-                                columns=records.SWEEP_COLUMNS)
-    before = store.hashes()
-    if driver_name == "trunc":
-        s = _field(cfg, "sweep", dict)
-        w = "config.sweep"
-        try:
-            res = sd.truncation_sweep(
-                arch, data,
-                l_xs=_tuple_of(s, "l_xs", int, where=w),
-                seeds=_tuple_of(s, "seeds", int, where=w),
-                epochs=_field(s, "epochs", int, default=20, where=w),
-                lr=_field(s, "lr", float, default=0.05, where=w),
-                momentum=_field(s, "momentum", float, default=0.9, where=w),
-                batch_size=_field(s, "batch_size", int, default=64,
-                                  where=w),
-                wd=_field(s, "wd", float, default=0.0, where=w),
-                store=store, dataset_name=data.name, force=args.force,
-                workers=args.workers)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{w}: {exc}")
-        plot_rows = [(l_x, acc) for l_x, acc in sorted(res.trend.items())]
-        plot_header = ("l_x", "mean_accuracy")
+    if section:
+        spec = _parse(spec_cls, _field(cfg, section, dict),
+                      f"config.{section}")
     else:
-        spec = _sweep_spec(cfg)
-        if driver_name == "beta":
-            res = sd.beta_sweep(spec, arch, data, store=store,
-                                dataset_name=data.name, force=args.force,
-                                workers=args.workers)
-            plot_rows = [(b, acc) for b, acc in sorted(res.trend.items())]
-            plot_header = ("beta", "mean_pann_accuracy")
-        else:
-            res = sd.weight_decay_sweep(spec, arch, data, store=store,
-                                        dataset_name=data.name,
-                                        force=args.force,
-                                        workers=args.workers)
-            plot_rows = [(b, wd, acc)
-                         for b, by_wd in sorted(res.trend.items())
-                         for wd, acc in sorted(by_wd.items())]
-            plot_header = ("beta", "wd", "mean_pann_accuracy")
-    if args.plot:
-        _plot_csv(args.plot, plot_header, plot_rows)
-    cells = _cell_statuses(res.rows, before)
-    _emit({"rows": len(res.rows), "rows_written": res.n_written,
-           "cells": cells, "trend": res.trend})
-    return 1 if any(c["status"] == "failed" for c in cells) else 0
-
-
-def _cmd_sweep_wd(args) -> int:
-    return _run_sweep(args, "wd")
-
-
-def _cmd_sweep_beta(args) -> int:
-    return _run_sweep(args, "beta")
-
-
-def _cmd_trunc_sweep(args) -> int:
-    return _run_sweep(args, "trunc")
-
-
-def _cmd_perturb_exp(args) -> int:
-    cfg = _load_json(args.config)
+        spec = _parse(spec_cls, {k: v for k, v in cfg.items()
+                                 if k not in ("arch", "dataset")}, "config")
+    if args.command == "sweep-beta" and len(spec.wds) != 1:
+        raise ConfigError(f"config.sweep.wds: expected exactly one wd for "
+                          f"a beta sweep, got {list(spec.wds)}")
     data = datasets.load_dataset(_dataset_spec(cfg))
-    arch = _field(cfg, "arch", str)
-    wds = _tuple_of(cfg, "wds", float)
-    betas = _tuple_of(cfg, "betas", int)
-    seeds = _tuple_of(cfg, "seeds", int, default=(0, 1, 2))
-    filters = _tuple_of(cfg, "sign_filters", str,
-                        default=("neg_only", "pos_only"))
-    inj_mode = _field(cfg, "mode", str, default="worst_case_fixed")
-    train_seed = _field(cfg, "train_seed", int, default=0)
-    epochs = _field(cfg, "epochs", int, default=20)
-    lr = _field(cfg, "lr", float, default=0.05)
-    momentum = _field(cfg, "momentum", float, default=0.9)
-    batch = _field(cfg, "batch_size", int, default=64)
-    loss_kind = _field(cfg, "loss", str, default="cross_entropy")
-    store = records.RecordStore(args.records,
-                                columns=records.RECORD_COLUMNS) \
-        if args.records else None
-    dataset_name = data.name or "dataset"
-    statuses, all_rows, written = [], [], 0
-    for wd in wds:
-        cell_cfg = {"experiment": "perturb", "arch": arch,
-                    "dataset": dataset_name, "wd": wd,
-                    "train_seed": train_seed, "epochs": epochs, "lr": lr,
-                    "momentum": momentum, "batch_size": batch,
-                    "betas": list(betas), "seeds": list(seeds),
-                    "sign_filters": list(filters), "mode": inj_mode}
-        chash = records.config_hash(cell_cfg)
-        if store is not None and not args.force and store.has(chash):
-            status = {"wd": wd, "status": "cached"}
-            for r in store.read_rows():
-                if r["config_hash"] == chash:
-                    all_rows.append(r)
-                    if r["metric"] == "failed":
-                        status["status"] = "failed"
-            statuses.append(status)
-            continue
-        base = {"config_hash": chash, "timestamp": records.timestamp(),
-                "arch": arch, "dataset": dataset_name, "method": "perturb",
-                "wd": wd}
-        net0 = nn.build_arch(arch, data.sample_shape, data.n_classes,
-                             train_seed)
-        sgd = nn.SgdState(lr=lr, momentum=momentum, weight_decay=wd)
-        try:
-            result = training.train(net0, data, sgd, epochs=epochs,
-                                    batch_size=batch, seed=train_seed,
-                                    loss_kind=loss_kind, epoch_metrics=False)
-        except training.TrainingDiverged as exc:
-            rows = [dict(base, precision="", seed=train_seed,
-                         metric="failed", value=float(exc.epoch))]
-            if store is not None:
-                written += store.append_rows(rows, force=args.force)
-            all_rows.extend(rows)
-            statuses.append({"wd": wd, "status": "failed",
-                             "diverged_at_epoch": exc.epoch})
-            continue
-        exp_rows = sd.perturbation_loss_experiment(
-            result.net, data.x_test, data.y_test, betas=betas,
-            sign_filters=filters, mode=inj_mode, seeds=seeds,
-            loss_kind=loss_kind)
-        rows = [dict(base, precision=f"beta={int(er['beta'])}",
-                     seed=er["seed"],
-                     metric=f"delta_loss_{er['sign_filter']}",
-                     value=er["delta_loss"])
-                for er in exp_rows]
-        if store is not None:
-            written += store.append_rows(rows, force=args.force)
-        all_rows.extend(rows)
-        statuses.append({"wd": wd, "status": "ok"})
+    store = _open_store(args.records, spec.columns) if args.records else None
+    run = dict(store=store, force=args.force, workers=args.workers)
+    # looked up by name per call, so that wrappers installed on the module
+    # (the benchmark's tracer) see it
+    run_preset = getattr(sd, preset)
+    if spec_cls is sd.TruncSpec:  # the one preset taking fields, not a spec
+        res = run_preset(arch, data, **dataclasses.asdict(spec), **run)
+    else:
+        res = run_preset(spec, arch, data, **run)
     if args.plot:
-        plot_rows = [(r["wd"], str(r["precision"]).removeprefix("beta="),
-                      r["metric"].removeprefix("delta_loss_"), r["value"])
-                     for r in all_rows
-                     if str(r["seed"]) == "mean"]
-        _plot_csv(args.plot,
-                  ("wd", "beta", "sign_filter", "mean_delta_loss"),
-                  plot_rows)
-    _emit({"rows": len(all_rows), "rows_written": written,
-           "cells": statuses})
-    return 1 if any(s["status"] == "failed" for s in statuses) else 0
+        _plot_csv(args.plot, plot_header, _plot_rows(res))
+    doc = {"rows": len(res.rows), "rows_written": res.n_written,
+           "cells": list(res.cells)}
+    if res.trend is not None:
+        doc["trend"] = res.trend
+    _emit(doc)
+    return 1 if any(c["status"] == "failed" for c in res.cells) else 0
 
 
 def _cmd_validate_theorems(args) -> int:
@@ -566,6 +450,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    _approx_flags(args)
+    if args.eps0 is not None and not 0 < args.eps0 < args.bound:
+        raise ConfigError(f"--eps0: expected a number in (0, --bound), got "
+                          f"{args.eps0}")
     if not 2 <= args.grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points: expected an integer in "
                           f"[2, {MAX_GRID_POINTS}], got {args.grid_points}")
@@ -632,10 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_.add_argument("--max-stage-degree", type=int, default=15)
     tr_.add_argument("--overflow", default="clamp_to_B",
                      choices=("clamp_to_B", "widen_and_recertify", "error"))
-    tr_.add_argument("--sign-filter", default="all",
-                     choices=("all", "neg_only", "pos_only"))
+    tr_.add_argument("--sign-filter", default="all", choices=SIGN_FILTERS)
     tr_.add_argument("--inj-mode", default="uniform_random",
-                     choices=("uniform_random", "worst_case_fixed"))
+                     choices=INJECTION_MODES)
     tr_.add_argument("--seed", type=int, default=0)
     tr_.add_argument("--mix-c", type=float, default=0.5)
     tr_.add_argument("--binarized", action="store_true")
@@ -652,17 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out")
     e.set_defaults(handler=_cmd_eval_pann)
 
-    for name, handler, plot_help in (
-            ("sweep-wd", _cmd_sweep_wd,
-             "CSV of beta, wd, mean pann accuracy"),
-            ("sweep-beta", _cmd_sweep_beta,
-             "CSV of beta, mean pann accuracy"),
-            ("trunc-sweep", _cmd_trunc_sweep,
-             "CSV of l_x, mean accuracy")):
+    for name, plot_help in (
+            ("sweep-wd", "CSV of beta, wd, mean pann accuracy"),
+            ("sweep-beta", "CSV of beta, mean pann accuracy"),
+            ("trunc-sweep", "CSV of l_x, mean accuracy")):
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
         _add_records_args(s, plot_help)
-        s.set_defaults(handler=handler)
+        s.set_defaults(handler=_cmd_experiment)
 
     pe = sub.add_parser("perturb-exp",
                         help="sign-filtered error injection loss deltas")
@@ -671,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--plot",
                     help="CSV of wd, beta, sign filter, mean delta loss")
     pe.add_argument("--force", action="store_true")
-    pe.set_defaults(handler=_cmd_perturb_exp)
+    pe.set_defaults(handler=_cmd_experiment, workers=1)
 
     v = sub.add_parser("validate-theorems",
                        help="closed-form convexity check suite")

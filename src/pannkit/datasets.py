@@ -9,7 +9,8 @@ any downloaded data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ class Dataset:
     y_test: np.ndarray
     n_classes: int
     name: str = ""
+    spec: DatasetSpec | None = None  # set by load_dataset; keys cached cells
 
     def __post_init__(self):
         for y in (self.y_train, self.y_test):
@@ -325,6 +327,14 @@ class DatasetSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
 
+    def key(self) -> dict:
+        """Every field, with a file path resolved: the dataset's part of a
+        cached cell's identity."""
+        key = asdict(self)
+        if self.path is not None:
+            key["path"] = os.path.realpath(self.path)
+        return key
+
 
 def _split_pool(x, y, spec: DatasetSpec, n_classes: int, name: str) -> Dataset:
     n_train = int(round(spec.train_fraction * len(x)))
@@ -359,4 +369,5 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         std = spec.normalize_std or 1.0
         x_tr = (x_tr - mean) / std
         x_te = (x_te - mean) / std
-    return replace(ds, x_train=x_tr, y_train=y_tr, x_test=x_te, y_test=y_te)
+    return replace(ds, x_train=x_tr, y_train=y_tr, x_test=x_te, y_test=y_te,
+                   spec=spec)

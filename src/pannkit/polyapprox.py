@@ -500,8 +500,13 @@ def _stage_depth(degree: int) -> int:
     return max(1, math.ceil(math.log2(degree + 1)))
 
 
+# default odd stage degrees; max_stage_degree below the smallest leaves none
+STAGE_CANDIDATES = (7, 15)
+
+
 def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
-                 max_stage_degree: int = 15, stage_candidates=(7, 15),
+                 max_stage_degree: int = 15,
+                 stage_candidates=STAGE_CANDIDATES,
                  max_stages: int = 24, grid_points: int = 100_000,
                  tol: float | None = None) -> CompositeSgnApprox:
     """Construct a certified beta-close composite sign approximant.
@@ -618,14 +623,20 @@ def error_injection_relu(z, beta: int, sign_filter: str = "all",
     gaussian draw. The filter restricts injection to entries of one sign.
     Deterministic in (shape, seed): the draw is re-derived per call.
     """
-    if sign_filter not in SIGN_FILTERS:
-        raise ValueError(f"sign_filter must be one of {SIGN_FILTERS}")
-    if mode not in INJECTION_MODES:
-        raise ValueError(f"mode must be one of {INJECTION_MODES}")
+    check_injection(sign_filter, mode)
     z = np.asarray(z, dtype=np.float64)
     e = _injection_errors(z.shape, beta, mode, rng_seed)
     mask = _filter_mask(z, sign_filter)
     return np.maximum(z, 0.0) + np.where(mask, e * z / 2.0, 0.0)
+
+
+def check_injection(sign_filter: str, mode: str) -> None:
+    if sign_filter not in SIGN_FILTERS:
+        raise ValueError(f"sign_filter must be one of {SIGN_FILTERS}, got "
+                         f"{sign_filter!r}")
+    if mode not in INJECTION_MODES:
+        raise ValueError(f"mode must be one of {INJECTION_MODES}, got "
+                         f"{mode!r}")
 
 
 def _injection_errors(shape, beta, mode, rng_seed):

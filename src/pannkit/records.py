@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,8 +28,14 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
+# Bump when a change alters the numbers a cell records: every stored hash
+# then misses, and cached cells are recomputed instead of silently reused.
+NUMERICS_VERSION = 1
+
+
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
+    preimage = {"numerics_version": NUMERICS_VERSION, "config": config}
+    return hashlib.sha256(canonical_json(preimage).encode()).hexdigest()[:16]
 
 
 def timestamp() -> str:
@@ -38,29 +43,6 @@ def timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     t = int(epoch) if epoch else datetime.now(timezone.utc).timestamp()
     return datetime.fromtimestamp(int(t), tz=timezone.utc).isoformat()
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One metric observation; precision holds 'beta=N', 'lx=N' or ''."""
-
-    config_hash: str
-    timestamp: str
-    arch: str
-    dataset: str
-    method: str
-    wd: float
-    precision: str
-    seed: int
-    metric: str
-    value: float
-
-    def row(self) -> dict:
-        d = asdict(self)
-        d["value"] = repr(float(self.value))
-        d["wd"] = repr(float(self.wd))
-        d["seed"] = str(int(self.seed))
-        return d
 
 
 class RecordStore:
@@ -107,8 +89,7 @@ class RecordStore:
         With force=True, rows are written even when their hash exists
         (used to redo a cell after a code or environment change).
         """
-        rows = [r.row() if isinstance(r, ExperimentRecord) else dict(r)
-                for r in rows]
+        rows = [dict(r) for r in rows]
         for r in rows:
             missing = set(self.columns) - set(r)
             extra = set(r) - set(self.columns)

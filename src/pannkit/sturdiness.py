@@ -1,5 +1,5 @@
 """Machine checks of the convex-analysis claims behind activation-error
-sensitivity, plus the perturbation and weight-decay experiment drivers.
+sensitivity, plus the experiment-cell engine and its four presets.
 
 The validators work on one-dimensional convex probes with closed-form
 one-sided derivatives. Two results are checked numerically: the limit of the
@@ -7,23 +7,32 @@ loss-increment gap between a probe minimized at a negative point and one
 minimized at a positive point, and the lower bound eps * h'_+(a) <=
 h(a + eps) - h(a), which is an exact consequence of convexity and must hold
 without a single violation.
+
+Every experiment is a grid of cells. A cell trains one network at one (wd,
+seed), turns a divergence into its single ``failed`` row, and otherwise
+evaluates the trained network: at composite precisions past the loss
+plateau (weight-decay sweep), at composite precisions (beta sweep), at
+fixed-point widths (truncation sweep), or under sign-filtered injection
+(perturbation sweep). ``run_cells`` is the one engine; a cell whose hash is
+already stored is read back instead of trained.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
 from . import records
+from . import training
 from . import transform as tf
 from .datasets import Dataset
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .training import (MixupConfig, NgnvConfig, TrainingDiverged, evaluate,
-                       train)
+from .polyapprox import INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES
+from .training import MixupConfig, NgnvConfig, TrainingDiverged, evaluate
 
 
 @dataclass(frozen=True)
@@ -231,10 +240,6 @@ def perturbation_loss_experiment(net: nn.Network, x: np.ndarray,
     return rows
 
 
-# ---------------------------------------------------------------------------
-# weight-decay sweep
-
-
 def detect_plateau(train_losses, rel_tol: float = 1e-4,
                    window: int = 5):
     """First 1-based epoch whose loss improved relatively less than rel_tol
@@ -248,21 +253,56 @@ def detect_plateau(train_losses, rel_tol: float = 1e-4,
     return None
 
 
+# ---------------------------------------------------------------------------
+# experiment specs: a grid of (wd, seed) cells, each trained once
+
+
 SWEEP_METHODS = ("vanilla", "mixup", "ngnv", "mixup+ngnv")
 
 
+class FieldError(ValueError):
+    """An invalid spec field; the message starts with the field's name."""
+
+
+class _CellSpec:
+    """What the cell engine reads from a spec besides its training fields
+    (epochs, lr, momentum, batch_size). ``grid`` names the fields a cell
+    takes its (wd, seed) from; they stay out of the cell's hash, so growing
+    a grid keeps the cells already cached."""
+
+    loss = "cross_entropy"
+    columns = records.SWEEP_COLUMNS
+
+    def options(self):
+        """(mixup, ngnv) configs for training; None trains without."""
+        return None, None
+
+    def _check(self, **checks):
+        """Raise FieldError for the first field whose (ok, wanted) check
+        fails; every grid must be non-empty and every spec must train."""
+        shared = [(f.name, (len(getattr(self, f.name)) > 0,
+                            "a non-empty grid")) for f in fields(self)
+                  if isinstance(getattr(self, f.name), (tuple, list))]
+        shared += [("epochs", (self.epochs >= 1, "an integer >= 1")),
+                   ("batch_size", (self.batch_size >= 1, "an integer >= 1"))]
+        for name, (ok, wanted) in shared + list(checks.items()):
+            if not ok:
+                raise FieldError(f"{name}: expected {wanted}, got "
+                                 f"{getattr(self, name)!r}")
+
+
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid for the weight-decay experiment.
+class SweepSpec(_CellSpec):
+    """Grid for the weight-decay and precision experiments.
 
     t_primes are epochs past the detected train-loss plateau at which the
     model is snapshotted and approximated; betas are approximant precisions.
     """
 
-    wds: tuple
-    seeds: tuple
-    betas: tuple
-    t_primes: tuple = (0,)
+    wds: tuple[float, ...]
+    seeds: tuple[int, ...]
+    betas: tuple[int, ...]
+    t_primes: tuple[int, ...] = (0,)
     epochs: int = 20
     lr: float = 0.05
     momentum: float = 0.9
@@ -275,14 +315,23 @@ class SweepSpec:
     max_stage_degree: int = 15
     calib_samples: int = 512
 
+    grid = ("wds", "seeds")
+
     def __post_init__(self):
-        for grid in ("wds", "seeds", "betas", "t_primes"):
-            if not getattr(self, grid):
-                raise ValueError(f"{grid} grid must be non-empty")
-        if self.method not in SWEEP_METHODS:
-            raise ValueError(f"method must be one of {SWEEP_METHODS}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+        least = min(STAGE_CANDIDATES)
+        self._check(
+            method=(self.method in SWEEP_METHODS, f"one of {SWEEP_METHODS}"),
+            betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
+            max_stage_degree=(self.max_stage_degree >= least,
+                              f"an integer >= {least}"),
+            calib_samples=(self.calib_samples >= 1, "an integer >= 1"),
+            bound_safety=(self.bound_safety > 0, "a positive number"),
+            mixup_alpha=(self.mixup_alpha > 0, "a positive number"),
+            ngnv_r=(0 <= self.ngnv_r <= 1, "a number in [0, 1]"),
+            ngnv_scale=(self.ngnv_scale >= 0, "a nonnegative number"))
+
+    def cells(self):
+        return [(wd, seed) for wd in self.wds for seed in self.seeds]
 
     def options(self):
         mixup = MixupConfig(enabled="mixup" in self.method,
@@ -293,73 +342,92 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class TruncSpec(_CellSpec):
+    """Grid for the truncation experiment: one cell per seed at weight decay
+    wd, evaluated at every total fixed-point bit width in l_xs."""
+
+    l_xs: tuple[int, ...]
+    seeds: tuple[int, ...]
+    epochs: int = 20
+    lr: float = 0.05
+    momentum: float = 0.9
+    batch_size: int = 64
+    wd: float = 0.0
+
+    grid = ("seeds",)
+    method = "truncation"
+
+    def __post_init__(self):
+        self._check()
+        for l_x in self.l_xs:
+            try:
+                FixedPointFormat(l_x)
+            except ValueError as exc:
+                raise FieldError(f"l_xs: {l_x!r} is no width: {exc}")
+
+    def cells(self):
+        return [(self.wd, seed) for seed in self.seeds]
+
+
+@dataclass(frozen=True)
+class PerturbSpec(_CellSpec):
+    """Grid for the sign-filtered injection experiment: one cell per wd,
+    trained at train_seed, then probed at every beta, sign filter and
+    injection seed."""
+
+    wds: tuple[float, ...]
+    betas: tuple[int, ...]
+    seeds: tuple[int, ...] = (0, 1, 2)
+    sign_filters: tuple[str, ...] = ("neg_only", "pos_only")
+    mode: str = "worst_case_fixed"
+    train_seed: int = 0
+    epochs: int = 20
+    lr: float = 0.05
+    momentum: float = 0.9
+    batch_size: int = 64
+    loss: str = "cross_entropy"
+
+    grid = ("wds",)
+    method = "perturb"
+    columns = records.RECORD_COLUMNS
+
+    def __post_init__(self):
+        self._check(
+            betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
+            sign_filters=(set(self.sign_filters) <= set(SIGN_FILTERS),
+                          f"filters from {SIGN_FILTERS}"),
+            mode=(self.mode in INJECTION_MODES, f"one of {INJECTION_MODES}"),
+            loss=(self.loss in nn.LOSS_KINDS, f"one of {nn.LOSS_KINDS}"))
+
+    def cells(self):
+        return [(wd, self.train_seed) for wd in self.wds]
+
+
+@dataclass(frozen=True)
 class SweepResult:
-    rows: tuple          # dict rows matching records.SWEEP_COLUMNS
-    trend: dict          # per-beta mean pann accuracy keyed by wd
+    rows: tuple          # dict rows matching the spec's record columns
+    trend: dict | None   # per-preset means; None for the perturbation sweep
     n_written: int
+    cells: tuple         # per-cell status dicts
 
 
-def _cell_config(spec: SweepSpec, arch: str, dataset: str, wd: float,
-                 seed: int) -> dict:
-    return {"experiment": "wd_sweep", "arch": arch, "dataset": dataset,
-            "method": spec.method, "wd": wd, "seed": seed,
-            "epochs": spec.epochs, "lr": spec.lr,
-            "momentum": spec.momentum, "batch_size": spec.batch_size,
-            "t_primes": list(spec.t_primes), "betas": list(spec.betas),
-            "mixup_alpha": spec.mixup_alpha, "ngnv_r": spec.ngnv_r,
-            "ngnv_scale": spec.ngnv_scale,
-            "bound_safety": spec.bound_safety,
-            "max_stage_degree": spec.max_stage_degree,
-            "calib_samples": spec.calib_samples}
+# ---------------------------------------------------------------------------
+# the cell engine and its cache harness
 
 
-def _run_cell(spec: SweepSpec, arch: str, data: Dataset, wd: float,
-              seed: int, chash: str, dataset_name: str) -> list:
-    base = {"config_hash": chash, "timestamp": records.timestamp(),
-            "arch": arch, "dataset": dataset_name, "method": spec.method,
-            "wd": wd, "epochs": spec.epochs, "seed": seed}
-    mixup, ngnv = spec.options()
-    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
-    sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd)
-    try:
-        result = train(net0, data, sgd, epochs=spec.epochs,
-                       batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv,
-                       seed=seed, epoch_metrics=False,
-                       snapshot_epochs=range(1, spec.epochs + 1))
-    except TrainingDiverged as exc:
-        return [dict(base, t_prime="", beta="", metric="failed",
-                     value=float(exc.epoch))]
-    plateau = detect_plateau(
-        [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
-         for e in range(1, spec.epochs + 1)])
-    if plateau is None:
-        plateau = spec.epochs
-    calib = data.x_train[:spec.calib_samples]
-    rows = [dict(base, t_prime="", beta="", metric="plateau_epoch",
-                 value=float(plateau))]
-    for t_prime in spec.t_primes:
-        epoch = min(plateau + int(t_prime), spec.epochs)
-        net = result.snapshots[epoch]
-        bb_loss, bb_acc = evaluate(net, data.x_test, data.y_test)
-        rows.append(dict(base, t_prime=t_prime, beta="",
-                         metric="backbone_accuracy", value=bb_acc))
-        for beta in spec.betas:
-            pann = tf.build_composite_pann(
-                net, calib, beta, safety=spec.bound_safety,
-                max_stage_degree=spec.max_stage_degree)
-            p_loss, p_acc = evaluate(pann, data.x_test, data.y_test)
-            rows.append(dict(base, t_prime=t_prime, beta=int(beta),
-                             metric="pann_accuracy", value=p_acc))
-            rows.append(dict(base, t_prime=t_prime, beta=int(beta),
-                             metric="delta_test_loss",
-                             value=p_loss - bb_loss))
-    return rows
+def _stored(row: dict) -> dict:
+    """A stored row with its wd, seed and value columns typed back."""
+    out = dict(row, wd=float(row["wd"]), value=float(row["value"]))
+    if row["seed"].lstrip("-").isdigit():  # not an aggregate ('mean') row
+        out["seed"] = int(row["seed"])
+    return out
 
 
 def _sweep_cells(cells, chash, runner, store, force, workers):
-    """Shared cell harness: skip cells whose hash is stored, run the rest
+    """The cache harness: skip cells whose hash is stored, run the rest
     (optionally on a bounded thread pool), then append rows in deterministic
-    cell order from this single writer. Returns (rows, n_written)."""
+    cell order from this single writer. Returns (rows per cell, rows
+    written, cached cells)."""
     cached = set()
     if store is not None and not force:
         have = store.hashes()
@@ -374,21 +442,101 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     else:
         for c in to_run:
             results[c] = runner(c)
-    all_rows = []
     n_written = 0
     stored = store.read_rows() if cached else []
     for c in cells:
         if c in cached:
-            for r in stored:
-                if r["config_hash"] == chash[c]:
-                    all_rows.append(dict(r, wd=float(r["wd"]),
-                                         seed=int(r["seed"]),
-                                         value=float(r["value"])))
-        else:
-            if store is not None:
-                n_written += store.append_rows(results[c], force=force)
-            all_rows.extend(results[c])
-    return all_rows, n_written
+            results[c] = [_stored(r) for r in stored
+                          if r["config_hash"] == chash[c]]
+        elif store is not None:
+            n_written += store.append_rows(results[c], force=force)
+    return results, n_written, cached
+
+
+def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
+              *, store: records.RecordStore | None = None,
+              dataset_name: str | None = None, force: bool = False,
+              workers: int = 1, snapshot_epochs=()):
+    """The one experiment-cell engine.
+
+    A cell's hash covers the experiment name, the architecture, every field
+    of the dataset's spec (of its name when it has none), the cell's (wd,
+    seed) and every spec field but the grid ones. A cell not in the store
+    trains once; a divergence becomes its single ``failed`` row, and
+    otherwise ``evaluation(result, base)`` turns the trained result into
+    rows that extend ``base``. Returns (rows, rows written, cell statuses in
+    cell order).
+    """
+    dataset_name = dataset_name or data.name or "dataset"
+    key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
+    key.update(experiment=experiment, arch=arch,
+               dataset=dataset_name if data.spec is None else data.spec.key())
+    cells = spec.cells()
+    chash = {c: records.config_hash(dict(key, wd=c[0], seed=c[1]))
+             for c in cells}
+    mixup, ngnv = spec.options()
+
+    def runner(cell):
+        wd, seed = cell
+        known = {"config_hash": chash[cell], "timestamp": records.timestamp(),
+                 "arch": arch, "dataset": dataset_name, "method": spec.method,
+                 "wd": wd, "epochs": spec.epochs, "seed": seed}
+        base = {k: known.get(k, "") for k in spec.columns}
+        net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
+        sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd)
+        try:
+            result = training.train(
+                net0, data, sgd, epochs=spec.epochs,
+                batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv, seed=seed,
+                loss_kind=spec.loss, epoch_metrics=False,
+                snapshot_epochs=snapshot_epochs)
+        except TrainingDiverged as exc:
+            return [dict(base, metric="failed", value=float(exc.epoch))]
+        return evaluation(result, base)
+
+    results, n_written, cached = _sweep_cells(cells, chash, runner, store,
+                                              force, workers)
+    statuses = {}
+    for c in cells:
+        st = {"wd": c[0], "seed": c[1],
+              "status": "cached" if c in cached else "ok"}
+        for r in results[c]:
+            if r["metric"] == "failed":
+                st.update(status="failed",
+                          diverged_at_epoch=int(float(r["value"])))
+        statuses[c] = st
+    return ([r for c in cells for r in results[c]], n_written,
+            tuple(statuses.values()))
+
+
+# ---------------------------------------------------------------------------
+# presets: what each experiment evaluates on a trained cell
+
+
+def _composite_eval(spec: SweepSpec, net: nn.Network, data: Dataset, beta):
+    pann = tf.build_composite_pann(
+        net, data.x_train[:spec.calib_samples], beta,
+        safety=spec.bound_safety, max_stage_degree=spec.max_stage_degree)
+    return evaluate(pann, data.x_test, data.y_test)
+
+
+def _trend(rows, metric: str, keys) -> dict:
+    """int(key) -> mean value of the metric's rows whose beta column holds
+    the key (the bit width for truncation rows); keys without rows are
+    left out."""
+    trend = {}
+    for key in keys:
+        vals = [float(r["value"]) for r in rows if r["metric"] == metric
+                and str(r["beta"]) == str(int(key))]
+        if vals:
+            trend[int(key)] = float(np.mean(vals))
+    return trend
+
+
+def _result(rows, trend, n_written, cells) -> SweepResult:
+    return SweepResult(tuple(rows), trend, n_written,
+                       tuple(sorted(cells, key=lambda c: (c["wd"],
+                                                          c["seed"]))))
 
 
 def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
@@ -397,58 +545,40 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                        force: bool = False, workers: int = 1) -> SweepResult:
     """Train per (wd, seed) cell, snapshot past the plateau, approximate at
     each beta, and persist accuracy/loss rows. Cells already present in the
-    store are read back instead of recomputed (unless force)."""
-    dataset_name = dataset_name or data.name or "dataset"
-    cells = [(wd, seed) for wd in spec.wds for seed in spec.seeds]
-    chash = {c: records.config_hash(
-        _cell_config(spec, arch, dataset_name, c[0], c[1])) for c in cells}
-    all_rows, n_written = _sweep_cells(
-        cells, chash,
-        lambda c: _run_cell(spec, arch, data, c[0], c[1], chash[c],
-                            dataset_name),
-        store, force, workers)
-    trend = {}
-    t_max = max(spec.t_primes)
-    for beta in spec.betas:
-        by_wd = {}
-        for wd in spec.wds:
-            vals = [float(r["value"]) for r in all_rows
-                    if r["metric"] == "pann_accuracy"
-                    and float(r["wd"]) == float(wd)
-                    and str(r["beta"]) == str(int(beta))
-                    and str(r["t_prime"]) == str(t_max)]
-            if vals:
-                by_wd[wd] = float(np.mean(vals))
-        trend[int(beta)] = by_wd
-    return SweepResult(rows=tuple(all_rows), trend=trend,
-                       n_written=n_written)
+    store are read back instead of recomputed (unless force). trend maps
+    beta -> wd -> mean accuracy at the last t'."""
 
+    def evaluation(result, base):
+        plateau = detect_plateau(
+            [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
+             for e in range(1, spec.epochs + 1)]) or spec.epochs
+        rows = [dict(base, metric="plateau_epoch", value=float(plateau))]
+        for t_prime in spec.t_primes:
+            net = result.snapshots[min(plateau + int(t_prime), spec.epochs)]
+            bb_loss, bb_acc = evaluate(net, data.x_test, data.y_test)
+            rows.append(dict(base, t_prime=t_prime,
+                             metric="backbone_accuracy", value=bb_acc))
+            for beta in spec.betas:
+                p_loss, p_acc = _composite_eval(spec, net, data, beta)
+                rows.append(dict(base, t_prime=t_prime, beta=int(beta),
+                                 metric="pann_accuracy", value=p_acc))
+                rows.append(dict(base, t_prime=t_prime, beta=int(beta),
+                                 metric="delta_test_loss",
+                                 value=p_loss - bb_loss))
+        return rows
 
-def _run_beta_cell(spec: SweepSpec, arch: str, data: Dataset, wd: float,
-                   seed: int, chash: str, dataset_name: str) -> list:
-    base = {"config_hash": chash, "timestamp": records.timestamp(),
-            "arch": arch, "dataset": dataset_name, "method": spec.method,
-            "wd": wd, "epochs": spec.epochs, "seed": seed, "t_prime": ""}
-    mixup, ngnv = spec.options()
-    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
-    sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd)
-    try:
-        result = train(net0, data, sgd, epochs=spec.epochs,
-                       batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv,
-                       seed=seed, epoch_metrics=False)
-    except TrainingDiverged as exc:
-        return [dict(base, beta="", metric="failed",
-                     value=float(exc.epoch))]
-    calib = data.x_train[:spec.calib_samples]
-    rows = []
-    for beta in spec.betas:
-        pann = tf.build_composite_pann(
-            result.net, calib, beta, safety=spec.bound_safety,
-            max_stage_degree=spec.max_stage_degree)
-        _, acc = evaluate(pann, data.x_test, data.y_test)
-        rows.append(dict(base, beta=int(beta), metric="pann_accuracy",
-                         value=acc))
-    return rows
+    rows, n_written, cells = run_cells(
+        "wd_sweep", spec, arch, data, evaluation, store=store,
+        dataset_name=dataset_name, force=force, workers=workers,
+        snapshot_epochs=range(1, spec.epochs + 1))
+    t_max = str(max(spec.t_primes))
+    trend = {int(beta): {} for beta in spec.betas}
+    for wd in spec.wds:
+        at_wd = [r for r in rows if float(r["wd"]) == float(wd)
+                 and str(r["t_prime"]) == t_max]
+        for beta, mean in _trend(at_wd, "pann_accuracy", spec.betas).items():
+            trend[beta][wd] = mean
+    return _result(rows, trend, n_written, cells)
 
 
 def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
@@ -461,86 +591,63 @@ def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
     if len(spec.wds) != 1:
         raise ValueError(f"beta sweep expects exactly one wd, got "
                          f"{spec.wds}")
-    dataset_name = dataset_name or data.name or "dataset"
-    wd = spec.wds[0]
-    cells = [(wd, seed) for seed in spec.seeds]
-    chash = {c: records.config_hash(dict(
-        _cell_config(spec, arch, dataset_name, wd, c[1]),
-        experiment="beta_sweep")) for c in cells}
-    all_rows, n_written = _sweep_cells(
-        cells, chash,
-        lambda c: _run_beta_cell(spec, arch, data, wd, c[1], chash[c],
-                                 dataset_name),
-        store, force, workers)
-    trend = {}
-    for beta in spec.betas:
-        vals = [float(r["value"]) for r in all_rows
-                if r["metric"] == "pann_accuracy"
-                and str(r["beta"]) == str(int(beta))]
-        if vals:
-            trend[int(beta)] = float(np.mean(vals))
-    return SweepResult(rows=tuple(all_rows), trend=trend,
-                       n_written=n_written)
+
+    def evaluation(result, base):
+        return [dict(base, beta=int(beta), metric="pann_accuracy",
+                     value=_composite_eval(spec, result.net, data, beta)[1])
+                for beta in spec.betas]
+
+    rows, n_written, cells = run_cells(
+        "beta_sweep", spec, arch, data, evaluation, store=store,
+        dataset_name=dataset_name, force=force, workers=workers)
+    return _result(rows, _trend(rows, "pann_accuracy", spec.betas),
+                   n_written, cells)
 
 
-def _run_trunc_cell(arch: str, data: Dataset, l_xs, seed: int, *, epochs,
-                    lr, momentum, batch_size, wd, chash, dataset_name):
-    base = {"config_hash": chash, "timestamp": records.timestamp(),
-            "arch": arch, "dataset": dataset_name, "method": "truncation",
-            "wd": wd, "epochs": epochs, "seed": seed, "t_prime": ""}
-    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
-    sgd = nn.SgdState(lr=lr, momentum=momentum, weight_decay=wd)
-    try:
-        result = train(net0, data, sgd, epochs=epochs,
-                       batch_size=batch_size, seed=seed, epoch_metrics=False)
-    except TrainingDiverged as exc:
-        return [dict(base, beta="", metric="failed",
-                     value=float(exc.epoch))]
-    rows = []
-    for l_x in l_xs:
-        swapped = tf.transform(result.net,
-                               TruncatedReLU(FixedPointFormat(int(l_x))))
-        _, acc = evaluate(swapped, data.x_test, data.y_test)
-        # the beta column doubles as the bit width for truncation rows
-        rows.append(dict(base, beta=int(l_x), metric="trunc_accuracy",
-                         value=acc))
-    return rows
-
-
-def truncation_sweep(arch: str, data: Dataset, *, l_xs, seeds,
-                     epochs: int = 20, lr: float = 0.05,
-                     momentum: float = 0.9, batch_size: int = 64,
-                     wd: float = 0.0,
+def truncation_sweep(arch: str, data: Dataset, *,
                      store: records.RecordStore | None = None,
                      dataset_name: str | None = None,
-                     force: bool = False, workers: int = 1) -> SweepResult:
+                     force: bool = False, workers: int = 1,
+                     **fields) -> SweepResult:
     """Train once per seed, then evaluate the net with every ReLU replaced
     by the truncation-protocol activation at each total bit width l_x.
-    trend maps l_x -> mean accuracy."""
-    if not l_xs or not seeds:
-        raise ValueError("l_xs and seeds grids must be non-empty")
-    if any(int(l) < 2 for l in l_xs):
-        raise ValueError(f"bit widths must be >= 2, got {l_xs}")
-    dataset_name = dataset_name or data.name or "dataset"
-    cells = [(wd, seed) for seed in seeds]
-    chash = {c: records.config_hash(
-        {"experiment": "trunc_sweep", "arch": arch, "dataset": dataset_name,
-         "wd": wd, "seed": c[1], "epochs": epochs, "lr": lr,
-         "momentum": momentum, "batch_size": batch_size,
-         "l_xs": [int(l) for l in l_xs]}) for c in cells}
-    all_rows, n_written = _sweep_cells(
-        cells, chash,
-        lambda c: _run_trunc_cell(arch, data, l_xs, c[1], epochs=epochs,
-                                  lr=lr, momentum=momentum,
-                                  batch_size=batch_size, wd=wd,
-                                  chash=chash[c], dataset_name=dataset_name),
-        store, force, workers)
-    trend = {}
-    for l_x in l_xs:
-        vals = [float(r["value"]) for r in all_rows
-                if r["metric"] == "trunc_accuracy"
-                and str(r["beta"]) == str(int(l_x))]
-        if vals:
-            trend[int(l_x)] = float(np.mean(vals))
-    return SweepResult(rows=tuple(all_rows), trend=trend,
-                       n_written=n_written)
+    ``fields`` are TruncSpec's. trend maps l_x -> mean accuracy."""
+    spec = TruncSpec(**fields)
+
+    def evaluation(result, base):
+        # the beta column doubles as the bit width for truncation rows
+        return [dict(base, beta=int(l_x), metric="trunc_accuracy",
+                     value=evaluate(tf.transform(result.net, TruncatedReLU(
+                         FixedPointFormat(l_x))), data.x_test,
+                         data.y_test)[1])
+                for l_x in spec.l_xs]
+
+    rows, n_written, cells = run_cells(
+        "trunc_sweep", spec, arch, data, evaluation, store=store,
+        dataset_name=dataset_name, force=force, workers=workers)
+    return _result(rows, _trend(rows, "trunc_accuracy", spec.l_xs),
+                   n_written, cells)
+
+
+def perturbation_sweep(spec: PerturbSpec, arch: str, data: Dataset, *,
+                       store: records.RecordStore | None = None,
+                       dataset_name: str | None = None,
+                       force: bool = False, workers: int = 1) -> SweepResult:
+    """Train one model per wd, then record the test-loss increment of every
+    (beta, sign filter, injection seed) probe and of each probe set's mean.
+    Cells report wd and status in spec.wds order; there is no trend."""
+
+    def evaluation(result, base):
+        return [dict(base, precision=f"beta={int(r['beta'])}",
+                     seed=r["seed"], metric=f"delta_loss_{r['sign_filter']}",
+                     value=r["delta_loss"])
+                for r in perturbation_loss_experiment(
+                    result.net, data.x_test, data.y_test, betas=spec.betas,
+                    sign_filters=spec.sign_filters, mode=spec.mode,
+                    seeds=spec.seeds, loss_kind=spec.loss)]
+
+    rows, n_written, cells = run_cells(
+        "perturb", spec, arch, data, evaluation, store=store,
+        dataset_name=dataset_name, force=force, workers=workers)
+    cells = tuple({k: v for k, v in c.items() if k != "seed"} for c in cells)
+    return SweepResult(tuple(rows), None, n_written, cells)

@@ -16,8 +16,8 @@ import numpy as np
 from . import nn
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
-                         approx_to_json, build_appsgn, _filter_mask,
-                         _injection_errors)
+                         approx_to_json, build_appsgn, check_injection,
+                         _filter_mask, _injection_errors)
 
 OVERFLOW_POLICIES = ("clamp_to_B", "widen_and_recertify", "error")
 
@@ -119,6 +119,7 @@ class InjectedReLU:
     def __init__(self, beta: int, sign_filter: str = "all",
                  mode: str = "uniform_random", seed: int = 0,
                  slot: int = 0):
+        check_injection(sign_filter, mode)
         self.beta = int(beta)
         self.sign_filter = sign_filter
         self.mode = mode

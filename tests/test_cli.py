@@ -2,12 +2,16 @@
 re-runs, dotted-path config diagnostics, and byte-identical record files."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pannkit import cli, datasets, nn
+from pannkit import cli, datasets, nn, records, training
+from pannkit import sturdiness as sd
 from pannkit.polyapprox import approx_from_json
 
 
@@ -319,6 +323,233 @@ class TestPerturbExp:
                         "--records", recs)
         assert code == 0 and doc["rows_written"] == 0
         assert all(c["status"] == "cached" for c in doc["cells"])
+
+    def test_cached_rerun_matches_fresh(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "p.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "wds": [0.001, 0.0],
+            "betas": [8, 6], "seeds": [0, 1], "epochs": 3, "lr": 0.1})
+        recs = tmp_path / "r.csv"
+        fresh, cached = tmp_path / "fresh.csv", tmp_path / "cached.csv"
+        code, doc = run(capsys, "perturb-exp", "--config", cfg,
+                        "--records", recs, "--plot", fresh)
+        code_c, doc_c = run(capsys, "perturb-exp", "--config", cfg,
+                            "--records", recs, "--plot", cached)
+        assert code == code_c == 0
+        assert fresh.read_bytes() == cached.read_bytes()
+        assert [c["wd"] for c in doc_c["cells"]] == [0.001, 0.0]
+        assert doc_c["rows"] == doc["rows"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cached_failed_cell_reports_divergence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "p.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0], "betas": [8],
+            "epochs": 3, "lr": 1e200})
+        recs = tmp_path / "r.csv"
+        want = [{"wd": 0.0, "status": "failed", "diverged_at_epoch": 1}]
+        for rows_written in (1, 0):
+            code, doc = run(capsys, "perturb-exp", "--config", cfg,
+                            "--records", recs)
+            assert code == 1 and doc["cells"] == want
+            assert doc["rows_written"] == rows_written
+
+
+class TestCacheKeys:
+    MOONS = {"source": "synthetic_moons", "n": 200, "noise": 0.25, "seed": 1}
+
+    def test_dataset_noise_is_part_of_the_cell_hash(self, tmp_path, capsys):
+        recs = tmp_path / "r.csv"
+        sweep = {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 2,
+                 "lr": 0.1}
+        for noise in (0.25, 1.5):
+            cfg = write_config(tmp_path / "s.json", {
+                "arch": "mlp:8", "dataset": dict(self.MOONS, noise=noise),
+                "sweep": sweep})
+            code, doc = run(capsys, "sweep-wd", "--config", cfg,
+                            "--records", recs)
+            assert code == 0
+            assert [c["status"] for c in doc["cells"]] == ["ok"]
+            assert doc["rows_written"] == doc["rows"] > 0
+
+    def test_perturb_loss_is_part_of_the_cell_hash(self, tmp_path, capsys):
+        recs = tmp_path / "r.csv"
+        for loss in ("cross_entropy", "mse"):
+            cfg = write_config(tmp_path / "p.json", {
+                "arch": "mlp:8", "dataset": self.MOONS, "wds": [0.0],
+                "betas": [8], "seeds": [0], "epochs": 2, "lr": 0.1,
+                "loss": loss})
+            code, doc = run(capsys, "perturb-exp", "--config", cfg,
+                            "--records", recs)
+            assert code == 0
+            assert doc["cells"] == [{"wd": 0.0, "status": "ok"}]
+            assert doc["rows_written"] == doc["rows"] == 4
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail any case that gets as far as training."""
+    def boom(*args, **kwargs):
+        raise AssertionError("training ran on a malformed config")
+    monkeypatch.setattr(training, "train", boom)
+
+
+class TestExit2BeforeTraining:
+    def _expect(self, capsys, argv, *details):
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        for detail in details:
+            assert detail in err, err
+
+    def test_approx_and_transform_flags(self, tmp_path, capsys, train_cfg):
+        out = tmp_path / "appr.json"
+        self._expect(capsys, ["approx", "--beta", 0, "--out", out], "--beta")
+        self._expect(capsys, ["approx", "--beta", 6, "--max-stage-degree",
+                              2, "--out", out], "--max-stage-degree")
+        self._expect(capsys, ["approx", "--beta", 6, "--eps0", 2.0,
+                              "--out", out], "--eps0")
+        assert not out.exists()
+        model = tmp_path / "model.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        desc = tmp_path / "d.json"
+        self._expect(capsys, ["transform", "--model", model, "--out", desc,
+                              "--mode", "truncated", "--bits", 7], "--bits")
+        self._expect(capsys, ["transform", "--model", model, "--out", desc,
+                              "--mode", "composite", "--beta", 0,
+                              "--bound", 1.0], "--beta")
+        assert not desc.exists()
+
+    def test_config_values(self, tmp_path, capsys, no_training):
+        base = {"arch": "mlp:8", "dataset": BLOBS}
+        sweep = {"wds": [0.0], "seeds": [0], "betas": [6]}
+        trunc = {"l_xs": [8], "seeds": [0]}
+        perturb = {"wds": [0.0], "betas": [8]}
+        cases = [
+            ("train", dict(base, epochs=1, loss="bogus"), "config.loss"),
+            ("train", dict(base, epochs=1, mixup={"alpah": 1.0}),
+             "config.mixup.alpah"),
+            ("train", dict(base, epochs=1, ngnv={"r": 0.3, "scale": 1.0}),
+             "config.ngnv.scale"),
+            ("train", dict(base, epochs=1, mixup={"alpha": 0.0}),
+             "config.mixup"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, betas=[0])),
+             "config.sweep.betas"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, batch_size=0)),
+             "config.sweep.batch_size"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, calib_samples=0)),
+             "config.sweep.calib_samples"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, wd=0.1)),
+             "config.sweep.wd"),
+            ("sweep-beta", dict(base, sweep=dict(sweep, max_stage_degree=2)),
+             "config.sweep.max_stage_degree"),
+            ("sweep-beta", dict(base, sweep=dict(sweep, wds=[0.0, 0.1])),
+             "config.sweep.wds"),
+            ("trunc-sweep", dict(base, sweep=dict(trunc, l_xs=[7])),
+             "config.sweep.l_xs"),
+            ("perturb-exp", {**base, **perturb, "sign_filters": ["bogus"]},
+             "config.sign_filters"),
+            ("perturb-exp", {**base, **perturb, "betas": [0]},
+             "config.betas"),
+            ("perturb-exp", {**base, **perturb, "seed": 3}, "config.seed"),
+            ("perturb-exp", {**base, **perturb, "lr": 10 ** 400},
+             "config.lr"),
+        ]
+        for command, doc, detail in cases:
+            cfg = write_config(tmp_path / "c.json", doc)
+            argv = [command, "--config", cfg]
+            if command != "train":
+                argv += ["--records", tmp_path / "r.csv"]
+            self._expect(capsys, argv, detail)
+
+    def test_records_of_another_command(self, tmp_path, capsys,
+                                        no_training):
+        recs = tmp_path / "r.csv"
+        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        cfg = write_config(tmp_path / "p.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0], "betas": [8]})
+        self._expect(capsys, ["perturb-exp", "--config", cfg, "--records",
+                              recs], "--records", "does not match schema")
+
+    def test_unknown_injection_filter_in_descriptor(self, tmp_path, capsys,
+                                                    train_cfg):
+        model = tmp_path / "model.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        desc = tmp_path / "inj.json"
+        run(capsys, "transform", "--model", model, "--out", desc,
+            "--mode", "injected", "--beta", 6)
+        doc = json.loads(desc.read_text())
+        for key in ("sign_filter", "mode"):
+            bad = json.loads(json.dumps(doc))
+            bad["slots"][0][key] = "bogus"
+            path = write_config(tmp_path / f"bad_{key}.json", bad)
+            self._expect(capsys, ["eval-pann", "--model", model, "--config",
+                                  train_cfg, "--pann", path],
+                         "slots[0]", key)
+
+
+# one well-formed config per experiment command, with its required fields;
+# the fuzz test breaks one thing in it at a time
+_FUZZ_BASES = {
+    "sweep-wd": (sd.SweepSpec, "sweep", ("wds", "seeds", "betas"),
+                 {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 2,
+                  "calib_samples": 8}),
+    "trunc-sweep": (sd.TruncSpec, "sweep", ("l_xs", "seeds"),
+                    {"l_xs": [8], "seeds": [0], "epochs": 2}),
+    "perturb-exp": (sd.PerturbSpec, "", ("wds", "betas"),
+                    {"wds": [0.0], "betas": [8], "seeds": [0], "epochs": 2}),
+}
+# values no field of the base configs accepts
+_NEVER_VALID = [None, True, "x", [], {}, [None], ["x"], 2.5, -1, 0, 1e300]
+# field -> values its spec rejects
+_BAD_VALUES = {
+    "wds": [[], [True], 0.0], "seeds": [[], [1.5]], "betas": [[0], [-3]],
+    "epochs": [0, -1, 2.0], "batch_size": [0], "calib_samples": [0],
+    "max_stage_degree": [2], "method": ["bogus"], "ngnv_r": [2.0],
+    "mixup_alpha": [0.0], "bound_safety": [0.0], "l_xs": [[7], [2], [40]],
+    "sign_filters": [["bogus"], []], "mode": ["bogus"], "loss": ["bogus"],
+    "t_primes": [[]], "lr": ["fast", float("nan"), float("inf")],
+}
+
+
+@st.composite
+def _malformed(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    cls, section, required, spec = _FUZZ_BASES[command]
+    spec = dict(spec)
+    kind = draw(st.sampled_from(["type", "value", "unknown", "missing",
+                                 "section"]))
+    if kind == "unknown":
+        spec[draw(st.sampled_from(["sed", "wd_s", "beta", "l_x"]))] = 1
+    elif kind == "missing":
+        del spec[draw(st.sampled_from(required))]
+    elif kind == "value":
+        names = {f.name for f in dataclasses.fields(cls)}
+        field = draw(st.sampled_from(sorted(names & set(_BAD_VALUES))))
+        spec[field] = draw(st.sampled_from(_BAD_VALUES[field]))
+    elif kind == "type":
+        spec[draw(st.sampled_from(sorted(spec)))] = draw(
+            st.sampled_from(_NEVER_VALID))
+    doc = {"arch": "mlp:8", "dataset": BLOBS}
+    if kind == "section":
+        doc[section or "dataset"] = draw(st.sampled_from([[], "x", 3]))
+    elif section:
+        doc[section] = spec
+    else:
+        doc.update(spec)
+    return command, doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_malformed())
+    def test_malformed_experiment_configs_exit_2(self, tmp_path, capsys,
+                                                 no_training, case):
+        command, doc = case
+        cfg = write_config(tmp_path / "fuzz.json", doc)
+        code = cli.main([command, "--config", str(cfg), "--records",
+                         str(tmp_path / "fuzz.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, (doc, err)
+        assert "config." in err, (doc, err)
 
 
 class TestValidateTheorems:
