@@ -157,7 +157,7 @@ def _load_network(path) -> nn.Network:
         doc = doc["network"]
     try:
         return nn.network_from_dict(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: not a model checkpoint: {exc}")
 
 
@@ -207,6 +207,8 @@ def _cmd_train(args) -> int:
     mixup, ngnv = _train_options(cfg)
     sgd = _sgd_from(cfg)
     chash = records.config_hash(dict(cfg, dataset=data.spec.key()))
+    store = _open_store(args.records, records.RECORD_COLUMNS) \
+        if args.records else None
     net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
     try:
         result = training.train(net0, data, sgd, epochs=epochs,
@@ -228,8 +230,7 @@ def _cmd_train(args) -> int:
                "network": nn.network_to_dict(result.net)}
         Path(args.out).write_text(json.dumps(doc))
     written = 0
-    if args.records:
-        store = _open_store(args.records, records.RECORD_COLUMNS)
+    if store is not None:
         if args.force or not store.has(chash):
             base = {"config_hash": chash, "timestamp": records.timestamp(),
                     "arch": arch, "dataset": data.name or "dataset",
@@ -245,22 +246,31 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _approx_flags(args) -> None:
-    """Exit 2 on a flag value that build_appsgn would reject."""
-    least = min(STAGE_CANDIDATES)
-    if args.beta is not None and args.beta < 1:
-        raise ConfigError(f"--beta: expected an integer >= 1, got "
-                          f"{args.beta}")
-    if args.max_stage_degree < least:
-        raise ConfigError(f"--max-stage-degree: expected an integer >= "
-                          f"{least}, got {args.max_stage_degree}")
-    if args.bound is not None and not 0 < args.bound < math.inf:
-        raise ConfigError(f"--bound: expected a positive number, got "
-                          f"{args.bound}")
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+_DEGREE = (lambda v: v >= min(STAGE_CANDIDATES),
+           f"an integer >= {min(STAGE_CANDIDATES)}")
+_POSITIVE = (lambda v: 0 < v < math.inf, "a positive number")
+_POINTS = (lambda v: 2 <= v <= MAX_GRID_POINTS,
+           f"an integer in [2, {MAX_GRID_POINTS}]")
+# numeric flag (argparse dest) -> (check, what it expects); a flag that a
+# command lacks or leaves unset is skipped
+_FLAG_RANGES = {
+    "beta": _COUNT, "max_stage_degree": _DEGREE, "bound": _POSITIVE,
+    "safety": _POSITIVE, "calib_samples": _COUNT, "batch_size": _COUNT,
+    "samples": _COUNT, "seeds": _COUNT, "workers": _COUNT,
+    "grid_points": _POINTS, "plot_points": _POINTS}
+
+
+def _check_flags(args) -> None:
+    """Exit 2 naming the first numeric flag outside its range."""
+    for dest, (ok, wanted) in _FLAG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ConfigError(f"--{dest.replace('_', '-')}: expected "
+                              f"{wanted}, got {value}")
 
 
 def _cmd_transform(args) -> int:
-    _approx_flags(args)
     backbone = _load_network(args.model)
     if args.mode == "composite":
         if args.beta is None:
@@ -286,8 +296,12 @@ def _cmd_transform(args) -> int:
         pann = tf.transform(backbone, tf.InjectedReLU(
             args.beta, args.sign_filter, args.inj_mode, args.seed))
     elif args.mode == "partial":
-        pann = tf.transform(backbone, tf.PartialReplaceReLU(
-            c=args.mix_c, binarized=args.binarized))
+        try:
+            mode = tf.PartialReplaceReLU(c=args.mix_c,
+                                         binarized=args.binarized)
+        except ValueError as exc:
+            raise ConfigError(f"--mix-c: {exc}")
+        pann = tf.transform(backbone, mode)
     elif args.mode == "truncated":
         try:
             fmt = FixedPointFormat(args.bits)
@@ -412,16 +426,24 @@ def _cmd_validate_theorems(args) -> int:
     return 0 if all_passed else 1
 
 
+# AttackConfig field -> the attack flag that sets it
+_ATTACK_FLAGS = {"alpha": "--alpha", "eps": "--eps", "eps_atk": "--eps-atk",
+                 "eps_lim": "--eps-lim", "search_radius": "--radius",
+                 "search_draws": "--draws", "max_iters": "--max-iters",
+                 "backtrack_depth": "--backtrack-depth"}
+
+
 def _cmd_attack(args) -> int:
+    try:
+        acfg = atk.AttackConfig(**{
+            name: getattr(args, flag[2:].replace("-", "_"))
+            for name, flag in _ATTACK_FLAGS.items()})
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{_ATTACK_FLAGS[str(exc).split()[0]]}: {exc}")
     backbone = _load_network(args.model)
     pann = _load_pann(backbone, args.pann)
     cfg = _load_json(args.config)
     data = datasets.load_dataset(_dataset_spec(cfg))
-    acfg = atk.AttackConfig(
-        alpha=args.alpha, eps=args.eps, eps_atk=args.eps_atk,
-        eps_lim=args.eps_lim, search_radius=args.radius,
-        search_draws=args.draws, max_iters=args.max_iters,
-        backtrack_depth=args.backtrack_depth)
     preds = nn.predict(backbone, data.x_test)
     picked = [i for i in range(len(data.y_test))
               if preds[i] == data.y_test[i]][:args.samples]
@@ -450,13 +472,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    _approx_flags(args)
     if args.eps0 is not None and not 0 < args.eps0 < args.bound:
         raise ConfigError(f"--eps0: expected a number in (0, --bound), got "
                           f"{args.eps0}")
-    if not 2 <= args.grid_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"--grid-points: expected an integer in "
-                          f"[2, {MAX_GRID_POINTS}], got {args.grid_points}")
     approx = build_appsgn(beta=args.beta, eps0=args.eps0, bound=args.bound,
                           max_stage_degree=args.max_stage_degree,
                           grid_points=args.grid_points)
@@ -601,6 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

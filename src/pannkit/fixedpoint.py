@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polyapprox import check_number
+
 NONNEGATIVE = "nonnegative"
 NEGATIVE = "negative"
 
@@ -25,13 +27,9 @@ class FixedPointFormat:
     total_bits: int
 
     def __post_init__(self):
-        if type(self.total_bits) is not int:  # bool is not a width
-            raise ValueError(f"total_bits must be an integer, got "
-                             f"{self.total_bits!r}")
+        check_number("total_bits", self.total_bits, 4, 32, integer=True)
         if self.total_bits % 2:
             raise ValueError("total_bits must be even")
-        if not 4 <= self.total_bits <= 32:
-            raise ValueError("total_bits must lie in [4, 32]")
 
     @property
     def frac_bits(self) -> int:
@@ -77,12 +75,9 @@ def quantize(x: float, fmt: FixedPointFormat) -> FixedValue:
 
 
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat):
-    """Vectorized quantizer. Returns (raw int64 array, saturated count)."""
+    """Vectorized quantizer: the raw int64 array, saturating like quantize."""
     scaled = np.floor(np.asarray(x, dtype=np.float64) * fmt.scale)
-    saturated = int(np.count_nonzero(
-        (scaled < fmt.raw_min) | (scaled > fmt.raw_max)))
-    raw = np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
-    return raw, saturated
+    return np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
 
 
 def truncation_shares(v: FixedValue) -> list[int]:
@@ -120,13 +115,9 @@ class TruncatedReLU:
 
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
-        self.saturated = 0
-        self.total = 0
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        raw, sat = quantize_array(z, self.fmt)
-        self.saturated += sat
-        self.total += int(np.prod(z.shape))
+        raw = quantize_array(z, self.fmt)
         nonneg = _nonneg_by_shifts(raw, self.fmt)
         return np.where(nonneg, raw / self.fmt.scale, 0.0)
 
@@ -135,9 +126,6 @@ class TruncatedReLU:
 
     def descriptor(self) -> dict:
         return {"kind": "truncated_relu", "total_bits": self.fmt.total_bits}
-
-    def with_slot(self, index: int) -> "TruncatedReLU":
-        return TruncatedReLU(self.fmt)  # fresh counters per slot
 
     def __repr__(self):
         return f"TruncatedReLU(l_x={self.fmt.total_bits})"

@@ -12,7 +12,8 @@ fixed-point modes are defined next to the code that builds them.
 from __future__ import annotations
 
 import base64
-import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +69,20 @@ def register_mode(kind: str, from_descriptor) -> None:
 
 
 register_mode("exact_relu", lambda d: ExactReLU())
+
+
+@contextmanager
+def field_errors(where: str):
+    """Re-raise what a malformed JSON field makes the code inside raise as
+    a ValueError naming ``where``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from exc
+    except (AttributeError, ArithmeticError, TypeError, ValueError) as exc:
+        # AttributeError: an object expected holds some other JSON type;
+        # ArithmeticError: an integer field holds Infinity or 1e400
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def mode_from_descriptor(desc: dict):
@@ -578,36 +593,54 @@ def network_to_dict(net: Network) -> dict:
             "layers": layers}
 
 
+MAX_INPUT_SIZE = 1 << 24
+
+
 def network_from_dict(doc: dict) -> Network:
-    if doc.get("format") != "pannkit-checkpoint":
-        raise ValueError("not a pannkit checkpoint")
+    """The checkpoint's network, run once on a zero input to check that its
+    layers fit together (so a sample holds at most MAX_INPUT_SIZE values). A
+    malformed checkpoint raises ValueError naming the field: ``input_shape``,
+    ``layers[i]``, ..."""
+    if not isinstance(doc, dict) or doc.get("format") != "pannkit-checkpoint":
+        raise ValueError("format: not a pannkit checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ValueError(f"version: unsupported checkpoint version "
+                         f"{doc.get('version')!r}")
+    shape, n_classes = doc.get("input_shape"), doc.get("n_classes")
+    if not isinstance(shape, list) or not shape or not all(
+            type(n) is int and n >= 1 for n in shape) or \
+            math.prod(shape) > MAX_INPUT_SIZE:
+        raise ValueError(f"input_shape: expected a list of positive "
+                         f"integers, at most {MAX_INPUT_SIZE} values in all, "
+                         f"got {shape!r}")
+    if type(n_classes) is not int or n_classes < 1:
+        raise ValueError(f"n_classes: expected a positive integer, got "
+                         f"{n_classes!r}")
+    if not isinstance(doc.get("layers"), list):
+        raise ValueError("layers: expected a list")
     layers: list = []
-    for entry in doc["layers"]:
-        kind = entry["kind"]
-        if kind == "dense":
-            layers.append(Dense(W=_dec(entry["W"]), b=_dec(entry["b"])))
-        elif kind == "conv2d":
-            layers.append(Conv2d(kernel=_dec(entry["kernel"]),
-                                 b=_dec(entry["b"]),
-                                 padding=entry.get("padding", "valid")))
-        elif kind == "avgpool":
-            layers.append(AvgPool(entry["size"]))
-        elif kind == "flatten":
-            layers.append(Flatten())
-        elif kind == "activation":
-            layers.append(Activation(mode_from_descriptor(entry["mode"])))
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return Network(tuple(layers), tuple(doc["input_shape"]), doc["n_classes"])
+    h = np.zeros((1, *shape), dtype=DTYPE)
+    for i, entry in enumerate(doc["layers"]):
+        with field_errors(f"layers[{i}]"):
+            layers.append(_layer_from_dict(entry))
+            h = layers[-1].forward(h)
+    if h.shape != (1, n_classes):
+        raise ValueError(f"n_classes: the layers output shape {h.shape[1:]}, "
+                         f"not ({n_classes},)")
+    return Network(tuple(layers), tuple(shape), n_classes)
 
 
-def save_checkpoint(net: Network, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh)
-
-
-def load_checkpoint(path) -> Network:
-    with open(path) as fh:
-        return network_from_dict(json.load(fh))
+def _layer_from_dict(entry: dict):
+    kind = entry["kind"]
+    if kind == "dense":
+        return Dense(W=_dec(entry["W"]), b=_dec(entry["b"]))
+    if kind == "conv2d":
+        return Conv2d(kernel=_dec(entry["kernel"]), b=_dec(entry["b"]),
+                      padding=entry.get("padding", "valid"))
+    if kind == "avgpool":
+        return AvgPool(entry["size"])
+    if kind == "flatten":
+        return Flatten()
+    if kind == "activation":
+        return Activation(mode_from_descriptor(entry["mode"]))
+    raise ValueError(f"unknown layer kind {kind!r}")

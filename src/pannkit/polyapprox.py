@@ -8,6 +8,10 @@ oddness carries the negative branch for free. Stage 1 eats the hard interval
 once the stage error clears the 2^-beta target, and the result only ships with
 a dense-grid certificate attached.
 
+The chain and its certificate live on the unit domain: they depend on B only
+through eps0/B, so one build per (beta, eps0/B, stage settings) serves every
+scale, and an approximant is that chain plus its scale B.
+
 Precision convention: an approximation is "beta-close" when its absolute
 error is at most 2^-beta everywhere on the certified domain.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -43,6 +47,9 @@ class Polynomial:
     coeffs: tuple
 
     def __post_init__(self):
+        if not self.coeffs or any(isinstance(v, bool) for v in self.coeffs):
+            raise ValueError(f"coefficients must be a non-empty list of "
+                             f"numbers, got {self.coeffs!r}")
         c = tuple(float(v) for v in self.coeffs)
         while len(c) > 1 and c[-1] == 0.0:
             c = c[:-1]
@@ -398,9 +405,10 @@ class PrecisionCertificate:
 class CompositeSgnApprox:
     """Odd polynomial chain approximating sign on [-B, -eps0] u [eps0, B].
 
-    eval(z) scales z by 1/B then applies the chain innermost first. Every
-    instance carries a passing certificate; construction rejects anything
-    else.
+    eval(z) scales z by 1/B then applies the chain innermost first. The
+    chain and its certificate live on the unit domain [eps0/B, 1]; B is only
+    the scale. Every instance carries a passing certificate; construction
+    rejects anything else.
     """
 
     chain: tuple
@@ -417,27 +425,25 @@ class CompositeSgnApprox:
             if not p.is_odd():
                 raise ValueError("chain stages must be odd polynomials")
 
-    def eval(self, z):
-        u = np.asarray(z, dtype=np.float64) / self.bound
+    def eval(self, z, scale=None):
+        """The chain at z / scale; scale defaults to B. The certificate holds
+        at any scale B' >= B (a scalar, or an array broadcasting against z),
+        with the uncertified band widened to |z| < eps0 * B' / B."""
+        u = np.asarray(z, dtype=np.float64) / (self.bound if scale is None
+                                                else scale)
         for p in self.chain:
             u = p(u)
         return u if np.ndim(z) else float(u)
 
-    def eval_with_derivative(self, z):
-        """Chain value and d/dz, both elementwise."""
-        u = np.asarray(z, dtype=np.float64) / self.bound
-        du = np.full_like(u, 1.0 / self.bound)
+    def eval_with_derivative(self, z, scale=None):
+        """Chain value and d/dz, both elementwise, at the scale of eval."""
+        scale = self.bound if scale is None else scale
+        u = np.asarray(z, dtype=np.float64) / scale
+        du = np.ones_like(u) / scale
         for p in self.chain:
             du = du * p.derivative()(u)
             u = p(u)
         return u, du
-
-    @property
-    def total_degree(self) -> int:
-        d = 1
-        for p in self.chain:
-            d *= p.degree
-        return d
 
 
 MAX_GRID_POINTS = 1_000_000
@@ -446,11 +452,8 @@ MAX_GRID_POINTS = 1_000_000
 def _certify_chain(chain, bound, eps0, beta, grid_points=100_000):
     """Measure the composite error on the positive branch, refine around
     every local extremum, and inspect band behavior."""
-    # checked before any grid is allocated; bool is not a count
-    if type(grid_points) is not int or \
-            not 2 <= grid_points <= MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be an integer in "
-                         f"[2, {MAX_GRID_POINTS}], got {grid_points!r}")
+    # checked before any grid is allocated
+    check_number("grid_points", grid_points, 2, MAX_GRID_POINTS, integer=True)
 
     def chain_eval(u):
         v = u
@@ -518,21 +521,37 @@ def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
     already reaches the target error it takes the cheapest one, otherwise the
     candidate with the best interval contraction per unit of multiplicative
     depth. Raises PrecisionInfeasible when no candidate makes progress.
+
+    The unit-domain chain and its certificate are built once per process for
+    each (beta, eps0/bound, stage settings) and shared by every bound.
     """
-    if beta < 1:
-        raise ValueError("beta must be positive")
+    # integers of one type, so that equal keys give equal approximants
+    beta = int(check_number("beta", beta, 1, integer=True))
+    grid_points = int(check_number("grid_points", grid_points, 2,
+                                   MAX_GRID_POINTS, integer=True))
     if eps0 is None:
         eps0 = 2.0 ** -beta * bound
     if not 0 < eps0 < bound:
         raise ValueError(f"eps0 must lie in (0, bound), got {eps0}")
-    target = 2.0 ** -beta * 0.995  # small slack for grid capture and roundoff
     if tol is None:
         tol = 2.0 ** -(beta + 6)
-    cands = sorted(d for d in stage_candidates if d <= max_stage_degree)
+    cands = tuple(sorted(d for d in stage_candidates
+                         if d <= max_stage_degree))
     if not cands:
         raise ValueError("no stage candidates within max_stage_degree")
+    chain, cert = _unit_chain(beta, eps0 / bound, cands, max_stages,
+                              grid_points, tol)
+    return CompositeSgnApprox(chain=chain, bound=float(bound),
+                              eps0=float(eps0), beta=beta,
+                              max_stage_degree=int(max_stage_degree),
+                              certificate=cert)
 
-    lo, hi = eps0 / bound, 1.0
+
+@cache
+def _unit_chain(beta, t0, cands, max_stages, grid_points, tol):
+    """The certified chain on [t0, 1] and its certificate."""
+    target = 2.0 ** -beta * 0.995  # small slack for grid capture and roundoff
+    lo, hi = t0, 1.0
     chain: list[Polynomial] = []
     err = 1.0
     for _ in range(max_stages):
@@ -577,33 +596,12 @@ def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
             f"{max_stages} stages reached about 2^-{achieved:.1f}, "
             f"requested 2^-{beta}")
 
-    cert = _certify_chain(chain, bound, eps0, beta, grid_points)
+    cert = _certify_chain(chain, 1.0, t0, beta, grid_points)
     if not cert.passed:
         raise PrecisionInfeasible(
             f"certification failed: grid error {cert.max_error:.3e} "
             f"vs 2^-{beta} = {2.0 ** -beta:.3e}")
-    return CompositeSgnApprox(chain=tuple(chain), bound=float(bound),
-                              eps0=float(eps0), beta=int(beta),
-                              max_stage_degree=int(max_stage_degree),
-                              certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# smooth ReLU from the sign approximant
-
-
-def app_relu(z, approx: CompositeSgnApprox):
-    """(z + z * appsgn(z)) / 2.
-
-    Exact 0 at z = 0. For eps0 <= |z| <= B the error is at most
-    2^-beta * |z| / 2 (certificate bound halved by the z/2 factor); inside
-    the band only the coarse |err| <= |z| holds. Callers must keep |z| <= B;
-    interval policies for overflowing inputs live with the network transform.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    s = approx.eval(z)
-    out = (z + z * s) / 2.0
-    return out if out.ndim else float(out)
+    return tuple(chain), cert
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +612,18 @@ SIGN_FILTERS = ("all", "neg_only", "pos_only")
 INJECTION_MODES = ("uniform_random", "worst_case_fixed")
 
 
-def error_injection_relu(z, beta: int, sign_filter: str = "all",
-                         mode: str = "uniform_random", rng_seed: int = 0):
-    """ReLU plus the approximation-shaped error e * z / 2, |e| <= 2^-beta.
-
-    uniform_random draws e uniformly from [-2^-beta, 2^-beta]; the worst-case
-    mode pins |e| = 2^-beta with a per-element sign extracted from the seeded
-    gaussian draw. The filter restricts injection to entries of one sign.
-    Deterministic in (shape, seed): the draw is re-derived per call.
-    """
-    check_injection(sign_filter, mode)
-    z = np.asarray(z, dtype=np.float64)
-    e = _injection_errors(z.shape, beta, mode, rng_seed)
-    mask = _filter_mask(z, sign_filter)
-    return np.maximum(z, 0.0) + np.where(mask, e * z / 2.0, 0.0)
+def check_number(name: str, value, lo=-math.inf, hi=math.inf,
+                 integer: bool = False):
+    """value, if it is a number in [lo, hi], and an integer where asked; a
+    bool or a string is neither. Raises ValueError naming it otherwise."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer,
+                                                np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds) or \
+            not lo <= value <= hi:
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {what} in [{lo}, {hi}], got "
+                         f"{value!r}")
+    return value
 
 
 def check_injection(sign_filter: str, mode: str) -> None:
@@ -684,28 +680,23 @@ def approx_to_json(approx: CompositeSgnApprox) -> dict:
 
 
 def approx_from_json(doc: dict, recertify: bool = True) -> CompositeSgnApprox:
+    """The stored approximant with its certificate measured again; the
+    stored certificate is never trusted, whatever ``recertify`` says."""
     if doc.get("format") != "pannkit-sgn-approx":
         raise ValueError("not a sign-approximant file")
-    chain = tuple(Polynomial(tuple(float(c) for c in stage))
-                  for stage in doc["chain"])
-    c = doc["certificate"]
-    if recertify:
-        if not 0 < doc["eps0"] < doc["bound"]:
-            raise ValueError(f"eps0 must lie in (0, bound), got eps0 "
-                             f"{doc['eps0']!r}, bound {doc['bound']!r}")
-        cert = _certify_chain(chain, doc["bound"], doc["eps0"], doc["beta"],
-                              grid_points=c["grid_points"])
-        if not cert.passed:
-            raise ValueError("stored approximant fails re-certification")
-    else:
-        cert = PrecisionCertificate(beta=c["beta"],
-                                    grid_points=c["grid_points"],
-                                    max_error=c["max_error"],
-                                    argmax_u=c["argmax_u"],
-                                    band_max_error=c["band_max_error"],
-                                    passed=c["passed"])
+    chain = tuple(Polynomial(tuple(stage)) for stage in doc["chain"])
+    beta = check_number("beta", doc["beta"], 1, integer=True)
+    check_number("max_stage_degree", doc["max_stage_degree"],
+                 max((p.degree for p in chain), default=1), integer=True)
+    if not 0 < doc["eps0"] < doc["bound"]:
+        raise ValueError(f"eps0 must lie in (0, bound), got eps0 "
+                         f"{doc['eps0']!r}, bound {doc['bound']!r}")
+    cert = _certify_chain(chain, doc["bound"], doc["eps0"], beta,
+                          grid_points=doc["certificate"]["grid_points"])
+    if not cert.passed:
+        raise ValueError("stored approximant fails re-certification")
     return CompositeSgnApprox(chain=chain, bound=float(doc["bound"]),
-                              eps0=float(doc["eps0"]), beta=int(doc["beta"]),
+                              eps0=float(doc["eps0"]), beta=int(beta),
                               max_stage_degree=int(doc["max_stage_degree"]),
                               certificate=cert)
 

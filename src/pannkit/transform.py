@@ -17,7 +17,7 @@ from . import nn
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
                          approx_to_json, build_appsgn, check_injection,
-                         _filter_mask, _injection_errors)
+                         check_number, _filter_mask, _injection_errors)
 
 OVERFLOW_POLICIES = ("clamp_to_B", "widen_and_recertify", "error")
 
@@ -30,9 +30,11 @@ class IntervalOverflowError(RuntimeError):
 class IntervalPolicy:
     """What to do when a pre-activation falls outside the certified [-B, B].
 
-    clamp_to_B clips the sign-approximant argument and counts the clipped
-    entries; widen_and_recertify rebuilds the approximant with B set to 1.2x
-    the worst offender and certifies it again; error aborts deterministically.
+    clamp_to_B clips the sign-approximant argument; widen_and_recertify runs
+    each out-of-range sample (index along axis 0) at its own scale
+    B' = 1.2 max|z| of that sample, which needs no new certificate because
+    the certificate lives on the unit domain; error aborts deterministically.
+    Every policy is a pure function of the batch it is given.
     """
 
     overflow: str = "clamp_to_B"
@@ -43,62 +45,53 @@ class IntervalPolicy:
 
 
 class CompositeReLU:
-    """Certified smooth ReLU: (z + z * appsgn(z)) / 2 with interval policy."""
+    """Certified smooth ReLU: (z + z * appsgn(z)) / 2 with interval policy.
+
+    The approximant's certificate lives on the unit domain, so a scale B'
+    above its bound B reuses it; the mode never changes after construction.
+    """
 
     name = "composite_relu"
 
     def __init__(self, approx: CompositeSgnApprox,
                  policy: IntervalPolicy | None = None):
-        if not approx.certificate.passed:
-            raise ValueError("refusing an uncertified sign approximant")
-        self.approx = approx
+        self.approx = approx  # its construction demands a passing certificate
         self.policy = policy or IntervalPolicy()
-        self.clamped = 0
-        self.recertifications = 0
-        self.total = 0
 
-    def _admit(self, z: np.ndarray) -> np.ndarray:
+    def _admit(self, z: np.ndarray):
+        """(z as the chain reads it, the scale it reads z at, and the
+        per-sample max |z| when samples are widened, else None)."""
         b = self.approx.bound
-        over = np.abs(z) > b
-        self.total += int(np.prod(z.shape))
-        if not over.any():
-            return z
+        if not (np.abs(z) > b).any():
+            return z, None, None
         if self.policy.overflow == "error":
             worst = float(np.max(np.abs(z)))
             raise IntervalOverflowError(
                 f"|z| reached {worst:.6g} > certified bound {b:.6g}")
         if self.policy.overflow == "widen_and_recertify":
-            from .polyapprox import build_appsgn
-            new_b = 1.2 * float(np.max(np.abs(z)))
-            ratio = self.approx.eps0 / self.approx.bound
-            self.approx = build_appsgn(
-                self.approx.beta, eps0=ratio * new_b, bound=new_b,
-                max_stage_degree=self.approx.max_stage_degree)
-            self.recertifications += 1
-            return z
-        self.clamped += int(np.count_nonzero(over))
-        return np.clip(z, -b, b)
-
-    def clamp_fraction(self) -> float:
-        return self.clamped / self.total if self.total else 0.0
+            m = np.max(np.abs(z), axis=tuple(range(1, np.ndim(z))),
+                       keepdims=True)
+            return z, np.where(m > b, 1.2 * m, b), m
+        return np.clip(z, -b, b), None, None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        zc = self._admit(z)  # may widen self.approx; read it afterwards
-        s = self.approx.eval(zc)
+        zc, scale, _ = self._admit(z)
+        s = self.approx.eval(zc, scale)
         return (z + z * s) / 2.0
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        zc = self._admit(z)
-        s, ds = self.approx.eval_with_derivative(zc)
-        inside = (np.abs(z) <= self.approx.bound).astype(np.float64)
+        zc, scale, m = self._admit(z)
+        s, ds = self.approx.eval_with_derivative(zc, scale)
+        # the chain's argument moves with z except where z is clipped to
+        # +-B, and at a widened sample's max |z|, where z / B' stays +-1/1.2
+        inside = np.abs(z) <= self.approx.bound
+        if m is not None:
+            inside |= np.abs(z) < m
         return (1.0 + s + z * ds * inside) / 2.0
 
     def descriptor(self) -> dict:
         return {"kind": "composite_relu", "policy": self.policy.overflow,
                 "approx": approx_to_json(self.approx)}
-
-    def with_slot(self, index: int) -> "CompositeReLU":
-        return CompositeReLU(self.approx, IntervalPolicy(self.policy.overflow))
 
     def __repr__(self):
         return (f"CompositeReLU(beta={self.approx.beta}, "
@@ -120,11 +113,11 @@ class InjectedReLU:
                  mode: str = "uniform_random", seed: int = 0,
                  slot: int = 0):
         check_injection(sign_filter, mode)
-        self.beta = int(beta)
+        self.beta = int(check_number("beta", beta, 1, integer=True))
         self.sign_filter = sign_filter
         self.mode = mode
-        self.seed = int(seed)
-        self.slot = int(slot)
+        self.seed = int(check_number("seed", seed, integer=True))
+        self.slot = int(check_number("slot", slot, 0, integer=True))
 
     def _errors(self, shape) -> np.ndarray:
         # per-slot label keeps layers on independent draws of one seed
@@ -173,10 +166,11 @@ class PartialReplaceReLU:
     def __init__(self, p: Polynomial | None = None, c: float = 0.5,
                  binarized: bool = False):
         self.p = p if p is not None else default_quadratic_replacement()
-        self.c = float(c)
-        self.binarized = bool(binarized)
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError("c must lie in [0, 1]")
+        if type(binarized) is not bool:
+            raise ValueError(f"binarized must be true or false, got "
+                             f"{binarized!r}")
+        self.c = float(check_number("c", c, 0.0, 1.0))
+        self.binarized = binarized
         if self.binarized and self.c not in (0.0, 1.0):
             raise ValueError("binarized slots need c in {0, 1}")
 
@@ -195,9 +189,6 @@ class PartialReplaceReLU:
         return {"kind": "partial_replace_relu",
                 "coeffs": [f"{v:.17g}" for v in self.p.coeffs],
                 "c": self.c, "binarized": self.binarized}
-
-    def with_slot(self, index: int) -> "PartialReplaceReLU":
-        return self
 
     def __repr__(self):
         return f"PartialReplaceReLU(c={self.c}, binarized={self.binarized})"
@@ -254,16 +245,14 @@ def transform(net: nn.Network, mode, slots=None) -> nn.Network:
 
 
 def build_composite_pann(net: nn.Network, calib_x: np.ndarray, beta: int, *,
-                         safety: float = 1.2, overflow: str = "clamp_to_B",
-                         max_stage_degree: int = 15,
-                         grid_points: int = 100_000) -> nn.Network:
+                         safety: float = 1.2,
+                         max_stage_degree: int = 15) -> nn.Network:
     """Calibrate the interval on calib_x, certify an approximant for it, and
-    install the smooth ReLU in every activation slot."""
+    install the clamping smooth ReLU in every activation slot."""
     bound = calibrate_bound(net, calib_x, safety=safety)
     approx = build_appsgn(beta=beta, bound=bound,
-                          max_stage_degree=max_stage_degree,
-                          grid_points=grid_points)
-    return transform(net, CompositeReLU(approx, IntervalPolicy(overflow)))
+                          max_stage_degree=max_stage_degree)
+    return transform(net, CompositeReLU(approx))
 
 
 def calibrate_bound(net: nn.Network, x: np.ndarray, safety: float = 1.2,
@@ -310,20 +299,11 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
     out = backbone
     certified = {}
     for slot_pos, (slot, layer_idx) in enumerate(zip(slots, acts)):
-        try:
+        with nn.field_errors(f"slots[{slot_pos}]"):
             if isinstance(slot, dict) and slot.get("kind") == "composite_relu":
                 mode = _composite_from_descriptor(slot, certified)
             else:
                 mode = nn.mode_from_descriptor(slot)
-        except KeyError as exc:
-            raise ValueError(f"slots[{slot_pos}]: missing field {exc}") \
-                from exc
-        except (AttributeError, ArithmeticError, TypeError,
-                ValueError) as exc:
-            # AttributeError: an object expected (a slot or its approx)
-            # holds some other JSON type; ArithmeticError: an integer field
-            # holds Infinity or 1e400
-            raise ValueError(f"slots[{slot_pos}]: {exc}") from exc
         out = out.replace_layer(layer_idx, nn.Activation(mode))
     return out
 
@@ -348,8 +328,8 @@ def _injected_from_descriptor(d: dict) -> InjectedReLU:
 
 
 def _partial_from_descriptor(d: dict) -> PartialReplaceReLU:
-    return PartialReplaceReLU(Polynomial(tuple(float(c) for c in d["coeffs"])),
-                              c=d["c"], binarized=d["binarized"])
+    return PartialReplaceReLU(Polynomial(tuple(d["coeffs"])), c=d["c"],
+                              binarized=d["binarized"])
 
 
 def _truncated_from_descriptor(d: dict) -> TruncatedReLU:

@@ -188,7 +188,7 @@ def test_criterion_02_smooth_relu_bounds(certs):
     for beta in BETAS:
         ap, _ = certs[beta]
         z = _cert_grid(ap)
-        err = np.abs(pa.app_relu(z, ap) - np.maximum(z, 0.0))
+        err = np.abs(tf.CompositeReLU(ap).apply(z) - np.maximum(z, 0.0))
         bad = int(np.sum(err > 2.0 ** -beta * np.abs(z)))
         bad += int(np.sum(err > 2.0 ** -beta * np.abs(z) / 2.0))
         viol[beta] = bad

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from pannkit import cli, datasets, nn, records, training
 from pannkit import sturdiness as sd
-from pannkit.polyapprox import approx_from_json
+from pannkit import transform as tf
+from pannkit.fixedpoint import FixedPointFormat, TruncatedReLU
+from pannkit.polyapprox import approx_from_json, build_appsgn
 
 
 def run(capsys, *argv):
@@ -415,7 +417,34 @@ class TestExit2BeforeTraining:
         self._expect(capsys, ["transform", "--model", model, "--out", desc,
                               "--mode", "composite", "--beta", 0,
                               "--bound", 1.0], "--beta")
+        composite = ["transform", "--model", model, "--out", desc, "--mode",
+                     "composite", "--beta", 6, "--config", train_cfg]
+        for flag, value in (("--calib-samples", 0), ("--calib-samples", -5),
+                            ("--safety", 0), ("--safety", "nan")):
+            self._expect(capsys, composite + [flag, value], flag)
+        partial = ["transform", "--model", model, "--out", desc, "--mode",
+                   "partial"]
+        self._expect(capsys, partial + ["--mix-c", 2], "--mix-c")
+        self._expect(capsys, partial + ["--mix-c", 0.5, "--binarized"],
+                     "--mix-c")
         assert not desc.exists()
+        self._expect(capsys, ["approx", "--beta", 6, "--out", out,
+                              "--plot-points", -3], "--plot-points")
+        self._expect(capsys, ["eval-pann", "--model", model, "--config",
+                              train_cfg, "--batch-size", 0], "--batch-size")
+        run(capsys, "transform", "--model", model, "--out", desc, "--mode",
+            "exact")
+        attack = ["attack", "--model", model, "--pann", desc, "--config",
+                  train_cfg]
+        for flag, value in (("--draws", 0), ("--eps", -1), ("--eps", "nan"),
+                            ("--backtrack-depth", -1), ("--radius", 0),
+                            ("--max-iters", -1), ("--samples", 0),
+                            ("--seeds", 0)):
+            self._expect(capsys, attack + [flag, value], flag)
+        self._expect(capsys, ["sweep-wd", "--config", train_cfg, "--records",
+                              tmp_path / "r.csv", "--workers", 0],
+                     "--workers")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_config_values(self, tmp_path, capsys, no_training):
         base = {"arch": "mlp:8", "dataset": BLOBS}
@@ -467,6 +496,15 @@ class TestExit2BeforeTraining:
             "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0], "betas": [8]})
         self._expect(capsys, ["perturb-exp", "--config", cfg, "--records",
                               recs], "--records", "does not match schema")
+
+    def test_train_opens_records_before_training(self, tmp_path, capsys,
+                                                 no_training, train_cfg):
+        recs, model = tmp_path / "sweep.csv", tmp_path / "model.json"
+        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        self._expect(capsys, ["train", "--config", train_cfg, "--out", model,
+                              "--records", recs],
+                     "--records", "does not match schema")
+        assert not model.exists()
 
     def test_unknown_injection_filter_in_descriptor(self, tmp_path, capsys,
                                                     train_cfg):
@@ -550,6 +588,128 @@ class TestConfigFuzz:
         err = capsys.readouterr().err
         assert code == 2, (doc, err)
         assert "config." in err, (doc, err)
+
+
+# slot kind -> field path inside the slot -> values no slot of that kind
+# accepts there; _MISSING deletes the field
+_MISSING = object()
+_SLOT_BAD_VALUES = {
+    "composite_relu": {
+        ("policy",): [None, 3, "x", _MISSING],
+        ("approx",): [None, 3, "x", [], _MISSING],
+        ("approx", "format"): [None, "x", _MISSING],
+        ("approx", "beta"): [None, "x", True, 0, 2.5, 12, 1e300, _MISSING],
+        ("approx", "bound"): [None, "x", -1, 0, 1e300, _MISSING],
+        ("approx", "eps0"): [None, "x", -1, 0, 1e300, _MISSING],
+        ("approx", "max_stage_degree"): [None, "x", 2.5, 2, _MISSING],
+        ("approx", "chain"): [None, "x", 3, [], [[]], [["x"]], [[None]],
+                              [3], _MISSING],
+        ("approx", "certificate"): [None, "x", [], _MISSING],
+        ("approx", "certificate", "grid_points"): [None, "x", True, 1.5, 1,
+                                                   10 ** 12, _MISSING]},
+    "injected_relu": {
+        ("beta",): [None, "x", True, 0, -3, 2.5, [], _MISSING],
+        ("sign_filter",): [None, 3, "x", _MISSING],
+        ("mode",): [None, 3, "x", _MISSING],
+        ("seed",): [None, "x", True, 2.5, []],
+        ("slot",): [None, "x", True, 2.5, -1]},
+    "partial_replace_relu": {
+        ("coeffs",): [None, 3, "x", [], ["x"], [None], [True], _MISSING],
+        ("c",): [None, "x", "0.5", True, 2.0, -1, _MISSING],
+        ("binarized",): [None, "x", 1, _MISSING]},
+    "truncated_relu": {
+        ("total_bits",): [None, "x", True, 7, 8.0, 2, 40, [], _MISSING]},
+}
+# a checkpoint field path -> values no checkpoint accepts there
+_CHECKPOINT_BAD_VALUES = {
+    ("format",): [None, "x", _MISSING],
+    ("version",): [None, "x", 99, _MISSING],
+    ("input_shape",): [None, "x", [], [0], [-2], ["x"], [2.5], [True],
+                       [2, 1 << 24], _MISSING],
+    ("n_classes",): [None, "x", 0, 2, 2.5, True, _MISSING],
+    ("layers",): [None, "x", [], [None], _MISSING],
+    ("layers", 0): [None, "x", [], {}],
+    ("layers", 0, "kind"): [None, 3, "x", "conv2d", _MISSING],
+    ("layers", 0, "W"): [None, "x", [], {}, _MISSING],
+    ("layers", 0, "W", "shape"): [None, "x", [], [2], [3, 2], [2.5, 16],
+                                  ["x"], _MISSING],
+    ("layers", 0, "W", "data"): [None, 3, "x!", "AAAA", _MISSING],
+    ("layers", 1, "mode"): [None, "x", [], {}, _MISSING],
+    ("layers", 2, "b", "shape"): [[4], _MISSING],
+}
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is _MISSING:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A blobs mlp:16 checkpoint, untrained, and one well-formed slot
+    descriptor of every approximate kind."""
+    net = nn.build_arch("mlp:16", (2,), 3, seed=0)
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps({"network": nn.network_to_dict(net)}))
+    slots = {m.name: m.descriptor() for m in (
+        tf.CompositeReLU(build_appsgn(4, bound=5.0)),
+        tf.InjectedReLU(6, seed=1).with_slot(0),
+        tf.PartialReplaceReLU(c=0.5),
+        TruncatedReLU(FixedPointFormat(8)))}
+    return path, nn.network_to_dict(net), slots
+
+
+@st.composite
+def _malformed_artefact(draw):
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(sorted(_CHECKPOINT_BAD_VALUES, key=str)))
+        return "checkpoint", None, path, draw(st.sampled_from(
+            _CHECKPOINT_BAD_VALUES[path]))
+    kind = draw(st.sampled_from(sorted(_SLOT_BAD_VALUES)))
+    path = draw(st.sampled_from(sorted(_SLOT_BAD_VALUES[kind], key=str)))
+    return "slot", kind, path, draw(st.sampled_from(
+        _SLOT_BAD_VALUES[kind][path]))
+
+
+class TestArtefactFuzz:
+    def test_well_formed_artefacts_load(self, tmp_path, capsys, fuzz_model,
+                                        train_cfg):
+        model, _, slots = fuzz_model
+        for slot in slots.values():
+            desc = write_config(tmp_path / "d.json", {
+                "format": "pannkit-pann-descriptor", "version": 1,
+                "slots": [slot]})
+            assert run(capsys, "eval-pann", "--model", model, "--config",
+                       train_cfg, "--pann", desc)[0] == 0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_malformed_artefact())
+    def test_malformed_artefacts_exit_2(self, tmp_path, capsys, no_training,
+                                        fuzz_model, train_cfg, case):
+        what, kind, path, value = case
+        model, checkpoint, slots = fuzz_model
+        argv = ["eval-pann", "--model", str(model), "--config",
+                str(train_cfg)]
+        if what == "checkpoint":
+            doc = json.loads(json.dumps(checkpoint))
+            _set_path(doc, path, value)
+            argv[2] = str(write_config(tmp_path / "m.json", doc))
+            named = path[0] if len(path) == 1 else f"layers[{path[1]}]"
+        else:
+            slot = json.loads(json.dumps(slots[kind]))
+            _set_path(slot, path, value)
+            argv += ["--pann", str(write_config(tmp_path / "d.json", {
+                "format": "pannkit-pann-descriptor", "version": 1,
+                "slots": [slot]}))]
+            named = "slots[0]"
+        assert cli.main(argv) == 2, (case, capsys.readouterr())
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, (case, err)
 
 
 class TestValidateTheorems:

@@ -1,6 +1,8 @@
 """Engine tests: forward semantics, gradients against finite differences,
 optimizer arithmetic, checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -313,8 +315,8 @@ class TestCheckpoints:
         net = nn.build_cnn((1, 10, 10), [3], 4, seed=8, kernel=3,
                            dense_hidden=(7,))
         path = tmp_path / "ckpt.json"
-        nn.save_checkpoint(net, path)
-        back = nn.load_checkpoint(path)
+        path.write_text(json.dumps(nn.network_to_dict(net)))
+        back = nn.network_from_dict(json.loads(path.read_text()))
         assert back.input_shape == net.input_shape
         assert back.n_classes == net.n_classes
         for a, b in zip(net.layers, back.layers):

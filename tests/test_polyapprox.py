@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pannkit import polyapprox as pa
+from pannkit import transform as tf
 
 
 class TestPolynomial:
@@ -347,32 +348,66 @@ def _cached_ap6():
     return _AP6
 
 
+class TestUnitChainMemo:
+    def test_one_chain_build_per_key(self, monkeypatch):
+        calls = []
+        remez = pa.remez_minimax
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return remez(*args, **kwargs)
+
+        monkeypatch.setattr(pa, "remez_minimax", counting)
+        # a grid size no other test asks for keeps this key fresh
+        unit = pa.build_appsgn(6, bound=1.0, grid_points=54_321)
+        built = len(calls)
+        scaled = pa.build_appsgn(6, bound=3.7, grid_points=54_321)
+        assert built > 0 and len(calls) == built
+        assert scaled.chain is unit.chain
+        assert (scaled.bound, scaled.eps0) == (3.7, 2.0 ** -6 * 3.7)
+        # the certificate is scale-free: re-measured at B = 3.7 it agrees
+        assert scaled.certificate == pa._certify_chain(
+            scaled.chain, 3.7, scaled.eps0, 6, 54_321)
+        # a float that equals a cached key is still no grid size
+        with pytest.raises(ValueError, match="grid_points"):
+            pa.build_appsgn(6, grid_points=54_321.0)
+
+
 class TestAppReLU:
+    """The smooth ReLU (z + z * appsgn(z)) / 2 of CompositeReLU.apply."""
+
     def test_zero_maps_to_zero_exactly(self):
         ap = _cached_ap6()
-        assert pa.app_relu(0.0, ap) == 0.0
+        assert tf.CompositeReLU(ap).apply(np.zeros(1))[0] == 0.0
 
     def test_relative_error_bounds_outside_band(self):
         """Certified grid: |err| <= 2^-beta |z| and the halved form too."""
         ap = _cached_ap6()
         z = np.linspace(ap.eps0, ap.bound, 20_000)
         z = np.concatenate([z, -z])
-        err = np.abs(pa.app_relu(z, ap) - np.maximum(z, 0.0))
+        err = np.abs(tf.CompositeReLU(ap).apply(z) - np.maximum(z, 0.0))
         assert np.all(err <= 2.0 ** -6 * np.abs(z))
         assert np.all(err <= 2.0 ** -6 * np.abs(z) / 2.0)
 
     def test_coarse_bound_inside_band(self):
         ap = _cached_ap6()
         z = np.linspace(-ap.eps0, ap.eps0, 4001)
-        err = np.abs(pa.app_relu(z, ap) - np.maximum(z, 0.0))
+        err = np.abs(tf.CompositeReLU(ap).apply(z) - np.maximum(z, 0.0))
         assert np.all(err <= np.abs(z) + 1e-300)
+
+
+def _injected(z, beta, sign_filter="all", mode="uniform_random", seed=0):
+    """InjectedReLU on z laid out as one row, so that every entry of z is
+    its own activation unit with its own error draw."""
+    row = np.asarray(z, dtype=np.float64)[None, :]
+    return tf.InjectedReLU(beta, sign_filter, mode, seed).apply(row)[0]
 
 
 class TestErrorInjection:
     def test_error_magnitude_bounded(self):
         z = np.random.default_rng(1).normal(size=1000)
         for mode in pa.INJECTION_MODES:
-            out = pa.error_injection_relu(z, 6, "all", mode, rng_seed=3)
+            out = _injected(z, 6, "all", mode, seed=3)
             err = np.abs(out - np.maximum(z, 0.0))
             # worst-case mode sits exactly on the bound; allow roundoff
             assert np.all(err <= 2.0 ** -6 * np.abs(z) / 2.0 * (1 + 1e-12)
@@ -380,15 +415,15 @@ class TestErrorInjection:
 
     def test_worst_case_is_pinned_magnitude(self):
         z = np.full(512, 2.0)
-        out = pa.error_injection_relu(z, 4, "all", "worst_case_fixed", 7)
+        out = _injected(z, 4, "all", "worst_case_fixed", 7)
         err = np.abs(out - 2.0)
         np.testing.assert_allclose(err, 2.0 ** -4 * 2.0 / 2.0, rtol=1e-12)
 
     def test_filters_touch_only_their_sign(self):
         z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
         base = np.maximum(z, 0.0)
-        neg = pa.error_injection_relu(z, 4, "neg_only", "worst_case_fixed", 1)
-        pos = pa.error_injection_relu(z, 4, "pos_only", "worst_case_fixed", 1)
+        neg = _injected(z, 4, "neg_only", "worst_case_fixed", 1)
+        pos = _injected(z, 4, "pos_only", "worst_case_fixed", 1)
         assert np.array_equal(neg[z >= 0], base[z >= 0])
         assert np.array_equal(pos[z <= 0], base[z <= 0])
         assert np.all(neg[z < 0] != base[z < 0])
@@ -396,14 +431,14 @@ class TestErrorInjection:
 
     def test_seed_determinism(self):
         z = np.random.default_rng(2).normal(size=100)
-        a = pa.error_injection_relu(z, 8, "all", "uniform_random", 5)
-        b = pa.error_injection_relu(z, 8, "all", "uniform_random", 5)
-        c = pa.error_injection_relu(z, 8, "all", "uniform_random", 6)
+        a = _injected(z, 8, "all", "uniform_random", 5)
+        b = _injected(z, 8, "all", "uniform_random", 5)
+        c = _injected(z, 8, "all", "uniform_random", 6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            pa.error_injection_relu(np.zeros(3), 8, "sideways")
+            _injected(np.zeros(3), 8, "sideways")
         with pytest.raises(ValueError):
-            pa.error_injection_relu(np.zeros(3), 8, "all", "exactly_wrong")
+            _injected(np.zeros(3), 8, "all", "exactly_wrong")

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pannkit import nn
 from pannkit import polyapprox as pa
@@ -108,26 +111,50 @@ class TestTransform:
 
 
 class TestIntervalPolicy:
-    def test_clamp_counts_fraction(self, ap):
+    def test_clamp_reads_the_chain_at_the_bound(self, ap):
         mode = tf.CompositeReLU(ap, tf.IntervalPolicy("clamp_to_B"))
         z = np.array([0.5 * ap.bound, 2.0 * ap.bound, -3.0 * ap.bound])
-        mode.apply(z)
-        assert mode.clamped == 2 and mode.total == 3
-        assert mode.clamp_fraction() == pytest.approx(2 / 3)
+        s = ap.eval(np.array([0.5, 1.0, -1.0]) * ap.bound)
+        np.testing.assert_array_equal(mode.apply(z), (z + z * s) / 2.0)
 
     def test_error_policy_aborts(self, ap):
         mode = tf.CompositeReLU(ap, tf.IntervalPolicy("error"))
         with pytest.raises(tf.IntervalOverflowError):
             mode.apply(np.array([2.0 * ap.bound]))
 
-    def test_widen_recertifies(self):
+    def test_widen_rescales_out_of_range_samples(self):
         small = pa.build_appsgn(6, bound=1.0)
         mode = tf.CompositeReLU(small, tf.IntervalPolicy("widen_and_recertify"))
         out = mode.apply(np.array([3.0]))
-        assert mode.recertifications == 1
-        assert mode.approx.bound == pytest.approx(3.6)
-        assert mode.approx.certificate.passed
+        assert mode.approx is small and small.bound == 1.0
+        assert out[0] == (3.0 + 3.0 * small.eval(3.0, 1.2 * 3.0)) / 2.0
         assert abs(out[0] - 3.0) <= 2.0 ** -6 * 3.0
+        # only the out-of-range sample (row 0) moves to its own scale
+        z = np.array([[0.5, -3.0, 2.0], [0.25, -0.5, 0.75]])
+        got = mode.apply(z)
+        np.testing.assert_array_equal(
+            got[0], (z[0] + z[0] * small.eval(z[0], 1.2 * 3.0)) / 2.0)
+        np.testing.assert_array_equal(got[1], tf.CompositeReLU(small)
+                                      .apply(z[1:])[0])
+
+    def test_widen_gradient_matches_fd(self):
+        """The elementwise derivative, as every mode's grad is; at a
+        widened sample's max |z| the scale moves with z, z / B' stays
+        fixed, and the chain term drops out."""
+        small = pa.build_appsgn(6, bound=1.0)
+        mode = tf.CompositeReLU(small, tf.IntervalPolicy("widen_and_recertify"))
+        z = derive_rng(5, "z").normal(size=(4, 6)) * [[3.0], [0.4], [2.0],
+                                                       [0.1]]
+        assert (np.abs(z).max(axis=1) > 1.0).tolist() == [True, False,
+                                                           True, False]
+        g = mode.grad(z)
+        h = 1e-6
+        for idx in np.ndindex(z.shape):
+            zp, zm = z.copy(), z.copy()
+            zp[idx] += h
+            zm[idx] -= h
+            fd = (mode.apply(zp)[idx] - mode.apply(zm)[idx]) / (2 * h)
+            assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8), idx
 
     def test_clamped_output_still_close_to_relu(self, ap):
         mode = tf.CompositeReLU(ap, tf.IntervalPolicy("clamp_to_B"))
@@ -289,3 +316,53 @@ class TestCompositeGradient:
                                         "cross_entropy")[0]
             fd = (lp - lm) / (2 * h)
             assert gx[i, j] == pytest.approx(fd, rel=2e-3, abs=1e-8)
+
+
+# every activation mode; "error" only ever sees in-range inputs
+_PURE_MODES = ("exact", "clamp_to_B", "widen_and_recertify", "error",
+               "injected", "partial", "truncated")
+
+
+@pytest.fixture(scope="module")
+def pure_modes(ap):
+    modes = {name: tf.CompositeReLU(ap, tf.IntervalPolicy(name))
+             for name in tf.OVERFLOW_POLICIES}
+    modes.update(exact=nn.ExactReLU(),
+                 injected=tf.InjectedReLU(6, seed=4).with_slot(1),
+                 partial=tf.PartialReplaceReLU(c=0.3),
+                 truncated=TruncatedReLU(FixedPointFormat(8)))
+    return modes
+
+
+class TestPurity:
+    """Every mode is a pure function of its input: a batch's rows come out
+    as they would alone, and nothing a net ran before changes its logits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(_PURE_MODES),
+           unit=arrays(np.float64, st.tuples(st.integers(1, 5),
+                                             st.integers(1, 6)),
+                       elements=st.floats(-4.0, 4.0)))
+    def test_rows_match_the_batch(self, pure_modes, ap, name, unit):
+        mode = pure_modes[name]
+        z = (np.clip(unit, -1.0, 1.0) if name == "error" else unit) * ap.bound
+        state = dict(vars(mode))
+        for f in (mode.apply, mode.grad):
+            whole = f(z)
+            for i in range(len(z)):
+                assert np.array_equal(f(z[i:i + 1])[0], whole[i])
+        assert vars(mode).keys() == state.keys()
+        assert all(vars(mode)[k] is v for k, v in state.items())
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(_PURE_MODES), seed=st.integers(0, 99))
+    def test_history_never_changes_logits(self, backbone, eval_x,
+                                          pure_modes, name, seed):
+        pann = tf.transform(backbone, pure_modes[name])
+        before = nn.forward(pann, eval_x)[0]
+        wild = 5.0 * derive_rng(seed, "wild").normal(size=eval_x.shape)
+        try:
+            nn.forward(pann, wild)  # far outside the calibrated bound
+        except tf.IntervalOverflowError:
+            assert name == "error"
+        assert np.array_equal(nn.forward(pann, eval_x)[0], before)
