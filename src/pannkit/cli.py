@@ -627,6 +627,9 @@ def main(argv=None) -> int:
     except datasets.DatasetFormatError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 2
+    except tf.IntervalOverflowError as exc:  # a slot left its certified B
+        print(f"overflow error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

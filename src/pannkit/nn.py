@@ -33,6 +33,10 @@ class ShapeError(ValueError):
         self.layer_index = layer_index
 
 
+class IntervalOverflowError(RuntimeError):
+    """An activation input left the interval its mode is certified on."""
+
+
 class NonFiniteLossError(FloatingPointError):
     """Loss evaluated to NaN or infinity."""
 
@@ -126,19 +130,19 @@ def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """[N, C, H, W] -> [N, C*kh*kw, OH*OW] patch matrix (copy)."""
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """[N, C, H, W] -> read-only [N, C, kh, kw, OH, OW] view of the patches."""
     n, c, h, w = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
     s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2, s3), writeable=False)
-    return windows.reshape(n, c * kh * kw, oh * ow)
+    return np.lib.stride_tricks.as_strided(
+        x, (n, c, kh, kw, h - kh + 1, w - kw + 1), (s0, s1, s2, s3, s2, s3),
+        writeable=False)
 
 
 @dataclass(frozen=True)
 class Conv2d:
-    """2-D convolution, stride 1, kernel of shape [F, C, kh, kw]."""
+    """2-D convolution, stride 1, kernel of shape [F, C, kh, kw]. Forward
+    memory does not grow with N x patch size; backward holds all patches."""
 
     kernel: np.ndarray
     b: np.ndarray
@@ -159,17 +163,24 @@ class Conv2d:
             x = _pad_same(x, kh, kw)
         if x.shape[2] < kh or x.shape[3] < kw:
             raise ValueError(f"input {x.shape} smaller than kernel {kh}x{kw}")
-        cols = _im2col(x, kh, kw)
-        out = self.kernel.reshape(f, -1) @ cols  # [N, F, OH*OW]
-        oh, ow = x.shape[2] - kh + 1, x.shape[3] - kw + 1
-        return out.reshape(x.shape[0], f, oh, ow) + self.b[None, :, None, None]
+        win = _windows(x, kh, kw)
+        n, kmat = len(x), self.kernel.reshape(f, -1)
+        step = max(1, 2**19 // (win[:1].nbytes or 8))  # 512 KB ran fastest
+        buf = np.empty((min(n, step),) + win.shape[1:], dtype=DTYPE)
+        out = np.empty((n, f) + win.shape[4:], dtype=DTYPE)
+        for s in range(0, n, step):  # per sample the gemm of a stacked matmul
+            m = min(step, n - s)
+            np.copyto(buf[:m], win[s:s + m])
+            np.matmul(kmat, buf[:m].reshape(m, kmat.shape[1], -1),
+                      out=out[s:s + m].reshape(m, f, -1))
+        return np.add(out, self.b[:, None, None], out=out)
 
     def backward(self, x: np.ndarray, gy: np.ndarray, input_grad=True):
         f, c, kh, kw = self.kernel.shape
         xp = _pad_same(x, kh, kw) if self.padding == "same" else x
         n = x.shape[0]
         oh, ow = gy.shape[2], gy.shape[3]
-        cols = _im2col(xp, kh, kw)
+        cols = _windows(xp, kh, kw).reshape(n, c * kh * kw, oh * ow)
         gyf = gy.reshape(n, f, oh * ow)
         gk = np.einsum("nfl,nkl->fk", gyf, cols).reshape(self.kernel.shape)
         gb = gy.sum(axis=(0, 2, 3))
@@ -181,11 +192,8 @@ class Conv2d:
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
-        if self.padding == "same":
-            ph, pw = (kh - 1) // 2, (kw - 1) // 2
-            gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
-        else:
-            gx = gxp
+        ph, pw = (kh // 2, kw // 2) if self.padding == "same" else (0, 0)
+        gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
         return gx, {"kernel": gk, "b": gb}
 
     def params(self) -> dict:
@@ -318,6 +326,8 @@ def _run_layers(net: Network, x: np.ndarray, act_hook=None):
             h = layer.forward(h)
         except ValueError as exc:
             raise ShapeError(i, str(exc)) from exc
+        except IntervalOverflowError as exc:
+            raise IntervalOverflowError(f"layers[{i}]: {exc}") from exc
         if delta is not None:
             h = h + delta
             adjust[i] = dd

@@ -124,7 +124,10 @@ def _ngnv_draw(z: np.ndarray, cfg: NgnvConfig, rng):
     below[np.flatnonzero(vals == thr)[:k - int(below.sum())]] = True
     keep = np.flatnonzero(below)
     neg, vals = neg[keep], vals[keep]
-    order = np.argsort(vals, kind="stable")  # most negative first
+    order = np.argsort(vals)  # most negative first; one order if tie-free
+    ranked = vals[order]
+    if (ranked[1:] == ranked[:-1]).any():  # ties (-inf runs too): by index
+        order = np.argsort(vals, kind="stable")
     chosen = neg[order]
     eps = rng.standard_normal(k)
     s = np.sign(eps) if cfg.fixed_sign else eps

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .nn import IntervalOverflowError  # raised under the error policy
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
                          approx_to_json, build_appsgn, check_injection,
                          check_number, _filter_mask, _injection_errors)
 
 OVERFLOW_POLICIES = ("clamp_to_B", "widen_and_recertify", "error")
-
-
-class IntervalOverflowError(RuntimeError):
-    """A pre-activation left [-B, B] under the error policy."""
 
 
 @dataclass

@@ -136,7 +136,7 @@ def _run_mlp_cell(data, wd: float, seed: int) -> list:
     net0 = nn.build_arch(MLP_ARCH, data.sample_shape, data.n_classes, seed)
     sgd = nn.SgdState(lr=0.05, momentum=0.9, weight_decay=wd)
     res = training.train(net0, data, sgd, epochs=20, batch_size=64,
-                         seed=seed)
+                         seed=seed, epoch_metrics=False)
     return sd.perturbation_loss_experiment(
         res.net, data.x_test, data.y_test, betas=(10,), seeds=(0, 1, 2))
 

@@ -219,6 +219,18 @@ class TestConfigErrors:
             assert run(capsys, "eval-pann", "--model", model, "--config",
                        train_cfg, "--pann", good)[0] == 0
 
+    def test_interval_overflow_exits_2(self, tmp_path, capsys, train_cfg):
+        model, desc = tmp_path / "model.json", tmp_path / "tight.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        run(capsys, "transform", "--model", model, "--out", desc, "--mode",
+            "composite", "--beta", 6, "--bound", 0.01, "--overflow", "error")
+        for cmd in ("eval-pann", "attack"):
+            assert cli.main([cmd, "--model", str(model), "--config",
+                             str(train_cfg), "--pann", str(desc)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("overflow error: layers[1]: |z| reached ")
+            assert err.endswith(" > certified bound 0.01\n"), err
+
     def test_missing_model_file(self, tmp_path, capsys, train_cfg):
         assert cli.main(["eval-pann", "--model",
                          str(tmp_path / "nope.json"),

@@ -2,6 +2,7 @@
 optimizer arithmetic, checkpoint round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ def max_rel_err(a, b, guard=1e-8):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def im2col_forward(layer, x):
+    """Reference conv forward: the whole [N, C*kh*kw, OH*OW] patch matrix
+    copied at once, one stacked matmul, the bias added to a second array."""
+    f, c, kh, kw = layer.kernel.shape
+    if layer.padding == "same":
+        x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+    n, _, h, w = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2, s3), writeable=False)
+    cols = windows.reshape(n, c * kh * kw, oh * ow)
+    out = layer.kernel.reshape(f, -1) @ cols
+    return out.reshape(n, f, oh, ow) + layer.b[None, :, None, None]
+
+
 class TestForward:
     def test_dense_matches_loop_oracle(self):
         """Vectorized dense forward equals an explicit per-element loop."""
@@ -73,6 +90,41 @@ class TestForward:
                         want[n, f, i, j] = b[f] + np.sum(
                             k[f] * x[n, :, i:i + 3, j:j + 3])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channel_slice",
+                                        "transposed"])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 257, 512])
+    def test_conv_bit_identical_to_im2col(self, n, c, padding, layout):
+        # the two cnn:4,8+32 conv shapes; 257 and 512 samples span several
+        # patch chunks and end on a partial and a full one
+        hw, f = (28, 4) if c == 1 else (12, 8)
+        rng = np.random.default_rng(100 * n + 10 * c + len(layout))
+        layer = nn.Conv2d(rng.standard_normal((f, c, 5, 5)),
+                          rng.standard_normal(f), padding=padding)
+        if layout == "channel_slice":
+            x = rng.standard_normal((n, 2 * c, hw, hw))[:, 1::2]
+        elif layout == "transposed":
+            x = rng.standard_normal((n, c, hw, hw)).transpose(0, 1, 3, 2)
+        else:
+            x = rng.standard_normal((n, c, hw, hw))
+        x *= 10.0 ** rng.integers(-4, 4, size=x.shape)  # mixed magnitudes
+        got = layer.forward(x)
+        assert got.tobytes() == im2col_forward(layer, x).tobytes()
+
+    def test_conv_forward_memory_does_not_grow_with_patches(self):
+        # the first conv of cnn:4,8+32 at the eval batch of 512: its output
+        # is 9.4 MB, the whole patch matrix would be 59 MB more
+        net = nn.build_arch("cnn:4,8+32", (1, 28, 28), 10, seed=0)
+        x = np.random.default_rng(0).standard_normal((512, 1, 28, 28))
+        tracemalloc.start()
+        try:
+            net.layers[0].forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
     def test_same_padding_preserves_spatial_dims(self):
         rng = np.random.default_rng(0)

@@ -135,27 +135,48 @@ class TestNgnv:
         assert set(changed.tolist()) == {1, 2}  # ceil(0.5*3)=2 most negative
 
     @pytest.mark.parametrize("r", [0.01, 0.3, 1.0])
-    @pytest.mark.parametrize("decimals", [0, 1, None])
-    def test_draw_matches_stable_argsort(self, r, decimals):
+    @pytest.mark.parametrize("decimals", [0, 1, None, "-inf"])
+    def test_draw_matches_stable_argsort(self, r, decimals, monkeypatch):
         # selection by partition must pick the same entries in the same
         # order as a full stable argsort (ties broken by index), so the
         # noise draws land on the same units
+        argsort = np.argsort
+
         def reference(z, cfg, rng):
             flat = z.ravel()
             neg = np.flatnonzero(flat < 0)
             k = math.ceil(cfg.r * neg.size)
-            chosen = neg[np.argsort(flat[neg], kind="stable")[:k]]
+            chosen = neg[argsort(flat[neg], kind="stable")[:k]]
             return chosen, cfg.noise_scale * rng.standard_normal(k)
 
+        kinds = []  # the sort kind of each argsort the draw makes
+
+        def spy(a, *args, kind=None, **kwargs):
+            kinds.append(kind)
+            return argsort(a, *args, kind=kind, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
         cfg = tr.NgnvConfig(r=r, noise_scale=0.05)
         for seed in range(20):
             z = np.random.default_rng(seed).standard_normal((8, 3, 6, 6))
-            if decimals is not None:
+            if decimals == "-inf":  # tied at -inf among tie-free values
+                rng = np.random.default_rng(seed)
+                z.flat[rng.choice(z.size, 4, replace=False)] = -np.inf
+            elif decimals is not None:
                 z = np.round(z, decimals)  # heavy ties
             got = tr._ngnv_draw(z, cfg, np.random.default_rng(seed))
             want = reference(z, cfg, np.random.default_rng(seed))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+        # every draw tries the quicksort; only draws with ties fall back
+        assert kinds.count(None) == 20
+        fallbacks = kinds.count("stable")
+        if decimals is None:
+            assert fallbacks == 0
+        elif decimals == "-inf":
+            assert fallbacks == 20
+        else:  # rounding ties some draws, not always all
+            assert fallbacks > 0
 
     def test_output_adjustment_matches_perturb_delta(self):
         z = np.random.default_rng(5).standard_normal((2, 6))
