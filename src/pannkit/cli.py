@@ -27,8 +27,8 @@ from . import sturdiness as sd
 from . import training
 from . import transform as tf
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import (INJECTION_MODES, MAX_GRID_POINTS, SIGN_FILTERS,
-                         STAGE_CANDIDATES, approx_to_json, build_appsgn)
+from .polyapprox import (INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES,
+                         PrecisionInfeasible, approx_to_json, build_appsgn)
 
 __all__ = ["main", "ConfigError"]
 
@@ -250,15 +250,16 @@ _COUNT = (lambda v: v >= 1, "an integer >= 1")
 _DEGREE = (lambda v: v >= min(STAGE_CANDIDATES),
            f"an integer >= {min(STAGE_CANDIDATES)}")
 _POSITIVE = (lambda v: 0 < v < math.inf, "a positive number")
-_POINTS = (lambda v: 2 <= v <= MAX_GRID_POINTS,
-           f"an integer in [2, {MAX_GRID_POINTS}]")
+MAX_PLOT_POINTS = 1_000_000
+_POINTS = (lambda v: 2 <= v <= MAX_PLOT_POINTS,
+           f"an integer in [2, {MAX_PLOT_POINTS}]")
 # numeric flag (argparse dest) -> (check, what it expects); a flag that a
 # command lacks or leaves unset is skipped
 _FLAG_RANGES = {
     "beta": _COUNT, "max_stage_degree": _DEGREE, "bound": _POSITIVE,
     "safety": _POSITIVE, "calib_samples": _COUNT, "batch_size": _COUNT,
     "samples": _COUNT, "seeds": _COUNT, "workers": _COUNT,
-    "grid_points": _POINTS, "plot_points": _POINTS}
+    "plot_points": _POINTS}
 
 
 def _check_flags(args) -> None:
@@ -376,11 +377,7 @@ def _cmd_experiment(args) -> int:
     run = dict(store=store, force=args.force, workers=args.workers)
     # looked up by name per call, so that wrappers installed on the module
     # (the benchmark's tracer) see it
-    run_preset = getattr(sd, preset)
-    if spec_cls is sd.TruncSpec:  # the one preset taking fields, not a spec
-        res = run_preset(arch, data, **dataclasses.asdict(spec), **run)
-    else:
-        res = run_preset(spec, arch, data, **run)
+    res = getattr(sd, preset)(spec, arch, data, **run)
     if args.plot:
         _plot_csv(args.plot, plot_header, _plot_rows(res))
     doc = {"rows": len(res.rows), "rows_written": res.n_written,
@@ -476,8 +473,7 @@ def _cmd_approx(args) -> int:
         raise ConfigError(f"--eps0: expected a number in (0, --bound), got "
                           f"{args.eps0}")
     approx = build_appsgn(beta=args.beta, eps0=args.eps0, bound=args.bound,
-                          max_stage_degree=args.max_stage_degree,
-                          grid_points=args.grid_points)
+                          max_stage_degree=args.max_stage_degree)
     Path(args.out).write_text(json.dumps(approx_to_json(approx)))
     if args.plot:
         z = np.linspace(-approx.bound, approx.bound, args.plot_points)
@@ -607,7 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--bound", type=float, default=1.0)
     ap.add_argument("--eps0", type=float)
     ap.add_argument("--max-stage-degree", type=int, default=15)
-    ap.add_argument("--grid-points", type=int, default=100_000)
     ap.add_argument("--out", required=True)
     ap.add_argument("--plot", help="CSV of z, p(z), p(z) - sgn(z)")
     ap.add_argument("--plot-points", type=int, default=2001)
@@ -629,6 +624,9 @@ def main(argv=None) -> int:
         return 2
     except tf.IntervalOverflowError as exc:  # a slot left its certified B
         print(f"overflow error: {exc}", file=sys.stderr)
+        return 2
+    except PrecisionInfeasible as exc:  # its message names the beta asked for
+        print(f"precision error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ once the stage error clears the 2^-beta target, and the result only ships with
 a dense-grid certificate attached.
 
 The chain and its certificate live on the unit domain: they depend on B only
-through eps0/B, so one build per (beta, eps0/B, stage settings) serves every
-scale, and an approximant is that chain plus its scale B.
+through eps0/B, so one build per (beta, eps0/B, max stage degree) serves every
+scale, and an approximant is that chain plus its scale B. Every chain, built
+or loaded, passes the same fixed-density audit, once per process.
 
 Precision convention: an approximation is "beta-close" when its absolute
 error is at most 2^-beta everywhere on the certified domain.
@@ -345,21 +346,15 @@ def _select_reference(xs: np.ndarray, errs: np.ndarray, n_ref: int):
 
 
 def count_alternations(poly: Polynomial, target, interval, max_error: float,
-                       tol: float, grid_size: int = 20001,
-                       odd_full_domain: bool = False) -> int:
+                       tol: float, grid_size: int = 20001) -> int:
     """Number of sign-alternating error extrema with |err| within tol of
-    max_error. For odd sign fits, counting over both branches reflects the
-    symmetric domain the fit really serves."""
+    max_error."""
     a, b = interval
     if target == SGN_POSITIVE_BRANCH:
         f = lambda x: np.sign(x)
     else:
         f = target
-    if odd_full_domain:
-        g1 = _fit_grid((a, b), a > 0, grid_size // 2)
-        grid = np.concatenate([-g1[::-1], g1])
-    else:
-        grid = _fit_grid((a, b), a > 0, grid_size)
+    grid = _fit_grid((a, b), a > 0, grid_size)
     err = poly(grid) - np.asarray(f(grid), dtype=float)
     idx = _alternating_extrema(grid, err)
     good = [i for i in idx
@@ -384,17 +379,15 @@ def count_alternations(poly: Polynomial, target, interval, max_error: float,
 
 @dataclass(frozen=True)
 class PrecisionCertificate:
-    """Dense-grid evidence that a sign approximant is beta-close.
+    """Dense-grid evidence that a unit-domain sign chain is beta-close.
 
-    max_error is the largest |p(u) - sgn(u)| observed over grid_points
-    uniformly spaced points on the positive certified branch plus local
-    refinements around every grid extremum. band_max_error is the largest
-    |p(u) - 1| inside the uncertified band (0, eps0/B); the coarse in-band
-    ReLU error claim |err| <= |z| needs it to stay at most 2.
+    max_error is the largest |p(u) - sgn(u)| that _certify_chain observed on
+    the positive certified branch [t0, 1]. band_max_error is the largest
+    |p(u) - 1| inside the uncertified band (0, t0); the coarse in-band ReLU
+    error claim |err| <= |z| needs it to stay at most 2.
     """
 
     beta: int
-    grid_points: int
     max_error: float
     argmax_u: float
     band_max_error: float
@@ -446,14 +439,18 @@ class CompositeSgnApprox:
         return u, du
 
 
-MAX_GRID_POINTS = 1_000_000
+# uniformly spaced points of the audit on [t0, 1]; descriptors record it
+AUDIT_POINTS = 100_000
 
 
-def _certify_chain(chain, bound, eps0, beta, grid_points=100_000):
-    """Measure the composite error on the positive branch, refine around
-    every local extremum, and inspect band behavior."""
-    # checked before any grid is allocated
-    check_number("grid_points", grid_points, 2, MAX_GRID_POINTS, integer=True)
+@cache
+def _certify_chain(chain, t0, beta):
+    """Audit the chain on the unit domain: |chain - 1| on AUDIT_POINTS
+    uniformly spaced points of [t0, 1], on 64 cosine-clustered points
+    around every extremum among them and on a log-spaced sweep that
+    resolves crowding toward t0, plus |chain - 1| on the band [0, t0]. A
+    NaN anywhere fails the audit. One audit per (chain, t0, beta) and
+    process: builds and loads of the same chain share it."""
 
     def chain_eval(u):
         v = u
@@ -461,36 +458,25 @@ def _certify_chain(chain, bound, eps0, beta, grid_points=100_000):
             v = p(v)
         return v
 
-    t0 = eps0 / bound
-    grid = np.linspace(t0, 1.0, grid_points)
+    grid = np.linspace(t0, 1.0, AUDIT_POINTS)
     signed = chain_eval(grid) - 1.0
     err = np.abs(signed)
-    max_err = float(err.max())
-    arg = int(err.argmax())
-
-    # local refinement with cosine-clustered nodes around each grid extremum,
-    # one row per extremum, plus a log-spaced sweep to resolve crowding
-    # toward t0. A row whose maximum is NaN never raises max_err.
     ext = _alternating_extrema(grid, signed)
     lo = grid[np.maximum(ext - 1, 0)][:, None]
     hi = grid[np.minimum(ext + 1, len(grid) - 1)][:, None]
     local = (lo + hi) / 2 + (hi - lo) / 2 * _cheb_extrema(64)
-    row_max = np.abs(chain_eval(local) - 1.0).max(axis=1)
-    row_max = row_max[~np.isnan(row_max)]
-    if row_max.size and row_max.max() > max_err:
-        max_err = float(row_max.max())
-    lerr = np.abs(chain_eval(
-        np.geomspace(t0, 1.0, max(grid_points // 10, 1))) - 1.0)
-    if lerr.max() > max_err:
-        max_err = float(lerr.max())
-    argmax_u = float(grid[arg])
+    sweep = np.geomspace(t0, 1.0, AUDIT_POINTS // 10)
+    # np.max propagates NaN, so a NaN at any audited point fails the audit
+    max_err = float(np.max([err.max(),
+                            np.abs(chain_eval(local) - 1.0).max(),
+                            np.abs(chain_eval(sweep) - 1.0).max()]))
 
     band = np.linspace(0.0, t0, 2048)
     band_max_error = float(np.max(np.abs(chain_eval(band) - 1.0)))
 
     passed = bool(max_err <= 2.0 ** -beta and band_max_error <= 2.0)
-    return PrecisionCertificate(beta=beta, grid_points=grid_points,
-                                max_error=max_err, argmax_u=argmax_u,
+    return PrecisionCertificate(beta=beta, max_error=max_err,
+                                argmax_u=float(grid[int(err.argmax())]),
                                 band_max_error=band_max_error, passed=passed)
 
 
@@ -503,44 +489,38 @@ def _stage_depth(degree: int) -> int:
     return max(1, math.ceil(math.log2(degree + 1)))
 
 
-# default odd stage degrees; max_stage_degree below the smallest leaves none
+# odd stage degrees the builder picks from; max_stage_degree below the
+# smallest leaves none
 STAGE_CANDIDATES = (7, 15)
+MAX_STAGES = 24
 
 
 def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
-                 max_stage_degree: int = 15,
-                 stage_candidates=STAGE_CANDIDATES,
-                 max_stages: int = 24, grid_points: int = 100_000,
-                 tol: float | None = None) -> CompositeSgnApprox:
+                 max_stage_degree: int = 15) -> CompositeSgnApprox:
     """Construct a certified beta-close composite sign approximant.
 
     eps0 defaults to 2^-beta * bound, which keeps the smooth ReLU's absolute
     error at most 2^-beta * bound even inside the uncertified band.
 
-    Stages are chosen greedily from stage_candidates: if some candidate
-    already reaches the target error it takes the cheapest one, otherwise the
-    candidate with the best interval contraction per unit of multiplicative
-    depth. Raises PrecisionInfeasible when no candidate makes progress.
+    Stages are chosen greedily from the STAGE_CANDIDATES up to
+    max_stage_degree: if some candidate already reaches the target error it
+    takes the cheapest one, otherwise the candidate with the best interval
+    contraction per unit of multiplicative depth. Raises PrecisionInfeasible
+    when no candidate makes progress or the chain fails its audit.
 
     The unit-domain chain and its certificate are built once per process for
-    each (beta, eps0/bound, stage settings) and shared by every bound.
+    each (beta, eps0/bound, max_stage_degree) and shared by every bound.
     """
-    # integers of one type, so that equal keys give equal approximants
+    # an integer of one type, so that equal keys give equal approximants
     beta = int(check_number("beta", beta, 1, integer=True))
-    grid_points = int(check_number("grid_points", grid_points, 2,
-                                   MAX_GRID_POINTS, integer=True))
     if eps0 is None:
         eps0 = 2.0 ** -beta * bound
     if not 0 < eps0 < bound:
         raise ValueError(f"eps0 must lie in (0, bound), got {eps0}")
-    if tol is None:
-        tol = 2.0 ** -(beta + 6)
-    cands = tuple(sorted(d for d in stage_candidates
-                         if d <= max_stage_degree))
+    cands = tuple(d for d in STAGE_CANDIDATES if d <= max_stage_degree)
     if not cands:
         raise ValueError("no stage candidates within max_stage_degree")
-    chain, cert = _unit_chain(beta, eps0 / bound, cands, max_stages,
-                              grid_points, tol)
+    chain, cert = _unit_chain(beta, eps0 / bound, cands)
     return CompositeSgnApprox(chain=chain, bound=float(bound),
                               eps0=float(eps0), beta=beta,
                               max_stage_degree=int(max_stage_degree),
@@ -548,13 +528,14 @@ def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
 
 
 @cache
-def _unit_chain(beta, t0, cands, max_stages, grid_points, tol):
+def _unit_chain(beta, t0, cands):
     """The certified chain on [t0, 1] and its certificate."""
     target = 2.0 ** -beta * 0.995  # small slack for grid capture and roundoff
+    tol = 2.0 ** -(beta + 6)
     lo, hi = t0, 1.0
     chain: list[Polynomial] = []
     err = 1.0
-    for _ in range(max_stages):
+    for _ in range(MAX_STAGES):
         fits = {}
         for d in cands:
             try:
@@ -565,7 +546,8 @@ def _unit_chain(beta, t0, cands, max_stages, grid_points, tol):
                     fits[d] = (exc.last_polynomial, exc.last_max_error)
         if not fits:
             raise PrecisionInfeasible(
-                f"no stage fit converged on [{lo:.3e}, {hi:.3e}]")
+                f"beta {beta}: no stage fit converged on "
+                f"[{lo:.3e}, {hi:.3e}]")
         finishers = {d: fe for d, fe in fits.items() if fe[1] <= target}
         if finishers:
             d = min(finishers)
@@ -586,22 +568,23 @@ def _unit_chain(beta, t0, cands, max_stages, grid_points, tol):
         if t_next <= t_cur * (1.0 + 1e-9):
             achieved = -math.log2(max(err, 1e-300))
             raise PrecisionInfeasible(
-                f"stage degrees {cands} stall at about 2^-{achieved:.1f} "
-                f"on [{lo:.3e}, {hi:.3e}]; requested 2^-{beta}")
+                f"beta {beta}: stage degrees {cands} stall at about "
+                f"2^-{achieved:.1f} on [{lo:.3e}, {hi:.3e}]")
         chain.append(poly)
         lo, hi = 1.0 - err, 1.0 + err
     else:
         achieved = -math.log2(max(err, 1e-300))
         raise PrecisionInfeasible(
-            f"{max_stages} stages reached about 2^-{achieved:.1f}, "
-            f"requested 2^-{beta}")
+            f"beta {beta}: {MAX_STAGES} stages reached about "
+            f"2^-{achieved:.1f}")
 
-    cert = _certify_chain(chain, 1.0, t0, beta, grid_points)
+    chain = tuple(chain)
+    cert = _certify_chain(chain, t0, beta)
     if not cert.passed:
         raise PrecisionInfeasible(
-            f"certification failed: grid error {cert.max_error:.3e} "
-            f"vs 2^-{beta} = {2.0 ** -beta:.3e}")
-    return tuple(chain), cert
+            f"beta {beta}: certification failed: audit error "
+            f"{cert.max_error:.3e} vs 2^-{beta} = {2.0 ** -beta:.3e}")
+    return chain, cert
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +653,7 @@ def approx_to_json(approx: CompositeSgnApprox) -> dict:
         "chain": [[f"{c:.17g}" for c in p.coeffs] for p in approx.chain],
         "certificate": {
             "beta": cert.beta,
-            "grid_points": cert.grid_points,
+            "grid_points": AUDIT_POINTS,
             "max_error": cert.max_error,
             "argmax_u": cert.argmax_u,
             "band_max_error": cert.band_max_error,
@@ -680,23 +663,27 @@ def approx_to_json(approx: CompositeSgnApprox) -> dict:
 
 
 def approx_from_json(doc: dict, recertify: bool = True) -> CompositeSgnApprox:
-    """The stored approximant with its certificate measured again; the
-    stored certificate is never trusted, whatever ``recertify`` says."""
+    """The stored approximant with its certificate measured again by the
+    fixed audit of _certify_chain at t0 = eps0 / bound. No stored
+    certificate value is trusted, whatever ``recertify`` says; the stored
+    audit size must be the one the audit uses."""
     if doc.get("format") != "pannkit-sgn-approx":
         raise ValueError("not a sign-approximant file")
     chain = tuple(Polynomial(tuple(stage)) for stage in doc["chain"])
-    beta = check_number("beta", doc["beta"], 1, integer=True)
+    beta = int(check_number("beta", doc["beta"], 1, integer=True))
     check_number("max_stage_degree", doc["max_stage_degree"],
                  max((p.degree for p in chain), default=1), integer=True)
     if not 0 < doc["eps0"] < doc["bound"]:
         raise ValueError(f"eps0 must lie in (0, bound), got eps0 "
                          f"{doc['eps0']!r}, bound {doc['bound']!r}")
-    cert = _certify_chain(chain, doc["bound"], doc["eps0"], beta,
-                          grid_points=doc["certificate"]["grid_points"])
+    points = doc["certificate"]["grid_points"]
+    if type(points) is not int or points != AUDIT_POINTS:
+        raise ValueError(f"grid_points must be the integer {AUDIT_POINTS}, "
+                         f"got {points!r}")
+    cert = _certify_chain(chain, doc["eps0"] / doc["bound"], beta)
     if not cert.passed:
         raise ValueError("stored approximant fails re-certification")
     return CompositeSgnApprox(chain=chain, bound=float(doc["bound"]),
-                              eps0=float(doc["eps0"]), beta=int(beta),
+                              eps0=float(doc["eps0"]), beta=beta,
                               max_stage_degree=int(doc["max_stage_degree"]),
                               certificate=cert)
-

@@ -604,15 +604,13 @@ def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                    n_written, cells)
 
 
-def truncation_sweep(arch: str, data: Dataset, *,
+def truncation_sweep(spec: TruncSpec, arch: str, data: Dataset, *,
                      store: records.RecordStore | None = None,
                      dataset_name: str | None = None,
-                     force: bool = False, workers: int = 1,
-                     **fields) -> SweepResult:
+                     force: bool = False, workers: int = 1) -> SweepResult:
     """Train once per seed, then evaluate the net with every ReLU replaced
     by the truncation-protocol activation at each total bit width l_x.
-    ``fields`` are TruncSpec's. trend maps l_x -> mean accuracy."""
-    spec = TruncSpec(**fields)
+    trend maps l_x -> mean accuracy."""
 
     def evaluation(result, base):
         # the beta column doubles as the bit width for truncation rows

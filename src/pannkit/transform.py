@@ -280,8 +280,8 @@ def pann_descriptor(net: nn.Network) -> dict:
 def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
     """The backbone with each activation slot rebuilt from the descriptor.
 
-    Composite slots are re-certified, each distinct approximant once. A
-    malformed descriptor, an approximant that fails re-certification, or a
+    Composite slots are re-certified, each distinct chain once per process.
+    A malformed descriptor, an approximant that fails re-certification, or a
     slot count that does not match the backbone's activation layers raises
     ValueError naming ``slots[i]``.
     """
@@ -294,13 +294,9 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
         raise ValueError(f"slots: expected a list of {len(acts)} slot "
                          "descriptors, one per activation layer")
     out = backbone
-    certified = {}
     for slot_pos, (slot, layer_idx) in enumerate(zip(slots, acts)):
         with nn.field_errors(f"slots[{slot_pos}]"):
-            if isinstance(slot, dict) and slot.get("kind") == "composite_relu":
-                mode = _composite_from_descriptor(slot, certified)
-            else:
-                mode = nn.mode_from_descriptor(slot)
+            mode = nn.mode_from_descriptor(slot)
         out = out.replace_layer(layer_idx, nn.Activation(mode))
     return out
 
@@ -310,13 +306,9 @@ def save_pann_descriptor(net: nn.Network, path) -> None:
         json.dump(pann_descriptor(net), fh)
 
 
-def _composite_from_descriptor(d: dict, certified: dict) -> CompositeReLU:
-    """A composite slot with its approximant re-certified, unless
-    ``certified`` (approximant JSON -> approximant) already holds it."""
-    key = json.dumps(d["approx"], sort_keys=True)
-    if key not in certified:
-        certified[key] = approx_from_json(d["approx"], recertify=True)
-    return CompositeReLU(certified[key], IntervalPolicy(d["policy"]))
+def _composite_from_descriptor(d: dict) -> CompositeReLU:
+    return CompositeReLU(approx_from_json(d["approx"]),
+                         IntervalPolicy(d["policy"]))
 
 
 def _injected_from_descriptor(d: dict) -> InjectedReLU:
@@ -333,8 +325,7 @@ def _truncated_from_descriptor(d: dict) -> TruncatedReLU:
     return TruncatedReLU(FixedPointFormat(d["total_bits"]))
 
 
-nn.register_mode("composite_relu",
-                 lambda d: _composite_from_descriptor(d, {}))
+nn.register_mode("composite_relu", _composite_from_descriptor)
 nn.register_mode("injected_relu", _injected_from_descriptor)
 nn.register_mode("partial_replace_relu", _partial_from_descriptor)
 nn.register_mode("truncated_relu", _truncated_from_descriptor)

@@ -127,8 +127,8 @@ def trunc_store_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def trunc_sweep(digits_small, trunc_store_path):
     store = records.RecordStore(trunc_store_path, records.SWEEP_COLUMNS)
-    return sd.truncation_sweep(TRUNC_ARCH, digits_small, store=store,
-                               workers=2, **TRUNC_KW)
+    return sd.truncation_sweep(sd.TruncSpec(**TRUNC_KW), TRUNC_ARCH,
+                               digits_small, store=store, workers=2)
 
 
 def _run_mlp_cell(data, wd: float, seed: int) -> list:
@@ -448,8 +448,8 @@ def test_criterion_13_determinism(digits_small, digits_10k, wd_sweeps,
     # 2: the truncation sweep
     store_t = records.RecordStore(tmp_path / "trunc.csv",
                                   records.SWEEP_COLUMNS)
-    sd.truncation_sweep(TRUNC_ARCH, digits_small, store=store_t, workers=2,
-                        **TRUNC_KW)
+    sd.truncation_sweep(sd.TruncSpec(**TRUNC_KW), TRUNC_ARCH, digits_small,
+                        store=store_t, workers=2)
     same_trunc = (trunc_store_path.read_bytes()
                   == (tmp_path / "trunc.csv").read_bytes())
 

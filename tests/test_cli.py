@@ -58,12 +58,12 @@ class TestApprox:
         z, p, err = (float(v) for v in rows[1])
         assert err == p - np.sign(z)
 
-    def test_grid_points_out_of_range_exits_2(self, tmp_path, capsys):
+    def test_infeasible_precision_exits_2(self, tmp_path, capsys):
         out = tmp_path / "appr.json"
-        for bad in (1, 10 ** 12):
-            assert cli.main(["approx", "--beta", "6", "--out", str(out),
-                             "--grid-points", str(bad)]) == 2
-            assert "--grid-points" in capsys.readouterr().err
+        assert cli.main(["approx", "--beta", "16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precision error: beta 16: ")
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
 
@@ -218,6 +218,29 @@ class TestConfigErrors:
         for good in (comp, trunc):
             assert run(capsys, "eval-pann", "--model", model, "--config",
                        train_cfg, "--pann", good)[0] == 0
+
+    def test_tampered_chain_fails_whatever_grid_it_names(self, tmp_path,
+                                                         capsys, train_cfg):
+        """A stored grid size cannot soften the audit: a chain 7x over its
+        2^-10 bound fails it, and a file naming a coarse grid is refused."""
+        model, desc = tmp_path / "model.json", tmp_path / "b10.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        run(capsys, "transform", "--model", model, "--out", desc, "--mode",
+            "composite", "--beta", 10, "--bound", 4.0)
+        doc = json.loads(desc.read_text())
+        for slot in doc["slots"]:
+            stage = slot["approx"]["chain"][1]
+            stage[11] = repr(float(stage[11]) * (1 + 1e-6))
+        for grid, detail in ((2, "grid_points"),
+                             (100_000, "fails re-certification")):
+            for slot in doc["slots"]:
+                slot["approx"]["certificate"]["grid_points"] = grid
+            bad = write_config(tmp_path / f"tampered{grid}.json", doc)
+            for cmd in ("eval-pann", "attack"):
+                assert cli.main([cmd, "--model", str(model), "--config",
+                                 str(train_cfg), "--pann", str(bad)]) == 2
+                err = capsys.readouterr().err
+                assert "slots[0]: " in err and detail in err, err
 
     def test_interval_overflow_exits_2(self, tmp_path, capsys, train_cfg):
         model, desc = tmp_path / "model.json", tmp_path / "tight.json"

@@ -214,7 +214,7 @@ class TestCompositeSgn:
         c = ap8.certificate
         assert c.passed
         assert c.max_error <= 2.0 ** -8
-        assert c.grid_points == 100_000
+        assert pa.approx_to_json(ap8)["certificate"]["grid_points"] == 100_000
 
     def test_uncertified_construction_rejected(self, ap8):
         from dataclasses import replace
@@ -251,9 +251,11 @@ class TestCompositeSgn:
         fd = (np.asarray(ap8.eval(z + h)) - np.asarray(ap8.eval(z - h))) / (2 * h)
         np.testing.assert_allclose(dz, fd, rtol=1e-5, atol=1e-5)
 
-    def test_infeasible_precision_raises(self):
+    def test_infeasible_precision_raises(self, monkeypatch):
+        monkeypatch.setattr(pa, "STAGE_CANDIDATES", (3,))
+        monkeypatch.setattr(pa, "MAX_STAGES", 2)
         with pytest.raises(pa.PrecisionInfeasible):
-            pa.build_appsgn(12, stage_candidates=(3,), max_stages=2)
+            pa.build_appsgn(12)
 
     def test_json_round_trip_bit_exact(self, ap8, tmp_path):
         path = tmp_path / "ap.json"
@@ -268,15 +270,14 @@ class TestCompositeSgn:
         assert all(isinstance(c, str) for st_ in doc["chain"] for c in st_)
 
     def test_certificate_matches_loop(self):
-        def loop(chain, bound, eps0, beta, grid_points=100_000):
+        def loop(chain, t0, beta):
             def chain_eval(u):
                 v = u
                 for p in chain:
                     v = p(v)
                 return v
 
-            t0 = eps0 / bound
-            grid = np.linspace(t0, 1.0, grid_points)
+            grid = np.linspace(t0, 1.0, 100_000)
             signed = chain_eval(grid) - 1.0
             err = np.abs(signed)
             max_err = float(err.max())
@@ -288,44 +289,37 @@ class TestCompositeSgn:
                 lerr = np.abs(chain_eval(local) - 1.0)
                 if lerr.max() > max_err:
                     max_err = float(lerr.max())
-            lerr = np.abs(chain_eval(np.geomspace(t0, 1.0,
-                                                  grid_points // 10)) - 1.0)
+            lerr = np.abs(chain_eval(np.geomspace(t0, 1.0, 10_000)) - 1.0)
             if lerr.max() > max_err:
                 max_err = float(lerr.max())
             band = np.linspace(0.0, t0, 2048)
             band_max_error = float(np.max(np.abs(chain_eval(band) - 1.0)))
             passed = bool(max_err <= 2.0 ** -beta and band_max_error <= 2.0)
             return pa.PrecisionCertificate(
-                beta=beta, grid_points=grid_points, max_error=max_err,
-                argmax_u=float(grid[arg]), band_max_error=band_max_error,
-                passed=passed)
+                beta=beta, max_error=max_err, argmax_u=float(grid[arg]),
+                band_max_error=band_max_error, passed=passed)
 
         for beta in range(6, 13):
             chain = pa.build_appsgn(beta).chain
-            for bound in (1.0, 3.7):
-                eps0 = 2.0 ** -beta * bound
-                assert pa._certify_chain(chain, bound, eps0, beta) == \
-                    loop(chain, bound, eps0, beta)
-        # a refinement window whose maximum is NaN never raises max_error
-        grid = np.linspace(2.0 ** -6, 1.0, 1000)
-        # alternating on the grid, so every grid point is an extremum
-        on_grid = {u: 1.0 + 1e-4 * (-1) ** k for k, u in enumerate(grid)}
+            assert pa._certify_chain(chain, 2.0 ** -beta, beta) == \
+                loop(chain, 2.0 ** -beta, beta)
+        # a NaN that only a refinement window sees fails the certificate:
+        # |err| peaks at grid[k], and the chain is NaN between grid[k] and
+        # grid[k + 1]
+        grid = np.linspace(2.0 ** -6, 1.0, pa.AUDIT_POINTS)
+        k, h = 50_000, grid[1] - grid[0]
 
         def spiky(v):
-            out = np.array([on_grid.get(u, np.nan) for u in v.ravel()])
-            out = out.reshape(v.shape)
-            off = np.isnan(out)
-            out[off] = 1.0 + 1e-3 * v[off]
-            return np.where(off & (v > 0.2) & (v < 0.5), np.nan, out)
+            out = 1.0 + 1e-4 * np.exp(-((v - grid[k]) / h) ** 2)
+            return np.where((v > grid[k] + h / 4) & (v < grid[k] + 3 * h / 4),
+                            np.nan, out)
 
-        got = pa._certify_chain((spiky,), 1.0, 2.0 ** -6, 6, 1000)
-        assert got == loop((spiky,), 1.0, 2.0 ** -6, 6, 1000)
-        assert 1e-4 < got.max_error < 1e-3
+        assert not np.isnan(spiky(grid)).any()
+        got = pa._certify_chain((spiky,), 2.0 ** -6, 6)
+        assert not got.passed and np.isnan(got.max_error)
 
     @pytest.mark.parametrize("bad", [10 ** 12, 1.5, True, 1, "100"])
     def test_bad_grid_points_rejected(self, ap8, bad):
-        with pytest.raises(ValueError, match="grid_points"):
-            pa._certify_chain(ap8.chain, 1.0, 2.0 ** -8, 8, bad)
         doc = pa.approx_to_json(ap8)
         doc["certificate"]["grid_points"] = bad
         with pytest.raises(ValueError, match="grid_points"):
@@ -358,19 +352,20 @@ class TestUnitChainMemo:
             return remez(*args, **kwargs)
 
         monkeypatch.setattr(pa, "remez_minimax", counting)
-        # a grid size no other test asks for keeps this key fresh
-        unit = pa.build_appsgn(6, bound=1.0, grid_points=54_321)
+        # an eps0/B no other test asks for keeps this key fresh
+        t0 = 2.0 ** -7
+        unit = pa.build_appsgn(6, eps0=t0, bound=1.0)
         built = len(calls)
-        scaled = pa.build_appsgn(6, bound=3.7, grid_points=54_321)
+        scaled = pa.build_appsgn(6, eps0=t0 * 3.7, bound=3.7)
         assert built > 0 and len(calls) == built
         assert scaled.chain is unit.chain
-        assert (scaled.bound, scaled.eps0) == (3.7, 2.0 ** -6 * 3.7)
+        assert (scaled.bound, scaled.eps0) == (3.7, t0 * 3.7)
         # the certificate is scale-free: re-measured at B = 3.7 it agrees
-        assert scaled.certificate == pa._certify_chain(
-            scaled.chain, 3.7, scaled.eps0, 6, 54_321)
-        # a float that equals a cached key is still no grid size
-        with pytest.raises(ValueError, match="grid_points"):
-            pa.build_appsgn(6, grid_points=54_321.0)
+        assert scaled.certificate == pa._certify_chain.__wrapped__(
+            scaled.chain, scaled.eps0 / 3.7, 6)
+        # a float that equals a cached key is still no beta
+        with pytest.raises(ValueError, match="beta"):
+            pa.build_appsgn(6.0, eps0=t0)
 
 
 class TestAppReLU:

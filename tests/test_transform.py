@@ -224,26 +224,24 @@ class TestDescriptors:
         np.testing.assert_array_equal(nn.forward(rebuilt, eval_x)[0],
                                       nn.forward(pann, eval_x)[0])
 
-    def test_each_approximant_certified_once(self, backbone, ap,
-                                             monkeypatch):
-        calls = []
-
-        def counting(doc, recertify=True):
-            calls.append(recertify)
-            return pa.approx_from_json(doc, recertify)
-
-        monkeypatch.setattr(tf, "approx_from_json", counting)
+    def test_each_approximant_certified_once(self, backbone, ap):
+        certify = pa._certify_chain
         desc = tf.pann_descriptor(tf.transform(backbone,
                                                tf.CompositeReLU(ap)))
         assert len(desc["slots"]) == 2
+        certify.cache_clear()
         rebuilt = tf.apply_descriptor(backbone, desc)
-        assert calls == [True]
+        assert certify.cache_info().misses == 1
         modes = [rebuilt.layers[i].mode for i in rebuilt.activation_indices()]
-        assert modes[0] is not modes[1] and modes[0].approx is modes[1].approx
+        assert modes[0] is not modes[1] and modes[0].approx == modes[1].approx
         other = pa.build_appsgn(6, bound=ap.bound)
         desc["slots"][1] = tf.CompositeReLU(other).descriptor()
+        certify.cache_clear()
         tf.apply_descriptor(backbone, desc)
-        assert calls == [True, True, True]
+        assert certify.cache_info().misses == 2
+        # memoised per process: loading again certifies nothing new
+        tf.apply_descriptor(backbone, desc)
+        assert certify.cache_info().misses == 2
 
     def test_round_trip_injected(self, backbone, eval_x, tmp_path):
         pann = tf.transform(backbone, tf.InjectedReLU(8, "neg_only",
