@@ -37,9 +37,6 @@ class ConfigError(ValueError):
     """Configuration problem, reported with a dotted field path."""
 
 
-_MISSING = object()
-
-
 def _load_json(path, what="config"):
     try:
         with open(path) as fh:
@@ -53,10 +50,13 @@ def _load_json(path, what="config"):
 
 def _value(value, kind, where):
     """Check one JSON value against a field type: ints stand in for floats,
-    lists become tuples, and None fills an optional field."""
+    lists become tuples, objects become nested config dataclasses, and None
+    fills an optional field."""
     args = typing.get_args(kind)
     if type(None) in args:
         return None if value is None else _value(value, args[0], where)
+    if dataclasses.is_dataclass(kind):
+        return _parse(kind, value, where)
     if typing.get_origin(kind) is tuple:
         return tuple(_value(v, args[0], f"{where}[{i}]")
                      for i, v in enumerate(_value(value, list, where)))
@@ -97,18 +97,13 @@ def _parse(cls, obj, where):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _field(cfg, name, kind, default=_MISSING, check=None):
-    """One top-level config field, type-checked like a dataclass field."""
+def _field(cfg, name, kind):
+    """One required top-level config field, type-checked."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected an object")
     if name not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"config.{name}: required field missing")
-        return default
-    value = _value(cfg[name], kind, f"config.{name}")
-    if check is not None and not check(value):
-        raise ConfigError(f"config.{name}: invalid value {value!r}")
-    return value
+        raise ConfigError(f"config.{name}: required field missing")
+    return _value(cfg[name], kind, f"config.{name}")
 
 
 def _dataset_spec(cfg) -> datasets.DatasetSpec:
@@ -120,35 +115,15 @@ def _dataset_spec(cfg) -> datasets.DatasetSpec:
     return spec
 
 
-def _train_options(cfg):
-    mixup = ngnv = None
-    if "mixup" in cfg:
-        # a mixup object turns mixup on unless it says otherwise
-        mixup = _parse(training.MixupConfig,
-                       {"enabled": True, **_field(cfg, "mixup", dict)},
-                       "config.mixup")
-    if "ngnv" in cfg:
-        ngnv = _parse(training.NgnvConfig, _field(cfg, "ngnv", dict),
-                      "config.ngnv")
-    return mixup, ngnv
-
-
-def _sgd_from(cfg) -> nn.SgdState:
-    return nn.SgdState(
-        lr=_field(cfg, "lr", float, default=0.05),
-        momentum=_field(cfg, "momentum", float, default=0.9),
-        weight_decay=_field(cfg, "wd", float, default=0.0),
-        milestones=_field(cfg, "milestones", tuple[int, ...], default=()),
-        gamma=_field(cfg, "gamma", float, default=0.1))
-
-
-def _method_label(mixup, ngnv) -> str:
-    parts = []
-    if mixup is not None and mixup.enabled:
-        parts.append("mixup")
-    if ngnv is not None and ngnv.enabled:
-        parts.append("ngnv")
-    return "+".join(parts) or "vanilla"
+def _spec(cfg, cls, section):
+    """(arch, spec): the spec is parsed from the config object named by
+    section, or from the top level less arch and dataset when it is ""."""
+    arch = _field(cfg, "arch", str)
+    if section:
+        return arch, _parse(cls, _field(cfg, section, dict),
+                            f"config.{section}")
+    return arch, _parse(cls, {k: v for k, v in cfg.items()
+                              if k not in ("arch", "dataset")}, "config")
 
 
 def _load_network(path) -> nn.Network:
@@ -196,51 +171,38 @@ def _emit(doc, out_path=None) -> None:
 
 def _cmd_train(args) -> int:
     cfg = _load_json(args.config)
+    arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = datasets.load_dataset(_dataset_spec(cfg))
-    arch = _field(cfg, "arch", str)
-    seed = _field(cfg, "seed", int, default=0)
-    epochs = _field(cfg, "epochs", int, check=lambda v: v >= 1)
-    batch = _field(cfg, "batch_size", int, default=64,
-                   check=lambda v: v >= 1)
-    loss_kind = _field(cfg, "loss", str, default="cross_entropy",
-                       check=lambda v: v in nn.LOSS_KINDS)
-    mixup, ngnv = _train_options(cfg)
-    sgd = _sgd_from(cfg)
     chash = records.config_hash(dict(cfg, dataset=data.spec.key()))
     store = _open_store(args.records, records.RECORD_COLUMNS) \
         if args.records else None
-    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
     try:
-        result = training.train(net0, data, sgd, epochs=epochs,
-                                batch_size=batch, mixup=mixup, ngnv=ngnv,
-                                seed=seed, loss_kind=loss_kind,
-                                epoch_metrics=False)
+        result = sd.train_cell(spec, arch, data, spec.wd, spec.seed)
     except training.TrainingDiverged as exc:
         _emit({"config_hash": chash, "status": "failed",
                "diverged_at_epoch": exc.epoch})
         return 1
     # only the final network is reported, so evaluate it once
     train_loss, _ = training.evaluate(result.net, data.x_train, data.y_train,
-                                      loss_kind=loss_kind)
+                                      loss_kind=spec.loss)
     test_loss, test_acc = training.evaluate(result.net, data.x_test,
-                                            data.y_test, loss_kind=loss_kind)
+                                            data.y_test, loss_kind=spec.loss)
     if args.out:
         doc = {"config_hash": chash, "arch": arch,
                "dataset": data.name or "dataset",
                "network": nn.network_to_dict(result.net)}
         Path(args.out).write_text(json.dumps(doc))
     written = 0
-    if store is not None:
-        if args.force or not store.has(chash):
-            base = {"config_hash": chash, "timestamp": records.timestamp(),
-                    "arch": arch, "dataset": data.name or "dataset",
-                    "method": _method_label(mixup, ngnv),
-                    "wd": sgd.weight_decay, "precision": "", "seed": seed}
-            rows = [dict(base, metric="train_loss", value=train_loss),
-                    dict(base, metric="test_loss", value=test_loss),
-                    dict(base, metric="test_accuracy", value=test_acc)]
-            written = store.append_rows(rows, force=args.force)
-    _emit({"config_hash": chash, "status": "ok", "epochs": epochs,
+    if store is not None and (args.force or not store.has(chash)):
+        base = {"config_hash": chash, "timestamp": records.timestamp(),
+                "arch": arch, "dataset": data.name or "dataset",
+                "method": spec.method, "wd": spec.wd, "precision": "",
+                "seed": spec.seed}
+        rows = [dict(base, metric="train_loss", value=train_loss),
+                dict(base, metric="test_loss", value=test_loss),
+                dict(base, metric="test_accuracy", value=test_acc)]
+        written = store.append_rows(rows, force=args.force)
+    _emit({"config_hash": chash, "status": "ok", "epochs": spec.epochs,
            "train_loss": train_loss, "test_accuracy": test_acc,
            "rows_written": written})
     return 0
@@ -362,13 +324,7 @@ def _plot_rows(res) -> list:
 def _cmd_experiment(args) -> int:
     spec_cls, section, preset, plot_header = _EXPERIMENTS[args.command]
     cfg = _load_json(args.config)
-    arch = _field(cfg, "arch", str)
-    if section:
-        spec = _parse(spec_cls, _field(cfg, section, dict),
-                      f"config.{section}")
-    else:
-        spec = _parse(spec_cls, {k: v for k, v in cfg.items()
-                                 if k not in ("arch", "dataset")}, "config")
+    arch, spec = _spec(cfg, spec_cls, section)
     if args.command == "sweep-beta" and len(spec.wds) != 1:
         raise ConfigError(f"config.sweep.wds: expected exactly one wd for "
                           f"a beta sweep, got {list(spec.wds)}")

@@ -20,8 +20,9 @@ already stored is read back instead of trained.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from . import training
 from . import transform as tf
 from .datasets import Dataset
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES
+from .polyapprox import (INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES,
+                         build_appsgn)
 from .training import MixupConfig, NgnvConfig, TrainingDiverged, evaluate
 
 
@@ -264,34 +266,47 @@ class FieldError(ValueError):
     """An invalid spec field; the message starts with the field's name."""
 
 
+@dataclass(frozen=True, kw_only=True)
 class _CellSpec:
-    """What the cell engine reads from a spec besides its training fields
-    (epochs, lr, momentum, batch_size). ``grid`` names the fields a cell
-    takes its (wd, seed) from; they stay out of the cell's hash, so growing
-    a grid keeps the cells already cached."""
+    """The training settings every spec shares, each default stated once,
+    and what the cell engine reads from a spec. ``grid`` names the fields a
+    cell takes its (wd, seed) from; they stay out of the cell's hash, so
+    growing a grid keeps the cells already cached."""
 
+    epochs: int = 20
+    lr: float = 0.05
+    momentum: float = 0.9
+    batch_size: int = 64
+    # a spec without these as fields trains with them fixed; a mixup or
+    # ngnv config of None trains without that option
     loss = "cross_entropy"
+    milestones = ()
+    gamma = 0.1
+    mixup = ngnv = None
     columns = records.SWEEP_COLUMNS
 
-    def options(self):
-        """(mixup, ngnv) configs for training; None trains without."""
-        return None, None
+    def prepare(self):
+        """Build, before a cell trains, what its evaluation may fail to
+        build; nothing by default."""
 
     def _check(self, **checks):
         """Raise FieldError for the first field whose (ok, wanted) check
         fails; every grid must be non-empty and every spec must train."""
         shared = [(f.name, (len(getattr(self, f.name)) > 0,
                             "a non-empty grid")) for f in fields(self)
-                  if isinstance(getattr(self, f.name), (tuple, list))]
+                  if f.name != "milestones"  # a schedule, not a grid
+                  and isinstance(getattr(self, f.name), (tuple, list))]
         shared += [("epochs", (self.epochs >= 1, "an integer >= 1")),
-                   ("batch_size", (self.batch_size >= 1, "an integer >= 1"))]
+                   ("batch_size", (self.batch_size >= 1, "an integer >= 1")),
+                   ("loss", (self.loss in nn.LOSS_KINDS,
+                             f"one of {nn.LOSS_KINDS}"))]
         for name, (ok, wanted) in shared + list(checks.items()):
             if not ok:
                 raise FieldError(f"{name}: expected {wanted}, got "
                                  f"{getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepSpec(_CellSpec):
     """Grid for the weight-decay and precision experiments.
 
@@ -303,10 +318,6 @@ class SweepSpec(_CellSpec):
     seeds: tuple[int, ...]
     betas: tuple[int, ...]
     t_primes: tuple[int, ...] = (0,)
-    epochs: int = 20
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 64
     method: str = "vanilla"
     mixup_alpha: float = 0.5
     ngnv_r: float = 0.3
@@ -333,25 +344,31 @@ class SweepSpec(_CellSpec):
     def cells(self):
         return [(wd, seed) for wd in self.wds for seed in self.seeds]
 
-    def options(self):
-        mixup = MixupConfig(enabled="mixup" in self.method,
-                            alpha=self.mixup_alpha)
-        ngnv = NgnvConfig(r=self.ngnv_r if "ngnv" in self.method else 0.0,
+    @property
+    def mixup(self):
+        return MixupConfig(enabled="mixup" in self.method,
+                           alpha=self.mixup_alpha)
+
+    @property
+    def ngnv(self):
+        return NgnvConfig(r=self.ngnv_r if "ngnv" in self.method else 0.0,
                           noise_scale=self.ngnv_scale)
-        return mixup, ngnv
+
+    def prepare(self):
+        """Certify every beta's unit-domain chain, so that an unreachable
+        beta fails first; the calibrated builds after training share these
+        chains (eps0/B is 2^-beta at any bound), so no Remez work is added."""
+        for beta in self.betas:
+            build_appsgn(beta, max_stage_degree=self.max_stage_degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TruncSpec(_CellSpec):
     """Grid for the truncation experiment: one cell per seed at weight decay
     wd, evaluated at every total fixed-point bit width in l_xs."""
 
     l_xs: tuple[int, ...]
     seeds: tuple[int, ...]
-    epochs: int = 20
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 64
     wd: float = 0.0
 
     grid = ("seeds",)
@@ -369,7 +386,7 @@ class TruncSpec(_CellSpec):
         return [(self.wd, seed) for seed in self.seeds]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PerturbSpec(_CellSpec):
     """Grid for the sign-filtered injection experiment: one cell per wd,
     trained at train_seed, then probed at every beta, sign filter and
@@ -381,11 +398,7 @@ class PerturbSpec(_CellSpec):
     sign_filters: tuple[str, ...] = ("neg_only", "pos_only")
     mode: str = "worst_case_fixed"
     train_seed: int = 0
-    epochs: int = 20
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 64
-    loss: str = "cross_entropy"
+    loss: str = _CellSpec.loss
 
     grid = ("wds",)
     method = "perturb"
@@ -396,11 +409,48 @@ class PerturbSpec(_CellSpec):
             betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
             sign_filters=(set(self.sign_filters) <= set(SIGN_FILTERS),
                           f"filters from {SIGN_FILTERS}"),
-            mode=(self.mode in INJECTION_MODES, f"one of {INJECTION_MODES}"),
-            loss=(self.loss in nn.LOSS_KINDS, f"one of {nn.LOSS_KINDS}"))
+            mode=(self.mode in INJECTION_MODES, f"one of {INJECTION_MODES}"))
 
     def cells(self):
         return [(wd, self.train_seed) for wd in self.wds]
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrainSpec(_CellSpec):
+    """One training run, as ``pannkit train`` reads it; a run without a
+    mixup or ngnv config trains without that option."""
+
+    epochs: int = field()  # no default: a run states its length
+    seed: int = 0
+    loss: str = _CellSpec.loss
+    wd: float = 0.0
+    milestones: tuple[int, ...] = _CellSpec.milestones
+    gamma: float = _CellSpec.gamma
+    mixup: MixupConfig | None = None
+    ngnv: NgnvConfig | None = None
+
+    def __post_init__(self):
+        self._check()
+
+    @property
+    def method(self) -> str:
+        """The records' label: the options that are on, or vanilla."""
+        return "+".join(name for name, opt in (("mixup", self.mixup),
+                                               ("ngnv", self.ngnv))
+                        if opt is not None and opt.enabled) or "vanilla"
+
+
+def train_cell(spec: _CellSpec, arch: str, data: Dataset, wd: float,
+               seed: int, snapshot_epochs=()) -> training.TrainResult:
+    """Train arch, initialised from seed, under the spec's settings at
+    weight decay wd. Raises TrainingDiverged on a non-finite loss."""
+    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
+    sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd,
+                      milestones=spec.milestones, gamma=spec.gamma)
+    return training.train(net0, data, sgd, epochs=spec.epochs,
+                          batch_size=spec.batch_size, mixup=spec.mixup,
+                          ngnv=spec.ngnv, seed=seed, loss_kind=spec.loss,
+                          snapshot_epochs=snapshot_epochs)
 
 
 @dataclass(frozen=True)
@@ -455,41 +505,36 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
 
 def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
               *, store: records.RecordStore | None = None,
-              dataset_name: str | None = None, force: bool = False,
-              workers: int = 1, snapshot_epochs=()):
+              force: bool = False, workers: int = 1, snapshot_epochs=()):
     """The one experiment-cell engine.
 
     A cell's hash covers the experiment name, the architecture, every field
     of the dataset's spec (of its name when it has none), the cell's (wd,
     seed) and every spec field but the grid ones. A cell not in the store
-    trains once; a divergence becomes its single ``failed`` row, and
-    otherwise ``evaluation(result, base)`` turns the trained result into
-    rows that extend ``base``. Returns (rows, rows written, cell statuses in
-    cell order).
+    runs the spec's ``prepare`` and then trains once; a divergence becomes
+    its single ``failed`` row, and otherwise ``evaluation(result, base)``
+    turns the trained result into rows that extend ``base``. Returns (rows,
+    rows written, cell statuses in cell order).
     """
-    dataset_name = dataset_name or data.name or "dataset"
+    dataset = data.name or "dataset"
     key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
     key.update(experiment=experiment, arch=arch,
-               dataset=dataset_name if data.spec is None else data.spec.key())
+               dataset=dataset if data.spec is None else data.spec.key())
     cells = spec.cells()
     chash = {c: records.config_hash(dict(key, wd=c[0], seed=c[1]))
              for c in cells}
-    mixup, ngnv = spec.options()
+    preparing = threading.Lock()  # one worker prepares, the others wait
 
     def runner(cell):
         wd, seed = cell
         known = {"config_hash": chash[cell], "timestamp": records.timestamp(),
-                 "arch": arch, "dataset": dataset_name, "method": spec.method,
+                 "arch": arch, "dataset": dataset, "method": spec.method,
                  "wd": wd, "epochs": spec.epochs, "seed": seed}
         base = {k: known.get(k, "") for k in spec.columns}
-        net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
-        sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd)
+        with preparing:
+            spec.prepare()
         try:
-            result = training.train(
-                net0, data, sgd, epochs=spec.epochs,
-                batch_size=spec.batch_size, mixup=mixup, ngnv=ngnv, seed=seed,
-                loss_kind=spec.loss, epoch_metrics=False,
-                snapshot_epochs=snapshot_epochs)
+            result = train_cell(spec, arch, data, wd, seed, snapshot_epochs)
         except TrainingDiverged as exc:
             return [dict(base, metric="failed", value=float(exc.epoch))]
         return evaluation(result, base)
@@ -541,7 +586,6 @@ def _result(rows, trend, n_written, cells) -> SweepResult:
 
 def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                        store: records.RecordStore | None = None,
-                       dataset_name: str | None = None,
                        force: bool = False, workers: int = 1) -> SweepResult:
     """Train per (wd, seed) cell, snapshot past the plateau, approximate at
     each beta, and persist accuracy/loss rows. Cells already present in the
@@ -569,7 +613,7 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
 
     rows, n_written, cells = run_cells(
         "wd_sweep", spec, arch, data, evaluation, store=store,
-        dataset_name=dataset_name, force=force, workers=workers,
+        force=force, workers=workers,
         snapshot_epochs=range(1, spec.epochs + 1))
     t_max = str(max(spec.t_primes))
     trend = {int(beta): {} for beta in spec.betas}
@@ -583,7 +627,6 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
 
 def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                store: records.RecordStore | None = None,
-               dataset_name: str | None = None,
                force: bool = False, workers: int = 1) -> SweepResult:
     """Fully train one model per seed at a single weight decay, then report
     its approximated accuracy at every precision in spec.betas: exactly
@@ -599,14 +642,13 @@ def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
 
     rows, n_written, cells = run_cells(
         "beta_sweep", spec, arch, data, evaluation, store=store,
-        dataset_name=dataset_name, force=force, workers=workers)
+        force=force, workers=workers)
     return _result(rows, _trend(rows, "pann_accuracy", spec.betas),
                    n_written, cells)
 
 
 def truncation_sweep(spec: TruncSpec, arch: str, data: Dataset, *,
                      store: records.RecordStore | None = None,
-                     dataset_name: str | None = None,
                      force: bool = False, workers: int = 1) -> SweepResult:
     """Train once per seed, then evaluate the net with every ReLU replaced
     by the truncation-protocol activation at each total bit width l_x.
@@ -622,14 +664,13 @@ def truncation_sweep(spec: TruncSpec, arch: str, data: Dataset, *,
 
     rows, n_written, cells = run_cells(
         "trunc_sweep", spec, arch, data, evaluation, store=store,
-        dataset_name=dataset_name, force=force, workers=workers)
+        force=force, workers=workers)
     return _result(rows, _trend(rows, "trunc_accuracy", spec.l_xs),
                    n_written, cells)
 
 
 def perturbation_sweep(spec: PerturbSpec, arch: str, data: Dataset, *,
                        store: records.RecordStore | None = None,
-                       dataset_name: str | None = None,
                        force: bool = False, workers: int = 1) -> SweepResult:
     """Train one model per wd, then record the test-loss increment of every
     (beta, sign filter, injection seed) probe and of each probe set's mean.
@@ -646,6 +687,6 @@ def perturbation_sweep(spec: PerturbSpec, arch: str, data: Dataset, *,
 
     rows, n_written, cells = run_cells(
         "perturb", spec, arch, data, evaluation, store=store,
-        dataset_name=dataset_name, force=force, workers=workers)
+        force=force, workers=workers)
     cells = tuple({k: v for k, v in c.items() if k != "seed"} for c in cells)
     return SweepResult(tuple(rows), None, n_written, cells)

@@ -28,10 +28,11 @@ class MixupConfig:
 
     lam is drawn per batch from Beta(alpha, alpha) unless fixed_lambda pins
     it (fixed_lambda=1.0 makes the method an exact identity, used as a
-    harness check).
+    harness check). A config is on unless it says otherwise; ``train``
+    without one trains without mixup.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     alpha: float = 0.5
     fixed_lambda: float | None = None
 
@@ -134,16 +135,6 @@ def _ngnv_draw(z: np.ndarray, cfg: NgnvConfig, rng):
     return chosen, cfg.noise_scale * s
 
 
-def ngnv_perturb(z: np.ndarray, cfg: NgnvConfig, rng) -> np.ndarray:
-    """z with lambda_n*s*z added on the selected entries, others bit-identical."""
-    out = np.array(z, dtype=float)
-    chosen, f = _ngnv_draw(out, cfg, rng)
-    if chosen is not None:
-        view = out.ravel()
-        view[chosen] += f * view[chosen]
-    return out
-
-
 def ngnv_output_adjustment(z: np.ndarray, cfg: NgnvConfig, rng):
     """Activation-output delta and its derivative for the training hook.
 
@@ -183,59 +174,39 @@ def evaluate(net: nn.Network, x: np.ndarray, y: np.ndarray, *,
 
 
 @dataclass(frozen=True)
-class EpochMetrics:
-    epoch: int
-    lr: float
-    train_loss: float
-    train_accuracy: float
-    test_loss: float
-    test_accuracy: float
-
-
-@dataclass(frozen=True)
 class TrainResult:
     net: nn.Network
-    metrics: tuple
     snapshots: dict = field(default_factory=dict)
-
-    def final(self) -> EpochMetrics:
-        return self.metrics[-1]
 
 
 def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
           epochs: int, batch_size: int = 64,
           mixup: MixupConfig | None = None, ngnv: NgnvConfig | None = None,
           seed: int = 0, loss_kind: str = "cross_entropy",
-          snapshot_epochs=(), eval_batch_size: int = 512,
-          epoch_metrics: bool = True) -> TrainResult:
+          snapshot_epochs=()) -> TrainResult:
     """Minibatch SGD for ``epochs`` passes; deterministic given ``seed``.
 
     ``sgd`` is a hyperparameter template; velocities always start fresh.
     Shuffling, mixup draws and noise draws come from independent labeled
-    streams, so disabling one option never shifts another. Per-epoch metrics
-    are measured with ``evaluate`` (noise-free) on the train and test sets;
-    with ``epoch_metrics=False`` nothing is measured and ``metrics`` is
-    empty, which never changes the trained network. ``snapshot_epochs``
-    keeps a reference to the network as of those epochs (networks are
-    immutable).
+    streams, so disabling one option never shifts another. Nothing is
+    measured during training: ``snapshot_epochs`` keeps a reference to the
+    network as of those epochs (networks are immutable), for the caller to
+    evaluate.
     A non-finite minibatch loss aborts with the epoch index.
     """
-    mixup = mixup if mixup is not None else MixupConfig()
-    ngnv = ngnv if ngnv is not None else NgnvConfig()
     state = sgd.fresh()
     shuffle_rng = derive_rng(seed, "shuffle")
     mixup_rng = derive_rng(seed, "mixup")
     ngnv_rng = derive_rng(seed, "ngnv")
 
     hook = None
-    if ngnv.enabled:
+    if ngnv is not None and ngnv.enabled:
         def hook(slot, z):
             return ngnv_output_adjustment(z, ngnv, ngnv_rng)
 
     n = len(data.x_train)
     if n == 0:
         raise ValueError("empty training set")
-    metrics = []
     snapshots = {}
     snapshot_epochs = set(int(e) for e in snapshot_epochs)
     for epoch in range(1, epochs + 1):
@@ -245,7 +216,7 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
             idx = perm[s:s + batch_size]
             xb = data.x_train[idx]
             yb = data.y_train[idx]
-            if mixup.enabled:
+            if mixup is not None and mixup.enabled:
                 lam = draw_mixup_lambda(mixup, mixup_rng)
                 pair = mixup_rng.permutation(len(idx))
                 yh = one_hot(yb, data.n_classes)
@@ -258,15 +229,6 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
                     epoch, f"training diverged at epoch {epoch}: {exc}"
                 ) from exc
             net = nn.sgd_step(net, grads, state)
-        if epoch_metrics:
-            tr_loss, tr_acc = evaluate(net, data.x_train, data.y_train,
-                                       loss_kind=loss_kind,
-                                       batch_size=eval_batch_size)
-            te_loss, te_acc = evaluate(net, data.x_test, data.y_test,
-                                       loss_kind=loss_kind,
-                                       batch_size=eval_batch_size)
-            metrics.append(EpochMetrics(epoch, state.lr_at(epoch), tr_loss,
-                                        tr_acc, te_loss, te_acc))
         if epoch in snapshot_epochs:
             snapshots[epoch] = net
-    return TrainResult(net=net, metrics=tuple(metrics), snapshots=snapshots)
+    return TrainResult(net=net, snapshots=snapshots)

@@ -91,6 +91,56 @@ class TestTrain:
         assert code == 0 and doc["rows_written"] == 0
         assert recs.read_bytes() == before
 
+    def test_empty_milestones_train(self, tmp_path, capsys, train_cfg):
+        cfg = write_config(tmp_path / "flat.json", dict(
+            json.loads(train_cfg.read_text()), milestones=[], gamma=0.5))
+        code, doc = run(capsys, "train", "--config", cfg)
+        assert code == 0 and doc["status"] == "ok"
+
+    @pytest.mark.parametrize("options, method", [
+        ({"mixup": {}}, "mixup"), ({"mixup": {"enabled": False}}, "vanilla"),
+        ({"mixup": {"alpha": 0.4}, "ngnv": {"r": 0.3}}, "mixup+ngnv"),
+        ({"ngnv": {"r": 0.0}}, "vanilla")])
+    def test_method_label(self, tmp_path, capsys, options, method):
+        # a mixup object turns mixup on unless it says otherwise
+        cfg = write_config(tmp_path / "m.json", {
+            "arch": "mlp:8", "epochs": 1, "dataset": BLOBS, **options})
+        recs = tmp_path / "runs.csv"
+        assert run(capsys, "train", "--config", cfg, "--records",
+                   recs)[0] == 0
+        assert {r["method"] for r in csv.DictReader(recs.open())} == {method}
+
+
+class TestPinnedHashes:
+    """Config and cell hashes key every stored record, so a refactor of the
+    config parsing must leave them as they are."""
+
+    TINY = {
+        "sweep-wd": ("0b58ca01bd8a410e", {"sweep": {
+            "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
+        "sweep-beta": ("e33430ccd6a0f820", {"sweep": {
+            "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
+        "trunc-sweep": ("3a1b0432413c98da", {"sweep": {
+            "l_xs": [8], "seeds": [0], "epochs": 1}}),
+        "perturb-exp": ("6f747fa8605ceca4", {
+            "wds": [0.0], "betas": [8], "seeds": [0], "epochs": 1}),
+    }
+
+    def test_train_config_hash(self, capsys, train_cfg):
+        code, doc = run(capsys, "train", "--config", train_cfg)
+        assert code == 0 and doc["config_hash"] == "800bdf6fcc740994"
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_cell_hash(self, tmp_path, capsys, command):
+        want, doc = self.TINY[command]
+        cfg = write_config(tmp_path / "c.json",
+                           {"arch": "mlp:8", "dataset": BLOBS, **doc})
+        recs = tmp_path / "r.csv"
+        assert run(capsys, command, "--config", cfg, "--records",
+                   recs)[0] == 0
+        assert {r["config_hash"] for r in csv.DictReader(recs.open())} == \
+            {want}
+
 
 class TestTransformEval:
     def test_exact_descriptor_matches_backbone(self, tmp_path, capsys,
@@ -494,6 +544,12 @@ class TestExit2BeforeTraining:
              "config.ngnv.scale"),
             ("train", dict(base, epochs=1, mixup={"alpha": 0.0}),
              "config.mixup"),
+            ("train", dict(base, epoch=1), "config.epoch"),
+            ("train", dict(base, epochs=1, milestones=[1.5]),
+             "config.milestones[0]"),
+            ("train", dict(base, epochs=1, gamma="x"), "config.gamma"),
+            ("train", dict(base, epochs=0), "config.epochs"),
+            ("train", dict(base, epochs=1, mixup=[]), "config.mixup"),
             ("sweep-wd", dict(base, sweep=dict(sweep, betas=[0])),
              "config.sweep.betas"),
             ("sweep-wd", dict(base, sweep=dict(sweep, batch_size=0)),
@@ -522,6 +578,16 @@ class TestExit2BeforeTraining:
             if command != "train":
                 argv += ["--records", tmp_path / "r.csv"]
             self._expect(capsys, argv, detail)
+
+    def test_infeasible_beta_fails_before_training(self, tmp_path, capsys,
+                                                   no_training):
+        cfg = write_config(tmp_path / "s.json", {
+            "arch": "mlp:8", "dataset": BLOBS,
+            "sweep": {"wds": [0.0], "seeds": [0], "betas": [16]}})
+        for command in ("sweep-beta", "sweep-wd"):
+            self._expect(capsys, [command, "--config", cfg, "--records",
+                                  tmp_path / "r.csv"],
+                         "precision error: beta 16:")
 
     def test_records_of_another_command(self, tmp_path, capsys,
                                         no_training):
@@ -558,9 +624,11 @@ class TestExit2BeforeTraining:
                          "slots[0]", key)
 
 
-# one well-formed config per experiment command, with its required fields;
-# the fuzz test breaks one thing in it at a time
+# one well-formed config per command that parses a spec, with its required
+# fields; the fuzz test breaks one thing in it at a time
 _FUZZ_BASES = {
+    "train": (sd.TrainSpec, "", ("epochs",),
+              {"epochs": 2, "batch_size": 16, "loss": "mse"}),
     "sweep-wd": (sd.SweepSpec, "sweep", ("wds", "seeds", "betas"),
                  {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 2,
                   "calib_samples": 8}),
@@ -579,6 +647,9 @@ _BAD_VALUES = {
     "mixup_alpha": [0.0], "bound_safety": [0.0], "l_xs": [[7], [2], [40]],
     "sign_filters": [["bogus"], []], "mode": ["bogus"], "loss": ["bogus"],
     "t_primes": [[]], "lr": ["fast", float("nan"), float("inf")],
+    "milestones": [[1.5], ["x"], 2], "gamma": ["x", float("nan")],
+    "mixup": [[], "x", {"alpha": 0.0}, {"alpah": 1.0}],
+    "ngnv": [[0.3], {"r": 2.0}, {"scale": 1.0}],
 }
 
 

@@ -26,6 +26,19 @@ def nets_equal(a, b) -> bool:
         for (ia, ka, va), (ib, kb, vb) in zip(pa, pb))
 
 
+def perturbed(z, cfg, rng):
+    """z plus the training hook's output adjustment."""
+    delta, _ = tr.ngnv_output_adjustment(z, cfg, rng)
+    return z if delta is None else z + delta
+
+
+def epoch_metrics(out, data):
+    """Per-epoch (train, test) (loss, accuracy) of a run's snapshots."""
+    return [(tr.evaluate(net, data.x_train, data.y_train, batch_size=512),
+             tr.evaluate(net, data.x_test, data.y_test, batch_size=512))
+            for _, net in sorted(out.snapshots.items())]
+
+
 @pytest.fixture(scope="module")
 def blobs():
     return pd.load_dataset(pd.DatasetSpec(
@@ -100,18 +113,18 @@ class TestNgnv:
         rng = np.random.default_rng(0)
         assert np.random.default_rng(0).standard_normal() > 0
         cfg = tr.NgnvConfig(r=0.5, noise_scale=0.05, fixed_sign=True)
-        out = tr.ngnv_perturb(np.array([-4.0, -1.0, 2.0]), cfg, rng)
+        out = perturbed(np.array([-4.0, -1.0, 2.0]), cfg, rng)
         assert np.allclose(out, [-4.2, -1.0, 2.0])
         assert out[1] == -1.0 and out[2] == 2.0
 
     def test_r_zero_identity(self):
         z = np.array([-3.0, 1.0, -0.5])
-        out = tr.ngnv_perturb(z, tr.NgnvConfig(r=0.0), np.random.default_rng(1))
+        out = perturbed(z, tr.NgnvConfig(r=0.0), np.random.default_rng(1))
         assert np.array_equal(out, z)
 
     def test_all_positive_identity(self):
         z = np.abs(np.random.default_rng(2).standard_normal((4, 5))) + 0.1
-        out = tr.ngnv_perturb(z, tr.NgnvConfig(r=1.0), np.random.default_rng(1))
+        out = perturbed(z, tr.NgnvConfig(r=1.0), np.random.default_rng(1))
         assert np.array_equal(out, z)
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 1.0))
@@ -120,7 +133,7 @@ class TestNgnv:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((3, 7))
         cfg = tr.NgnvConfig(r=r, noise_scale=0.05)
-        out = tr.ngnv_perturb(z, cfg, np.random.default_rng(seed + 1))
+        out = perturbed(z, cfg, np.random.default_rng(seed + 1))
         changed = out != z
         n_neg = int((z < 0).sum())
         assert changed.sum() <= math.ceil(r * n_neg)
@@ -130,7 +143,7 @@ class TestNgnv:
     def test_picks_most_negative(self):
         z = np.array([-1.0, -9.0, -3.0, 4.0])
         cfg = tr.NgnvConfig(r=0.5, noise_scale=0.05, fixed_sign=True)
-        out = tr.ngnv_perturb(z, cfg, np.random.default_rng(0))
+        out = perturbed(z, cfg, np.random.default_rng(0))
         changed = np.flatnonzero(out != z)
         assert set(changed.tolist()) == {1, 2}  # ceil(0.5*3)=2 most negative
 
@@ -182,7 +195,10 @@ class TestNgnv:
         z = np.random.default_rng(5).standard_normal((2, 6))
         cfg = tr.NgnvConfig(r=0.5, noise_scale=0.1)
         delta, dd = tr.ngnv_output_adjustment(z, cfg, np.random.default_rng(9))
-        zt = tr.ngnv_perturb(z, cfg, np.random.default_rng(9))
+        # the perturbation of the same draw: lambda_n*s*z added in place
+        chosen, f = tr._ngnv_draw(z, cfg, np.random.default_rng(9))
+        zt = z.copy()
+        zt.ravel()[chosen] += f * zt.ravel()[chosen]
         assert np.allclose(z + delta, zt)
         # derivative factor equals delta/z on the touched entries
         touched = delta != 0
@@ -271,31 +287,37 @@ class TestTrain:
 
     def test_zero_epochs_returns_input(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        out = tr.train(net, blobs, self.SGD, epochs=0, seed=1)
-        assert out.net is net and out.metrics == ()
+        out = tr.train(net, blobs, self.SGD, epochs=0, seed=1,
+                       snapshot_epochs=(1,))
+        assert out.net is net and out.snapshots == {}
 
     def test_deterministic(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        a = tr.train(net, blobs, self.SGD, epochs=2, seed=5)
-        b = tr.train(net, blobs, self.SGD, epochs=2, seed=5)
+        a = tr.train(net, blobs, self.SGD, epochs=2, seed=5,
+                     snapshot_epochs=(1, 2))
+        b = tr.train(net, blobs, self.SGD, epochs=2, seed=5,
+                     snapshot_epochs=(1, 2))
         assert nets_equal(a.net, b.net)
-        assert a.metrics == b.metrics
+        assert epoch_metrics(a, blobs) == epoch_metrics(b, blobs)
         c = tr.train(net, blobs, self.SGD, epochs=2, seed=6)
         assert not nets_equal(a.net, c.net)
 
     def test_blobs_accuracy(self, blobs):
         net = nn.build_mlp((2,), (16,), 2, seed=0)
-        out = tr.train(net, blobs, self.SGD, epochs=50, seed=1)
-        assert out.final().test_accuracy >= 0.95
-        assert out.final().train_loss < out.metrics[0].train_loss
+        out = tr.train(net, blobs, self.SGD, epochs=50, seed=1,
+                       snapshot_epochs=(1, 50))
+        first, final = epoch_metrics(out, blobs)
+        assert final[1][1] >= 0.95
+        assert final[0][0] < first[0][0]
 
     def test_mixup_lambda_one_bit_exact_vanilla(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        plain = tr.train(net, blobs, self.SGD, epochs=3, seed=4)
-        mixed = tr.train(net, blobs, self.SGD, epochs=3, seed=4,
+        kw = dict(epochs=3, seed=4, snapshot_epochs=(1, 2, 3))
+        plain = tr.train(net, blobs, self.SGD, **kw)
+        mixed = tr.train(net, blobs, self.SGD, **kw,
                          mixup=tr.MixupConfig(enabled=True, fixed_lambda=1.0))
         assert nets_equal(plain.net, mixed.net)
-        assert plain.metrics == mixed.metrics
+        assert epoch_metrics(plain, blobs) == epoch_metrics(mixed, blobs)
 
     def test_ngnv_r_zero_bit_exact_vanilla(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
@@ -316,7 +338,8 @@ class TestTrain:
         out = tr.train(net, blobs, self.SGD, epochs=2, seed=2,
                        mixup=tr.MixupConfig(enabled=True),
                        ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05))
-        assert np.isfinite(out.final().test_loss)
+        assert np.isfinite(tr.evaluate(out.net, blobs.x_test,
+                                       blobs.y_test)[0])
 
     def test_snapshot_is_trajectory_prefix(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
@@ -326,26 +349,29 @@ class TestTrain:
         assert set(long.snapshots) == {3}
         assert nets_equal(long.snapshots[3], short.net)
 
-    def test_unmeasured_run_keeps_trajectory(self, blobs):
+    def test_snapshots_keep_trajectory(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         ngnv = tr.NgnvConfig(r=0.3, noise_scale=0.05)
         full = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv)
         out = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv,
-                       snapshot_epochs=(1, 2, 3), epoch_metrics=False)
-        assert out.metrics == ()
+                       snapshot_epochs=(1, 2, 3))
+        assert full.snapshots == {}
         assert nets_equal(out.net, full.net)
-        # evaluating the snapshots afterwards gives the per-epoch losses
-        assert [tr.evaluate(out.snapshots[e], blobs.x_train,
-                            blobs.y_train) for e in (1, 2, 3)] == \
-            [(m.train_loss, m.train_accuracy) for m in full.metrics]
+        assert out.snapshots[3] is out.net
 
-    def test_milestone_lr_in_metrics(self, blobs):
+    def test_milestone_lr_schedule(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         sgd = nn.SgdState(lr=0.1, momentum=0.0, milestones=(2,), gamma=0.1)
-        out = tr.train(net, blobs, sgd, epochs=3, seed=1)
-        assert out.metrics[0].lr == 0.1
-        assert out.metrics[1].lr == pytest.approx(0.01)
-        assert out.metrics[2].lr == pytest.approx(0.01)
+        assert sgd.lr_at(1) == 0.1
+        assert sgd.lr_at(2) == pytest.approx(0.01)
+        assert sgd.lr_at(3) == pytest.approx(0.01)
+        # the decay starts with epoch 2: epoch 1 matches the flat schedule
+        flat = nn.SgdState(lr=0.1, momentum=0.0)
+        kw = dict(epochs=2, seed=1, snapshot_epochs=(1, 2))
+        out = tr.train(net, blobs, sgd, **kw)
+        ref = tr.train(net, blobs, flat, **kw)
+        assert nets_equal(out.snapshots[1], ref.snapshots[1])
+        assert not nets_equal(out.snapshots[2], ref.snapshots[2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, blobs):
