@@ -80,11 +80,13 @@ def _random_search(x, delta, y, backbone, pann, cfg, rng):
     """Best of k uniform ∞-ball draws around delta, by approximated-model
     loss, restricted to candidates the backbone still gets right. The
     current iterate competes on the same terms; if no candidate qualifies
-    the iterate is returned unchanged. Ties go to the earliest candidate.
+    the iterate is returned unchanged. Ties go to the earliest candidate. A
+    NaN loss never wins, and a NaN at the iterate keeps it.
 
-    The candidates run as one batch through each model. A batched Dense
-    layer may round its logits differently from a single-sample one in the
-    last ulps, which can only matter for a loss tie at that level."""
+    The candidates run as one batch through each model and are scored in
+    one pass. A batched Dense layer may round its logits differently from a
+    single-sample one in the last ulps, which can only matter for a loss
+    tie at that level."""
     steps = rng.uniform(-cfg.search_radius, cfg.search_radius,
                         size=(cfg.search_draws,) + delta.shape)
     cands = np.concatenate(
@@ -93,12 +95,8 @@ def _random_search(x, delta, y, backbone, pann, cfg, rng):
     if not len(cands):
         return delta
     logits, _ = nn.forward(pann, x + cands)
-    best, best_loss = 0, None
-    for i in range(len(cands)):
-        loss, _ = nn.loss_and_logit_grad(logits[i:i + 1], np.array([y]),
-                                         cfg.loss_kind)
-        if best_loss is None or loss > best_loss:
-            best, best_loss = i, loss
+    losses, _ = nn.row_losses(logits, np.full(len(cands), y), cfg.loss_kind)
+    best = 0 if np.isnan(losses[0]) else int(np.nanargmax(losses))
     return cands[best]
 
 

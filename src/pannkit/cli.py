@@ -4,11 +4,11 @@ Experiment configs are JSON files; tabular metrics land in append-only CSVs
 keyed by config hash, so re-running a finished config writes nothing new
 unless --force. Relative dataset paths resolve against $PANNKIT_DATA_DIR.
 Exit codes: 0 success, 1 partial or complete experiment failure, 2 bad
-configuration or input files.
+configuration or input files. Each command is its own process, so a
+handler imports what only it runs.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -19,13 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attack as atk
 from . import datasets
 from . import nn
-from . import records
-from . import sturdiness as sd
-from . import training
-from . import transform as tf
+from . import transform as tf  # registers the activation modes
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES,
                          PrecisionInfeasible, approx_to_json, build_appsgn)
@@ -91,7 +87,7 @@ def _parse(cls, obj, where):
             raise ConfigError(f"{where}.{f.name}: required field missing")
     try:
         return cls(**kw)
-    except sd.FieldError as exc:
+    except nn.FieldError as exc:
         raise ConfigError(f"{where}.{exc}")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
@@ -119,6 +115,10 @@ def _spec(cfg, cls, section):
     """(arch, spec): the spec is parsed from the config object named by
     section, or from the top level less arch and dataset when it is ""."""
     arch = _field(cfg, "arch", str)
+    try:
+        nn.parse_arch(arch)
+    except ValueError as exc:
+        raise ConfigError(f"config.arch: {exc}")
     if section:
         return arch, _parse(cls, _field(cfg, section, dict),
                             f"config.{section}")
@@ -144,7 +144,8 @@ def _load_pann(backbone: nn.Network, path) -> nn.Network:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _open_store(path, columns) -> records.RecordStore:
+def _open_store(path, columns) -> "records.RecordStore":
+    from . import records
     try:
         return records.RecordStore(path, columns=columns)
     except ValueError as exc:  # a file written by another command
@@ -152,6 +153,7 @@ def _open_store(path, columns) -> records.RecordStore:
 
 
 def _plot_csv(path, header, rows) -> None:
+    import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -170,6 +172,7 @@ def _emit(doc, out_path=None) -> None:
 
 
 def _cmd_train(args) -> int:
+    from . import records, sturdiness as sd, training
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = datasets.load_dataset(_dataset_spec(cfg))
@@ -279,6 +282,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_eval_pann(args) -> int:
+    from . import training
     backbone = _load_network(args.model)
     cfg = _load_json(args.config)
     data = datasets.load_dataset(_dataset_spec(cfg))
@@ -295,16 +299,16 @@ def _cmd_eval_pann(args) -> int:
     return 0
 
 
-# command -> spec class, the config object holding it ("" for the top
-# level), the sturdiness preset that runs it, and its plot CSV header
+# command -> sturdiness spec class, the config object holding it ("" for
+# the top level), the sturdiness preset that runs it, and its plot CSV header
 _EXPERIMENTS = {
-    "sweep-wd": (sd.SweepSpec, "sweep", "weight_decay_sweep",
+    "sweep-wd": ("SweepSpec", "sweep", "weight_decay_sweep",
                  ("beta", "wd", "mean_pann_accuracy")),
-    "sweep-beta": (sd.SweepSpec, "sweep", "beta_sweep",
+    "sweep-beta": ("SweepSpec", "sweep", "beta_sweep",
                    ("beta", "mean_pann_accuracy")),
-    "trunc-sweep": (sd.TruncSpec, "sweep", "truncation_sweep",
+    "trunc-sweep": ("TruncSpec", "sweep", "truncation_sweep",
                     ("l_x", "mean_accuracy")),
-    "perturb-exp": (sd.PerturbSpec, "", "perturbation_sweep",
+    "perturb-exp": ("PerturbSpec", "", "perturbation_sweep",
                     ("wd", "beta", "sign_filter", "mean_delta_loss")),
 }
 
@@ -322,9 +326,10 @@ def _plot_rows(res) -> list:
 
 
 def _cmd_experiment(args) -> int:
+    from . import sturdiness as sd
     spec_cls, section, preset, plot_header = _EXPERIMENTS[args.command]
     cfg = _load_json(args.config)
-    arch, spec = _spec(cfg, spec_cls, section)
+    arch, spec = _spec(cfg, getattr(sd, spec_cls), section)
     if args.command == "sweep-beta" and len(spec.wds) != 1:
         raise ConfigError(f"config.sweep.wds: expected exactly one wd for "
                           f"a beta sweep, got {list(spec.wds)}")
@@ -345,6 +350,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_validate_theorems(args) -> int:
+    from . import sturdiness as sd
     checks = []
     rep = sd.validate_theorem1(sd.quadratic_probe(-1.0),
                                sd.quadratic_probe(1.0))
@@ -387,6 +393,7 @@ _ATTACK_FLAGS = {"alpha": "--alpha", "eps": "--eps", "eps_atk": "--eps-atk",
 
 
 def _cmd_attack(args) -> int:
+    from . import attack as atk
     try:
         acfg = atk.AttackConfig(**{
             name: getattr(args, flag[2:].replace("-", "_"))

@@ -262,19 +262,21 @@ def synthetic_digits(n: int, seed: int, noise: float = 0.1):
     which desk-scale approximation-robustness experiments rely on.
     """
     rng = derive_rng(seed, "digits")
-    templates = _digit_templates()
     y = _balanced_labels(n, 10, rng)
     shifts = rng.integers(-3, 4, size=(n, 2))
     brightness = 0.7 + 0.3 * rng.random(n)
-    # np.roll by (dr, dc): output pixel (r, c) reads (r - dr, c - dc) mod 28
-    pix = np.arange(28)
-    images = templates[y[:, None, None],
-                       (pix[:, None] - shifts[:, None, :1]) % 28,
-                       (pix - shifts[:, None, 1:]) % 28]
+    # every glyph at every shift, as np.roll by (dr, dc) places it: output
+    # pixel (r, c) reads (r - dr, c - dc) mod 28; one row gathered per image
+    rows = (np.arange(28) - np.arange(-3, 4)[:, None]) % 28
+    shifted = _digit_templates()[:, rows[:, None, :, None],
+                                 rows[None, :, None, :]].reshape(-1, 28, 28)
+    images = shifted[(y * 7 + shifts[:, 0] + 3) * 7 + shifts[:, 1] + 3]
     images *= brightness[:, None, None]
-    images += noise * rng.standard_normal((n, 28, 28))
-    images = np.clip(images, 0.0, 1.0)
-    return np.round(images * 255.0).astype(np.uint8), y
+    pixel_noise = rng.standard_normal((n, 28, 28))
+    images += np.multiply(pixel_noise, noise, out=pixel_noise)
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255.0
+    return np.round(images, out=images).astype(np.uint8), y
 
 
 def write_digit_idx_dataset(data_dir, n_train: int, n_test: int,
@@ -356,7 +358,7 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         ds = _split_pool(x, y, spec, 2, "synthetic_moons")
     else:
         img, lab = synthetic_digits(spec.n, spec.seed, spec.noise)
-        x = img.astype(np.float64)[:, None, :, :] / 255.0
+        x = np.divide(img[:, None], 255.0, dtype=np.float64)
         ds = _split_pool(x, lab, spec, 10, "synthetic_digits")
     x_tr, y_tr = ds.x_train, ds.y_train
     x_te, y_te = ds.x_test, ds.y_test

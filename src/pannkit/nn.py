@@ -41,6 +41,10 @@ class NonFiniteLossError(FloatingPointError):
     """Loss evaluated to NaN or infinity."""
 
 
+class FieldError(ValueError):
+    """An invalid config field; the message starts with the field's name."""
+
+
 # ---------------------------------------------------------------------------
 # activation modes
 
@@ -360,24 +364,24 @@ def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def loss_and_logit_grad(logits: np.ndarray, target: np.ndarray, kind: str):
-    """Scalar loss plus dL/dlogits. Targets: int labels or rows of weights."""
-    n = logits.shape[0]
-    if kind == "cross_entropy":
-        t = target if target.ndim == 2 else _one_hot(target, logits.shape[1])
-        z = logits - logits.max(axis=1, keepdims=True)
-        logsum = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-        logp = z - logsum
-        loss = float(-(t * logp).sum(axis=1).mean())
-        g = (np.exp(logp) - t) / n
-    elif kind == "mse":
-        t = target if target.ndim == 2 else _one_hot(target, logits.shape[1])
-        diff = logits - t
-        loss = float((diff ** 2).sum(axis=1).mean())
-        g = 2.0 * diff / n
-    else:
+def row_losses(logits: np.ndarray, target: np.ndarray, kind: str):
+    """(loss of each row, each row's gradient of its own loss). Targets: int
+    labels or rows of weights."""
+    if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected {LOSS_KINDS}")
-    return loss, g
+    t = target if target.ndim == 2 else _one_hot(target, logits.shape[1])
+    if kind == "cross_entropy":
+        z = logits - logits.max(axis=1, keepdims=True)
+        logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        return -(t * logp).sum(axis=1), np.exp(logp) - t
+    diff = logits - t
+    return (diff ** 2).sum(axis=1), 2.0 * diff
+
+
+def loss_and_logit_grad(logits: np.ndarray, target: np.ndarray, kind: str):
+    """Scalar loss, the mean of the row losses, plus dL/dlogits."""
+    rows, g = row_losses(logits, target, kind)
+    return float(rows.mean()), g / logits.shape[0]
 
 
 def _backprop(net: Network, x: np.ndarray, target: np.ndarray, kind: str,
@@ -513,23 +517,34 @@ def build_mlp(input_shape, hidden, n_classes, seed=0) -> Network:
     return Network(tuple(layers), input_shape, n_classes)
 
 
-def build_arch(arch: str, input_shape, n_classes, seed: int = 0) -> Network:
-    """Build from a compact string: 'mlp:256,256' or 'cnn:6,12' or
-    'cnn:6,12+32' (conv channels + dense hidden widths)."""
+def parse_arch(arch: str) -> tuple:
+    """(kind, widths, dense widths) of 'mlp:256,256' (hidden widths) or
+    'cnn:6,12' or 'cnn:6,12+32' (conv channels + dense hidden widths)."""
     kind, _, rest = arch.partition(":")
+    if kind not in ("mlp", "cnn"):
+        raise ValueError(f"unknown architecture kind {kind!r} in {arch!r}")
     try:
-        if kind == "mlp":
-            hidden = tuple(int(s) for s in rest.split(",") if s)
-            return build_mlp(input_shape, hidden, n_classes, seed)
-        if kind == "cnn":
-            conv, _, dense = rest.partition("+")
-            channels = tuple(int(s) for s in conv.split(",") if s)
-            dense_hidden = tuple(int(s) for s in dense.split(",") if s)
-            return build_cnn(input_shape, channels, n_classes, seed,
-                             dense_hidden=dense_hidden)
+        parts = rest.partition("+")[::2] if kind == "cnn" else (rest, "")
+        widths, dense = (tuple(int(s) for s in p.split(",") if s)
+                         for p in parts)
+        if min(widths + dense, default=1) < 1 or kind == "cnn" and not widths:
+            raise ValueError("widths must be integers >= 1, and a cnn needs "
+                             "a conv channel")
     except ValueError as exc:
         raise ValueError(f"bad architecture string {arch!r}: {exc}") from exc
-    raise ValueError(f"unknown architecture kind {kind!r} in {arch!r}")
+    return kind, widths, dense
+
+
+def build_arch(arch: str, input_shape, n_classes, seed: int = 0) -> Network:
+    """Build the network that parse_arch reads from arch."""
+    kind, widths, dense = parse_arch(arch)
+    try:
+        if kind == "mlp":
+            return build_mlp(input_shape, widths, n_classes, seed)
+        return build_cnn(input_shape, widths, n_classes, seed,
+                         dense_hidden=dense)
+    except ValueError as exc:
+        raise ValueError(f"bad architecture string {arch!r}: {exc}") from exc
 
 
 def build_cnn(input_shape, conv_channels, n_classes, seed=0,

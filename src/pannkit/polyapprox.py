@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .seeding import derive_rng
 
@@ -100,6 +98,8 @@ class Polynomial:
 
 def _affine_substitute(coeffs_u, alpha: float, gamma: float):
     """Coefficients of q(alpha*x + gamma) given q's coefficients in u."""
+    # imported here, on the Remez path, so that loading a chain skips it
+    from numpy.polynomial import polynomial as _poly
     res = np.array([coeffs_u[-1]])
     line = np.array([gamma, alpha])
     for c in coeffs_u[-2::-1]:
@@ -136,6 +136,7 @@ def _eval_basis(xs: np.ndarray, degree: int, odd: bool, interval) -> np.ndarray:
     affine map would destroy oddness); generic fits use T_0..T_d in the
     variable mapped onto [-1, 1] for conditioning.
     """
+    from numpy.polynomial import chebyshev as _cheb
     if odd:
         n = (degree + 1) // 2
         cols = []
@@ -152,6 +153,7 @@ def _eval_basis(xs: np.ndarray, degree: int, odd: bool, interval) -> np.ndarray:
 
 def _basis_to_polynomial(gamma: np.ndarray, degree: int, odd: bool,
                          interval) -> Polynomial:
+    from numpy.polynomial import chebyshev as _cheb
     if odd:
         n = (degree + 1) // 2
         c = np.zeros(2 * n)

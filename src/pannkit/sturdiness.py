@@ -262,10 +262,6 @@ def detect_plateau(train_losses, rel_tol: float = 1e-4,
 SWEEP_METHODS = ("vanilla", "mixup", "ngnv", "mixup+ngnv")
 
 
-class FieldError(ValueError):
-    """An invalid spec field; the message starts with the field's name."""
-
-
 @dataclass(frozen=True, kw_only=True)
 class _CellSpec:
     """The training settings every spec shares, each default stated once,
@@ -290,7 +286,7 @@ class _CellSpec:
         build; nothing by default."""
 
     def _check(self, **checks):
-        """Raise FieldError for the first field whose (ok, wanted) check
+        """Raise nn.FieldError for the first field whose (ok, wanted) check
         fails; every grid must be non-empty and every spec must train."""
         shared = [(f.name, (len(getattr(self, f.name)) > 0,
                             "a non-empty grid")) for f in fields(self)
@@ -302,8 +298,8 @@ class _CellSpec:
                              f"one of {nn.LOSS_KINDS}"))]
         for name, (ok, wanted) in shared + list(checks.items()):
             if not ok:
-                raise FieldError(f"{name}: expected {wanted}, got "
-                                 f"{getattr(self, name)!r}")
+                raise nn.FieldError(f"{name}: expected {wanted}, got "
+                                    f"{getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -380,7 +376,7 @@ class TruncSpec(_CellSpec):
             try:
                 FixedPointFormat(l_x)
             except ValueError as exc:
-                raise FieldError(f"l_xs: {l_x!r} is no width: {exc}")
+                raise nn.FieldError(f"l_xs: {l_x!r} is no width: {exc}")
 
     def cells(self):
         return [(self.wd, seed) for seed in self.seeds]

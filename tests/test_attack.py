@@ -6,6 +6,8 @@ disagreement sliver exists near (-1, -2.9), confirmed exhaustively by the
 grid oracle. All expectations here are frozen against that instance.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,9 @@ class TestAttack:
         assert np.all(out.delta == 0.0)
 
 
-def _search_loop(x, delta, y, backbone, pann, cfg, rng):
-    """The per-candidate random search the batched one replaced."""
+def _search_loop(x, delta, y, backbone, pann, cfg, rng, score=None):
+    """The per-candidate random search the batched one replaced; score maps
+    a candidate's loss to the value compared."""
     cands = [delta]
     for _ in range(cfg.search_draws):
         step = rng.uniform(-cfg.search_radius, cfg.search_radius,
@@ -158,9 +161,18 @@ def _search_loop(x, delta, y, backbone, pann, cfg, rng):
         logits, _ = nn.forward(pann, (x + cand)[None])
         loss, _ = nn.loss_and_logit_grad(logits, np.array([y]),
                                          cfg.loss_kind)
+        if score is not None:
+            loss = float(score(np.array([loss]))[0])
         if best_loss is None or loss > best_loss:
             best, best_loss = cand, loss
     return best
+
+
+def _coarse(losses):
+    """Losses rounded to 0.05, so that candidates tie, and NaN wherever a
+    loss's fourth decimal is odd."""
+    odd = np.floor(losses * 1e4) % 2 == 1
+    return np.where(odd, np.nan, np.round(losses * 20) / 20)
 
 
 def _attack_loop(x, y, backbone, pann, cfg, seed=0):
@@ -229,6 +241,26 @@ class TestMatchesLoop:
                                     cfg, rng_b)
                 assert np.array_equal(got, want), s
                 assert rng_a.random() == rng_b.random()
+
+    def test_ties_and_nans_keep_the_loop_rule(self, backbone, pann,
+                                              composite_pann, monkeypatch):
+        # the search sees coarse losses; the reference loop coarsens its own
+        monkeypatch.setattr(attack, "nn", SimpleNamespace(**dict(
+            vars(nn), row_losses=lambda *a: (_coarse(
+                nn.row_losses(*a)[0]), None))))
+        cfg = _cfg(search_radius=0.2)
+        picked = set()
+        for model in (pann, composite_pann):
+            for s in range(60):
+                delta = derive_rng(s, "delta").uniform(-EPS, EPS, size=2)
+                rng_a, rng_b = derive_rng(s, "a"), derive_rng(s, "a")
+                got = attack._random_search(ANCHOR, delta, LABEL, backbone,
+                                            model, cfg, rng_a)
+                want = _search_loop(ANCHOR, delta, LABEL, backbone, model,
+                                    cfg, rng_b, score=_coarse)
+                assert np.array_equal(got, want), s
+                picked.add(np.array_equal(got, delta))
+        assert picked == {True, False}  # some iterates kept, some replaced
 
     def test_attack_same_outcome_and_trace(self, backbone, pann,
                                            composite_pann):

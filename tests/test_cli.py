@@ -4,6 +4,10 @@ re-runs, dotted-path config diagnostics, and byte-identical record files."""
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +535,21 @@ class TestExit2BeforeTraining:
                      "--workers")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("arch", ["mlp:x", "cnn:", "rnn:3"])
+    def test_bad_arch_exits_before_loading(self, tmp_path, capsys,
+                                           monkeypatch, arch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dataset loaded for a malformed arch")
+        monkeypatch.setattr(datasets, "load_dataset", boom)
+        records_csv = tmp_path / "r.csv"
+        for command, doc in (("train", {"epochs": 1}),
+                             ("perturb-exp", {"wds": [0.0], "betas": [8]})):
+            cfg = write_config(tmp_path / "c.json",
+                               dict(doc, arch=arch, dataset=BLOBS))
+            self._expect(capsys, [command, "--config", cfg, "--records",
+                                  records_csv], "config.arch: ", repr(arch))
+        assert not records_csv.exists()
+
     def test_config_values(self, tmp_path, capsys, no_training):
         base = {"arch": "mlp:8", "dataset": BLOBS}
         sweep = {"wds": [0.0], "seeds": [0], "betas": [6]}
@@ -871,6 +890,48 @@ class TestAttackCli:
                         "--seeds", 1, "--max-iters", 0)
         assert code == 1
         assert not all(s["success"] for s in doc["samples"])
+
+
+class TestImports:
+    # what a command that neither sweeps nor attacks must not load; nor
+    # must loading and certifying a stored chain need the Remez helpers
+    UNUSED = ["pannkit.sturdiness", "pannkit.records", "pannkit.attack",
+              "concurrent.futures", "numpy.polynomial"]
+    # prints, after importing the CLI and after each command, which of the
+    # modules in argv[1] are loaded
+    SCRIPT = """if True:
+        import json, sys
+        from pannkit import cli
+        unused, commands = json.loads(sys.argv[1])
+        loaded = [[m for m in unused if m in sys.modules]]
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            loaded.append([m for m in unused if m in sys.modules])
+        print(json.dumps(loaded))
+        """
+
+    def test_light_commands_load_no_engine(self, tmp_path, train_cfg):
+        net = nn.build_arch("mlp:16", (2,), 3, seed=0)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"network": nn.network_to_dict(net)}))
+        desc = tmp_path / "pann.json"
+        tf.save_pann_descriptor(tf.transform(net, tf.CompositeReLU(
+            build_appsgn(6, bound=5.0))), desc)
+        commands = [
+            ["eval-pann", "--model", model, "--config", train_cfg,
+             "--pann", desc],
+            ["transform", "--model", model, "--out", tmp_path / "t.json",
+             "--mode", "truncated"]]
+        argv = json.dumps([self.UNUSED, [list(map(str, c))
+                                         for c in commands]])
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, argv],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == [[], [], []]
 
 
 class TestDataDirEnv:

@@ -4,6 +4,8 @@ File-format cases are checked against hand-built byte strings so the reader
 is validated independently of the writer.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,43 @@ def _idx_bytes(magic, dims, payload: bytes) -> bytes:
     head = magic.to_bytes(4, "big")
     head += b"".join(int(d).to_bytes(4, "big") for d in dims)
     return head + payload
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:32]
+
+
+# sha256 prefixes of synthetic_digits(n, seed, noise) images by (n, noise,
+# seed) and of its labels by (n, seed), as the per-image gather built them
+# before the shifted-glyph table; an optimisation must keep every byte
+_DIGIT_IMAGES = {
+    (1800, 0.0, 0): "8d75e7f3c5bd35ea6335633910642d25",
+    (1800, 0.25, 0): "579970a74b107440c25a143eb24c3ce2",
+    (1800, 0.6, 0): "7c02bfd2047fe03794f06f454e05b5e8",
+    (64, 0.0, 0): "a9b45afbf4951c17d2d847abe84d2ec7",
+    (64, 0.25, 0): "d377ebb13e082e8b48328e02d799b667",
+    (64, 0.6, 0): "9cf1552d8a66ada4050cb9ddbc9ecc1c",
+    (7, 0.0, 0): "fdc4da5df4908ac9d9209a0975d86d61",
+    (7, 0.25, 0): "9539f947d1e45d8c5c2bc4f243f9161d",
+    (7, 0.6, 0): "d9e57d44324ee591d4b6b9cf81fd9696",
+    (1800, 0.0, 5): "e61816fb9ce68c72dd3998700e3a5203",
+    (1800, 0.25, 5): "711578432e5049eee6b6bda336aeaf8f",
+    (1800, 0.6, 5): "15daaaf538426638d5e6f0aeef0aae79",
+    (64, 0.0, 5): "b8d02e0738af66b8930c923159df7ccd",
+    (64, 0.25, 5): "6ff35e9895eee679ea04c86304fa0c97",
+    (64, 0.6, 5): "13338d2654d582acc9b1bf6f61770d35",
+    (7, 0.0, 5): "d9e8005e069fe53ce93d610cb0326c02",
+    (7, 0.25, 5): "100f01307a1afeafb2a2c7659b552891",
+    (7, 0.6, 5): "54b6575dd6fe1f759edf97d5f3532e6b",
+}
+_DIGIT_LABELS = {
+    (1800, 0): "fb3b376095bae655fe1ba920f1bec924",
+    (64, 0): "954e832429cdd5dfe8312e3df4222a84",
+    (7, 0): "bbfdcacd6b0b7d8a9dd191ce26882f0f",
+    (1800, 5): "2adf51da4e4d1ccd417172de2ad4cda4",
+    (64, 5): "75a9b6b0a5601d618f7c3218b2d5e0a9",
+    (7, 5): "a4df9219b748c25ef2dd9682f56bfbed",
+}
 
 
 class TestIdx:
@@ -182,6 +221,12 @@ class TestSynthetic:
             assert np.array_equal(img, want_img)
             assert np.array_equal(lab, want_lab)
 
+    def test_digits_pinned_digests(self):
+        for (n, noise, seed), want in _DIGIT_IMAGES.items():
+            img, lab = ds.synthetic_digits(n, seed, noise)
+            assert _sha(img) == want, (n, noise, seed)
+            assert _sha(lab) == _DIGIT_LABELS[n, seed], (n, seed)
+
     def test_digit_classes_distinct(self):
         # shift-searched cosine matched filter recovers the class; cosine
         # (not raw dot product) so nested glyphs like 0 inside 8 separate
@@ -239,6 +284,14 @@ class TestSpec:
                                              seed=2))
         norm = ds.load_dataset(spec)
         assert np.allclose(norm.x_train, (raw.x_train - 1.0) / 2.0)
+
+    def test_digits_load_pinned_digests(self):
+        data = ds.load_dataset(ds.DatasetSpec(
+            source="synthetic_digits", n=300, seed=3, noise=0.25,
+            train_fraction=0.8))
+        assert data.x_train.dtype == np.float64
+        assert _sha(data.x_train) == "cbed2526f46a35cc98e39fb8348e8e0a"
+        assert _sha(data.x_test) == "7400ae54fbaa4b32f25190b7d8ecce05"
 
     def test_label_range_guard(self):
         x = np.zeros((4, 2))

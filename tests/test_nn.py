@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pannkit import nn
 from pannkit.seeding import derive_rng
@@ -206,11 +208,58 @@ class TestLosses:
         p = np.exp([2.0, 1.0]) / np.exp([2.0, 1.0]).sum()
         assert loss == pytest.approx(-(0.7 * np.log(p[0]) + 0.3 * np.log(p[1])))
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 17), classes=st.integers(2, 10),
+           kind=st.sampled_from(nn.LOSS_KINDS), soft=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_losses_equal_single_row_loss(self, rows, classes, kind,
+                                              soft, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((rows, classes))
+        logits *= 10.0 ** rng.integers(-3, 4, size=logits.shape)
+        target = (rng.dirichlet(np.ones(classes), size=rows) if soft
+                  else rng.integers(0, classes, size=rows))
+        got, _ = nn.row_losses(logits, target, kind)
+        assert got.shape == (rows,)
+        want = [nn.loss_and_logit_grad(logits[i:i + 1], target[i:i + 1],
+                                       kind)[0] for i in range(rows)]
+        assert got.tolist() == want  # bit for bit, row by row
+
+    def test_unknown_loss_kind(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            nn.row_losses(np.zeros((1, 2)), np.array([0]), "hinge")
+
     def test_non_finite_loss_rejected(self):
         net = nn.Network((nn.Dense(np.array([[np.inf]]), np.zeros(1)),),
                          (1,), 1)
         with pytest.raises(nn.NonFiniteLossError):
             nn.backward(net, np.array([[1.0]]), np.array([[0.0]]), "mse")
+
+
+class TestArch:
+    def test_parse(self):
+        assert nn.parse_arch("mlp:256,256") == ("mlp", (256, 256), ())
+        assert nn.parse_arch("mlp:") == ("mlp", (), ())
+        assert nn.parse_arch("cnn:4,8+32") == ("cnn", (4, 8), (32,))
+        assert nn.parse_arch("cnn:6") == ("cnn", (6,), ())
+
+    @pytest.mark.parametrize("arch, match", [
+        ("mlp:x", "bad architecture string 'mlp:x'"),
+        ("mlp:8+4", "bad architecture string"),
+        ("mlp:0", "integers >= 1"), ("cnn:4+-2", "integers >= 1"),
+        ("cnn:", "a cnn needs a conv channel"),
+        ("cnn:+32", "a cnn needs a conv channel"),
+        ("rnn:3", "unknown architecture kind 'rnn'"),
+        ("", "unknown architecture kind ''")])
+    def test_bad_strings_rejected(self, arch, match):
+        with pytest.raises(ValueError, match=match):
+            nn.parse_arch(arch)
+        with pytest.raises(ValueError, match=match):
+            nn.build_arch(arch, (1, 28, 28), 10)
+
+    def test_input_too_small_names_the_string(self):
+        with pytest.raises(ValueError, match="bad architecture string"):
+            nn.build_arch("cnn:4,8", (1, 8, 8), 10)
 
 
 class TestGradients:
