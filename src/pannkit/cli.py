@@ -126,6 +126,17 @@ def _spec(cfg, cls, section):
                               if k not in ("arch", "dataset")}, "config")
 
 
+def _check_arch_fits(arch: str, data) -> None:
+    """Exit 2 when a cnn arch cannot take the dataset's samples (an mlp
+    flattens any shape), before any training or approximant build."""
+    if nn.parse_arch(arch)[0] != "cnn":
+        return
+    try:
+        nn.build_arch(arch, data.sample_shape, data.n_classes)
+    except ValueError as exc:
+        raise ConfigError(f"config.arch: {exc}")
+
+
 def _load_network(path) -> nn.Network:
     doc = _load_json(path, what="model")
     if isinstance(doc, dict) and "network" in doc:
@@ -176,6 +187,7 @@ def _cmd_train(args) -> int:
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = datasets.load_dataset(_dataset_spec(cfg))
+    _check_arch_fits(arch, data)
     chash = records.config_hash(dict(cfg, dataset=data.spec.key()))
     store = _open_store(args.records, records.RECORD_COLUMNS) \
         if args.records else None
@@ -334,6 +346,7 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"config.sweep.wds: expected exactly one wd for "
                           f"a beta sweep, got {list(spec.wds)}")
     data = datasets.load_dataset(_dataset_spec(cfg))
+    _check_arch_fits(arch, data)
     store = _open_store(args.records, spec.columns) if args.records else None
     run = dict(store=store, force=args.force, workers=args.workers)
     # looked up by name per call, so that wrappers installed on the module

@@ -146,7 +146,9 @@ def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Conv2d:
     """2-D convolution, stride 1, kernel of shape [F, C, kh, kw]. Forward
-    memory does not grow with N x patch size; backward holds all patches."""
+    memory does not grow with N x patch size; backward holds all patches,
+    and adds their gradients into the input gradient channels-last, in
+    (kh, kw) order, with no copy of them."""
 
     kernel: np.ndarray
     b: np.ndarray
@@ -191,14 +193,16 @@ class Conv2d:
         if not input_grad:
             return None, {"kernel": gk, "b": gb}
         gcols = self.kernel.reshape(f, -1).T @ gyf  # [N, C*kh*kw, OH*OW]
-        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-        gxp = np.zeros_like(xp)
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow).transpose(2, 3, 4, 5, 0, 1)
+        # scattered channels-last, [H, W, N, C], so that each (i, j) add
+        # runs over rows of OW*N*C contiguous values
+        gxp = np.zeros(xp.shape[2:] + xp.shape[:2], dtype=DTYPE)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
+                gxp[i:i + oh, j:j + ow] += gcols[i, j]
         ph, pw = (kh // 2, kw // 2) if self.padding == "same" else (0, 0)
-        gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
-        return gx, {"kernel": gk, "b": gb}
+        gx = gxp[ph:ph + x.shape[2], pw:pw + x.shape[3]].transpose(2, 3, 0, 1)
+        return np.ascontiguousarray(gx), {"kernel": gk, "b": gb}
 
     def params(self) -> dict:
         return {"kernel": self.kernel, "b": self.b}
@@ -225,18 +229,26 @@ class AvgPool:
             return x.reshape(n, c, h // p, p, w // p, p).mean(axis=(3, 5))
         # strided slice sums in the order numpy reduces a contiguous window:
         # each window row left to right, then the row sums top to bottom
-        total = None
+        total = np.empty((n, c, h // p, w // p), dtype=DTYPE)
+        row = np.empty_like(total)
         for i in range(p):
-            row = x[:, :, i::p, 0::p]
+            acc = row if i else total
+            np.copyto(acc, x[:, :, i::p, 0::p])
             for j in range(1, p):
-                row = row + x[:, :, i::p, j::p]
-            total = row if total is None else total + row
-        return total / (p * p)
+                np.add(acc, x[:, :, i::p, j::p], out=acc)
+            if i:
+                np.add(total, row, out=total)
+        return np.divide(total, p * p, out=total)
 
     def backward(self, x: np.ndarray, gy: np.ndarray):
         p = self.size
-        gx = np.repeat(np.repeat(gy, p, axis=2), p, axis=3) / (p * p)
-        return gx, {}
+        n, c, h, w = gy.shape
+        share = gy / (p * p)  # each entry of a window gets its share
+        gx = np.empty((n, c, h, p, w, p), dtype=DTYPE)
+        for i in range(p):
+            for j in range(p):
+                gx[:, :, :, i, :, j] = share
+        return gx.reshape(n, c, h * p, w * p), {}
 
     def params(self) -> dict:
         return {}
@@ -305,37 +317,53 @@ class Network:
         return replace(self, layers=tuple(layers))
 
 
-def _run_layers(net: Network, x: np.ndarray, act_hook=None):
-    """Forward pass keeping per-layer input caches for backprop.
+def _flat_add(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a with v added at the flat (C-order) indices idx; in place when a is
+    contiguous."""
+    flat = a.reshape(-1)
+    flat[idx] += v
+    return flat.reshape(a.shape)
 
-    ``act_hook(slot_index, z) -> (delta, ddelta_dz) | (None, None)`` adds a
-    training-time adjustment to the activation output: the slot computes
-    ``mode.apply(z) + delta`` and the backward pass adds ``gy * ddelta_dz``
-    to the chain through the slot.
+
+def _run_layers(net: Network, x: np.ndarray, act_hook=None, caches=None,
+                trace=None):
+    """Forward pass; returns ``(logits, adjust)``.
+
+    ``caches``, when given, receives each layer's input for backprop, and
+    ``trace`` the pre-activation entering each activation slot. Without
+    them every intermediate is freed once the next layer has read it.
+
+    ``act_hook(slot_index, z) -> (indices, factors) | (None, None)`` adds a
+    sparse training-time adjustment to the slot's output: the slot computes
+    ``mode.apply(z)`` plus ``factors * z`` at the flat indices, and the
+    backward pass adds ``gy * factors`` there to the chain through the slot.
+    ``adjust`` maps each adjusted slot to its ``(indices, factors)``.
     """
     if x.ndim != len(net.input_shape) + 1 or x.shape[1:] != tuple(net.input_shape):
         raise ShapeError(-1, f"input {x.shape[1:]} != expected {tuple(net.input_shape)}")
-    caches: list[np.ndarray] = []
-    adjust: dict[int, np.ndarray] = {}
-    trace: list[np.ndarray] = []
+    adjust: dict[int, tuple] = {}
     h = np.asarray(x, dtype=DTYPE)
     for i, layer in enumerate(net.layers):
-        delta = None
-        if isinstance(layer, Activation):
-            trace.append(h)
-            if act_hook is not None:
-                delta, dd = act_hook(i, h)
-        caches.append(h)
+        z = h
+        if caches is not None:
+            caches.append(z)
         try:
-            h = layer.forward(h)
+            h = layer.forward(z)
         except ValueError as exc:
             raise ShapeError(i, str(exc)) from exc
         except IntervalOverflowError as exc:
             raise IntervalOverflowError(f"layers[{i}]: {exc}") from exc
-        if delta is not None:
-            h = h + delta
-            adjust[i] = dd
-    return h, caches, adjust, trace
+        if not isinstance(layer, Activation):
+            continue
+        if trace is not None:
+            trace.append(z)
+        idx, f = act_hook(i, z) if act_hook is not None else (None, None)
+        if idx is not None:
+            if np.may_share_memory(h, z):  # a mode may hand back its input
+                h = h.copy()
+            h = _flat_add(h, idx, f * z.reshape(-1)[idx])
+            adjust[i] = idx, f
+    return h, adjust
 
 
 def forward(net: Network, x: np.ndarray):
@@ -345,13 +373,18 @@ def forward(net: Network, x: np.ndarray):
     entering each activation slot, in layer order. Pure: repeated calls give
     identical results.
     """
-    logits, _, _, trace = _run_layers(net, x)
+    trace: list[np.ndarray] = []
+    logits, _ = _run_layers(net, x, trace=trace)
     return logits, trace
 
 
+def infer(net: Network, x: np.ndarray) -> np.ndarray:
+    """The logits of ``forward``, keeping no trace."""
+    return _run_layers(net, x)[0]
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(net, x)
-    return np.argmax(logits, axis=1)
+    return np.argmax(infer(net, x), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +422,8 @@ def _backprop(net: Network, x: np.ndarray, target: np.ndarray, kind: str,
     """Reverse pass. Without ``input_grad`` it stops at the first layer with
     parameters and asks that layer for its parameter gradients only; the
     layers below it have none, and dL/dx is not needed."""
-    logits, caches, adjust, _ = _run_layers(net, x, act_hook)
+    caches: list[np.ndarray] = []
+    logits, adjust = _run_layers(net, x, act_hook, caches=caches)
     loss, g = loss_and_logit_grad(logits, target, kind)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"non-finite loss {loss!r}")
@@ -406,7 +440,8 @@ def _backprop(net: Network, x: np.ndarray, target: np.ndarray, kind: str,
         else:
             g, pg = net.layers[i].backward(caches[i], g)
         if i in adjust:
-            g = g + gy * adjust[i]
+            idx, f = adjust[i]
+            g = _flat_add(g, idx, gy.reshape(-1)[idx] * f)
         grads[i] = pg
     return grads, g, loss, logits
 
@@ -551,6 +586,9 @@ def build_cnn(input_shape, conv_channels, n_classes, seed=0,
               kernel=5, pool=2, dense_hidden=()) -> Network:
     """Conv/ReLU/AvgPool stack followed by dense layers."""
     rng = derive_rng(seed, "init")
+    if len(input_shape) != 3:
+        raise ValueError(f"a cnn needs [C, H, W] samples, got sample shape "
+                         f"{tuple(input_shape)}")
     c, h, w = (int(s) for s in input_shape)
     layers: list = []
     for f in conv_channels:

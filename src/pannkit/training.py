@@ -110,8 +110,15 @@ def mixup_batch(x, x2, y, y2, lam: float):
 # most-negative-entry noise
 
 
-def _ngnv_draw(z: np.ndarray, cfg: NgnvConfig, rng):
-    """Flat indices of the selected entries and their lambda_n*s factors."""
+def ngnv_output_adjustment(z: np.ndarray, cfg: NgnvConfig, rng):
+    """The training hook's sparse adjustment of one slot: the flat indices
+    of the selected entries, most negative first, and their factors
+    lambda_n*s, or (None, None) when nothing is selected.
+
+    The slot adds lambda_n*s*z on those entries, so d(output)/dz gains
+    lambda_n*s there: the selected units leak a scaled copy of their
+    negative input to the next layer and receive matching gradient.
+    """
     flat = z.ravel()
     neg = np.flatnonzero(flat < 0)
     if neg.size == 0 or not cfg.enabled:
@@ -135,30 +142,14 @@ def _ngnv_draw(z: np.ndarray, cfg: NgnvConfig, rng):
     return chosen, cfg.noise_scale * s
 
 
-def ngnv_output_adjustment(z: np.ndarray, cfg: NgnvConfig, rng):
-    """Activation-output delta and its derivative for the training hook.
-
-    delta = lambda_n*s*z on the selected entries (zero elsewhere), so
-    d(delta)/dz = lambda_n*s there: the selected units leak a scaled copy of
-    their negative input to the next layer and receive matching gradient.
-    """
-    chosen, f = _ngnv_draw(z, cfg, rng)
-    if chosen is None:
-        return None, None
-    delta = np.zeros_like(z)
-    dd = np.zeros_like(z)
-    delta.ravel()[chosen] = f * z.ravel()[chosen]
-    dd.ravel()[chosen] = f
-    return delta, dd
-
-
 # ---------------------------------------------------------------------------
 # evaluation and the epoch loop
 
 
 def evaluate(net: nn.Network, x: np.ndarray, y: np.ndarray, *,
              loss_kind: str = "cross_entropy", batch_size: int = 512):
-    """(mean loss, accuracy) over the full set; deterministic, no noise."""
+    """(mean loss, accuracy) over the full set; deterministic, no noise.
+    Batches run through ``nn.infer``, which keeps no layer caches."""
     n = len(x)
     if n == 0:
         raise ValueError("empty evaluation set")
@@ -166,7 +157,7 @@ def evaluate(net: nn.Network, x: np.ndarray, y: np.ndarray, *,
     correct = 0
     for s in range(0, n, batch_size):
         xb, yb = x[s:s + batch_size], y[s:s + batch_size]
-        logits, _ = nn.forward(net, xb)
+        logits = nn.infer(net, xb)
         loss, _ = nn.loss_and_logit_grad(logits, yb, loss_kind)
         loss_sum += loss * len(xb)
         correct += int((np.argmax(logits, axis=1) == yb).sum())

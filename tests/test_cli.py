@@ -550,6 +550,28 @@ class TestExit2BeforeTraining:
                                   records_csv], "config.arch: ", repr(arch))
         assert not records_csv.exists()
 
+    @pytest.mark.parametrize("arch, dataset, detail", [
+        ("cnn:4", BLOBS, "a cnn needs [C, H, W] samples"),
+        ("cnn:4,4,4,4,4", {"source": "synthetic_digits", "n": 40},
+         "input too small for the conv stack")])
+    def test_arch_that_does_not_fit_the_data(self, tmp_path, capsys,
+                                             monkeypatch, no_training, arch,
+                                             dataset, detail):
+        def boom(*args, **kwargs):
+            raise AssertionError("an approximant was built for a bad arch")
+        monkeypatch.setattr(sd, "build_appsgn", boom)
+        records_csv = tmp_path / "r.csv"
+        sweep = {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}
+        for command, doc in (("train", {"epochs": 1}),
+                             ("sweep-wd", {"sweep": sweep})):
+            cfg = write_config(tmp_path / "c.json",
+                               dict(doc, arch=arch, dataset=dataset))
+            self._expect(capsys, [command, "--config", cfg, "--records",
+                                  records_csv],
+                         f"config error: config.arch: bad architecture "
+                         f"string {arch!r}: ", detail)
+        assert not records_csv.exists()
+
     def test_config_values(self, tmp_path, capsys, no_training):
         base = {"arch": "mlp:8", "dataset": BLOBS}
         sweep = {"wds": [0.0], "seeds": [0], "betas": [6]}

@@ -87,6 +87,16 @@ class TestTruncationSign:
             want = fp.NONNEGATIVE if raw >= 0 else fp.NEGATIVE
             assert got == want, raw
 
+    @pytest.mark.parametrize("lx", [4, 6, 8])
+    def test_vectorized_exhaustive_matches_sign_bit(self, lx):
+        """Every raw value through the array simulation that TruncatedReLU
+        runs: nonnegative exactly where the sign bit is clear."""
+        f = fp.FixedPointFormat(lx)
+        raw = np.arange(f.raw_min, f.raw_max + 1, dtype=np.int64)
+        got = fp._nonneg_by_shifts(raw, f)
+        assert got.shape == raw.shape
+        assert np.array_equal(got, raw >= 0)
+
     @given(st.integers(min_value=4, max_value=16).filter(lambda v: v % 2 == 0),
            st.integers())
     @settings(max_examples=200, deadline=None)

@@ -60,6 +60,35 @@ def im2col_forward(layer, x):
     return out.reshape(n, f, oh, ow) + layer.b[None, :, None, None]
 
 
+def col2im_input_grad(layer, x, gy):
+    """Reference conv input gradient: the patch gradients added back
+    sample- and channel-major, one (i, j) kernel offset at a time."""
+    f, c, kh, kw = layer.kernel.shape
+    pad = (kh // 2, kw // 2) if layer.padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad[0],) * 2, (pad[1],) * 2))
+    n, _, oh, ow = gy.shape
+    gcols = layer.kernel.reshape(f, -1).T @ gy.reshape(n, f, oh * ow)
+    gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
+    return gxp[:, :, pad[0]:pad[0] + x.shape[2], pad[1]:pad[1] + x.shape[3]]
+
+
+def avgpool_reference(x, gy, p):
+    """Forward as separate strided slice sums, each window row left to
+    right, then the row sums top to bottom; backward as a repeat of gy."""
+    total = None
+    for i in range(p):
+        row = x[:, :, i::p, 0::p]
+        for j in range(1, p):
+            row = row + x[:, :, i::p, j::p]
+        total = row if total is None else total + row
+    gx = np.repeat(np.repeat(gy, p, axis=2), p, axis=3) / (p * p)
+    return total / (p * p), gx
+
+
 class TestForward:
     def test_dense_matches_loop_oracle(self):
         """Vectorized dense forward equals an explicit per-element loop."""
@@ -149,6 +178,39 @@ class TestForward:
         want = x.reshape(n, 3, 4, p, 2, p).mean(axis=(3, 5))
         assert np.array_equal(nn.AvgPool(p).forward(x), want)
 
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_avgpool_bit_identical_to_old_formulas(self, p, n, oh, ow, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2, oh * p, ow * p))
+        x *= 10.0 ** rng.integers(-4, 4, size=x.shape)  # mixed magnitudes
+        gy = rng.standard_normal((n, 2, oh, ow))
+        want_y, want_gx = avgpool_reference(x, gy, p)
+        layer = nn.AvgPool(p)
+        y = layer.forward(x)
+        gx, _ = layer.backward(x, gy)
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.shape == x.shape and gx.tobytes() == want_gx.tobytes()
+        assert not np.shares_memory(y, x)  # p = 1 too
+        assert not np.shares_memory(gx, gy)
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    def test_conv_input_grad_bit_identical_to_col2im(self, n, c, padding):
+        hw, f = (28, 4) if c == 1 else (12, 8)
+        rng = np.random.default_rng(10 * n + c)
+        layer = nn.Conv2d(rng.standard_normal((f, c, 5, 5)),
+                          rng.standard_normal(f), padding=padding)
+        x = rng.standard_normal((n, c, hw, hw))
+        gy = rng.standard_normal(layer.forward(x).shape)
+        gy *= 10.0 ** rng.integers(-4, 4, size=gy.shape)
+        gx, _ = layer.backward(x, gy)
+        want = col2im_input_grad(layer, x, gy)
+        assert gx.shape == x.shape
+        assert gx.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_relu_subgradient_zero_at_zero(self):
         mode = nn.ExactReLU()
         z = np.array([-1.0, 0.0, 2.0])
@@ -171,6 +233,16 @@ class TestForward:
         np.testing.assert_array_equal(a1, a2)
         for u, v in zip(t1, t2):
             np.testing.assert_array_equal(u, v)
+
+    def test_infer_is_forward_without_trace(self):
+        net = nn.build_cnn((1, 8, 8), [2], 3, seed=3, kernel=3, pool=2)
+        x = np.random.default_rng(1).normal(size=(4, 1, 8, 8))
+        logits, _ = nn.forward(net, x)
+        assert nn.infer(net, x).tobytes() == logits.tobytes()
+        assert np.array_equal(nn.predict(net, x), np.argmax(logits, axis=1))
+        with pytest.raises(nn.ShapeError) as exc:
+            nn.infer(net, np.zeros((2, 1, 7, 8)))
+        assert exc.value.layer_index == -1
 
     def test_shape_mismatch_names_layer(self):
         net = nn.build_mlp((4,), [5], 3, seed=2)

@@ -2,6 +2,7 @@
 selection rules, gradient leak-through, and trajectory determinism.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,10 +27,31 @@ def nets_equal(a, b) -> bool:
         for (ia, ka, va), (ib, kb, vb) in zip(pa, pb))
 
 
+def densify(z, adjustment):
+    """The dense (delta, d delta / dz) of the hook's sparse (indices,
+    factors): delta = factors * z at those flat indices, zero elsewhere."""
+    idx, f = adjustment
+    delta, dd = np.zeros_like(z), np.zeros_like(z)
+    if idx is not None:
+        delta.ravel()[idx] = f * z.ravel()[idx]
+        dd.ravel()[idx] = f
+    return delta, dd
+
+
 def perturbed(z, cfg, rng):
     """z plus the training hook's output adjustment."""
-    delta, _ = tr.ngnv_output_adjustment(z, cfg, rng)
-    return z if delta is None else z + delta
+    adjustment = tr.ngnv_output_adjustment(z, cfg, rng)
+    return z if adjustment[0] is None else z + densify(z, adjustment)[0]
+
+
+class Identity:
+    """An activation mode that hands back its input array."""
+
+    def apply(self, z):
+        return z
+
+    def grad(self, z):
+        return np.ones_like(z)
 
 
 def epoch_metrics(out, data):
@@ -177,7 +199,8 @@ class TestNgnv:
                 z.flat[rng.choice(z.size, 4, replace=False)] = -np.inf
             elif decimals is not None:
                 z = np.round(z, decimals)  # heavy ties
-            got = tr._ngnv_draw(z, cfg, np.random.default_rng(seed))
+            got = tr.ngnv_output_adjustment(z, cfg,
+                                            np.random.default_rng(seed))
             want = reference(z, cfg, np.random.default_rng(seed))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -194,9 +217,11 @@ class TestNgnv:
     def test_output_adjustment_matches_perturb_delta(self):
         z = np.random.default_rng(5).standard_normal((2, 6))
         cfg = tr.NgnvConfig(r=0.5, noise_scale=0.1)
-        delta, dd = tr.ngnv_output_adjustment(z, cfg, np.random.default_rng(9))
+        delta, dd = densify(z, tr.ngnv_output_adjustment(
+            z, cfg, np.random.default_rng(9)))
         # the perturbation of the same draw: lambda_n*s*z added in place
-        chosen, f = tr._ngnv_draw(z, cfg, np.random.default_rng(9))
+        chosen, f = tr.ngnv_output_adjustment(z, cfg,
+                                              np.random.default_rng(9))
         zt = z.copy()
         zt.ravel()[chosen] += f * zt.ravel()[chosen]
         assert np.allclose(z + delta, zt)
@@ -204,6 +229,43 @@ class TestNgnv:
         touched = delta != 0
         assert np.allclose(dd[touched], delta[touched] / z[touched])
         assert np.all(dd[~touched] == 0)
+        # a hooked slot outputs its activation plus exactly that delta
+        slot = nn.Network((nn.Activation(nn.ExactReLU()),), (6,), 6)
+        rng = np.random.default_rng(9)
+        out, _ = nn._run_layers(slot, z, lambda s, u:
+                                tr.ngnv_output_adjustment(u, cfg, rng))
+        assert out.tobytes() == (np.maximum(z, 0.0) + delta).tobytes()
+
+    @pytest.mark.parametrize("mode", [nn.ExactReLU(), Identity()])
+    def test_hooked_backward_is_pure(self, mode):
+        # the adjustment is added into the slot's own output and gradient:
+        # the input, the parameters and the pre-activation stay unchanged,
+        # also under a mode that hands back its input
+        net = nn.build_mlp((3,), (6,), 2, seed=2)
+        net = net.replace_layer(1, nn.Activation(mode))
+        x = np.random.default_rng(6).standard_normal((5, 3))
+        y = np.array([0, 1, 1, 0, 1])
+        before = [w.copy() for _, _, w in params_of(net)]
+        x0 = x.copy()
+        seen = []
+        cfg = tr.NgnvConfig(r=1.0, noise_scale=0.5)
+        rng = np.random.default_rng(1)
+
+        def hook(slot, z):
+            seen.append((z, z.copy()))
+            return tr.ngnv_output_adjustment(z, cfg, rng)
+
+        grads, _ = nn.backward(net, x, y, act_hook=hook)
+        assert np.array_equal(x, x0)
+        assert all(np.array_equal(w, b)
+                   for (_, _, w), b in zip(params_of(net), before))
+        assert len(seen) == 1 and np.array_equal(*seen[0])
+        assert np.any(seen[0][1] < 0)  # something was adjusted
+        fresh, _ = nn.backward(net, x, y, act_hook=lambda s, z:
+                               tr.ngnv_output_adjustment(
+                                   z, cfg, np.random.default_rng(1)))
+        assert all(np.array_equal(g[k], f[k])
+                   for g, f in zip(grads, fresh) for k in g)
 
     def test_selected_negative_units_get_gradient(self):
         # One dense layer into a ReLU slot with all-negative inputs: the
@@ -385,3 +447,42 @@ class TestTrain:
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         tr.train(net, blobs, self.SGD, epochs=1, seed=1)
         assert self.SGD.velocities == {} and self.SGD.epoch == 0
+
+
+# sha256 of the final parameters, and of every snapshot's evaluate tuples
+# at batch sizes 40 and 512, of a short digits cnn:4,8+32 NGNV run (96
+# train / 96 test samples, 2 epochs, batch 32, r 0.3), alone and with
+# mixup. Taken before the NGNV hook became sparse and evaluate cache-free;
+# both changes keep every byte.
+HOT_LOOP_DIGESTS = {
+    "ngnv": ("ecfde0d27559252e7980c93be189dbf35bdd1594cf6c19f67699170c5036c8f6",
+             "71a3ecd51bead56f28a23a1ff7b06c761825210a7f0103c66730b2f074e46f70"),
+    "mixup+ngnv": (
+        "7bb7f3a2332a93cfc0637c549ad8ac6df6c99c1bfbe61df13e4b750177e1cdc1",
+        "f8d1967eed638386c96bc55fcb48efab96a849667ae502a0b7b59b6d87b0d9a0"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(HOT_LOOP_DIGESTS))
+def test_cnn_hot_loop_bytes_pinned(method):
+    data = pd.load_dataset(pd.DatasetSpec(
+        source="synthetic_digits", n=192, seed=4, noise=0.25,
+        train_fraction=0.5))
+    net = nn.build_arch("cnn:4,8+32", data.sample_shape, data.n_classes, 0)
+    out = tr.train(net, data, nn.SgdState(lr=0.05, momentum=0.9,
+                                          weight_decay=1e-3),
+                   epochs=2, batch_size=32, seed=1,
+                   mixup=tr.MixupConfig() if "mixup" in method else None,
+                   ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05),
+                   snapshot_epochs=(1, 2))
+    params = hashlib.sha256()
+    for layer in out.net.layers:
+        for _, w in sorted(layer.params().items()):
+            params.update(w.tobytes())
+    evals = hashlib.sha256()
+    for _, snap in sorted(out.snapshots.items()):
+        for batch_size in (40, 512):
+            loss, acc = tr.evaluate(snap, data.x_test, data.y_test,
+                                    batch_size=batch_size)
+            evals.update(f"{loss.hex()} {acc.hex()};".encode())
+    assert (params.hexdigest(), evals.hexdigest()) == HOT_LOOP_DIGESTS[method]
