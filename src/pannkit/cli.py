@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_.add_argument("--safety", type=float, default=1.2)
     tr_.add_argument("--max-stage-degree", type=int, default=15)
     tr_.add_argument("--overflow", default="clamp_to_B",
-                     choices=("clamp_to_B", "widen_and_recertify", "error"))
+                     choices=tf.OVERFLOW_POLICIES)
     tr_.add_argument("--sign-filter", default="all", choices=SIGN_FILTERS)
     tr_.add_argument("--inj-mode", default="uniform_random",
                      choices=INJECTION_MODES)

@@ -94,17 +94,6 @@ def read_idx(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims).copy()
 
 
-def write_idx(path, array: np.ndarray) -> None:
-    """Write a uint8 array as an IDX file (1 axis: labels, 3 axes: images)."""
-    a = np.ascontiguousarray(array, dtype=np.uint8)
-    if a.ndim not in (1, 3):
-        raise ValueError(f"IDX writer supports 1 or 3 axes, got {a.ndim}")
-    magic = (0x08 << 8) | a.ndim
-    head = magic.to_bytes(4, "big")
-    head += b"".join(int(d).to_bytes(4, "big") for d in a.shape)
-    Path(path).write_bytes(head + a.tobytes())
-
-
 def _paired_idx(images_path, labels_path):
     images = read_idx(images_path)
     labels = read_idx(labels_path)
@@ -224,8 +213,7 @@ def synthetic_moons(n: int, noise: float, seed: int):
 
 # ---------------------------------------------------------------------------
 # synthetic digits: a deterministic stand-in for handwritten-digit files.
-# Seven-segment glyphs with random shift, brightness jitter and pixel noise;
-# written through write_idx so the IDX loader path is exercised end to end.
+# Seven-segment glyphs with random shift, brightness jitter and pixel noise.
 
 _SEGMENTS = {
     # (row0, row1, col0, col1) on a 20x14 glyph box
@@ -277,18 +265,6 @@ def synthetic_digits(n: int, seed: int, noise: float = 0.1):
     np.clip(images, 0.0, 1.0, out=images)
     images *= 255.0
     return np.round(images, out=images).astype(np.uint8), y
-
-
-def write_digit_idx_dataset(data_dir, n_train: int, n_test: int,
-                            seed: int = 0) -> None:
-    """Materialize synthetic digits under the standard IDX file names."""
-    d = Path(data_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    img, lab = synthetic_digits(n_train + n_test, seed)
-    write_idx(d / MNIST_FILES["train_images"], img[:n_train])
-    write_idx(d / MNIST_FILES["train_labels"], lab[:n_train])
-    write_idx(d / MNIST_FILES["test_images"], img[n_train:])
-    write_idx(d / MNIST_FILES["test_labels"], lab[n_train:])
 
 
 # ---------------------------------------------------------------------------

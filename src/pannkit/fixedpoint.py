@@ -16,9 +16,6 @@ import numpy as np
 
 from .polyapprox import check_number
 
-NONNEGATIVE = "nonnegative"
-NEGATIVE = "negative"
-
 
 @dataclass(frozen=True)
 class FixedPointFormat:
@@ -36,10 +33,6 @@ class FixedPointFormat:
         return self.total_bits // 2
 
     @property
-    def int_bits(self) -> int:
-        return self.total_bits // 2
-
-    @property
     def raw_min(self) -> int:
         return -(1 << (self.total_bits - 1))
 
@@ -52,49 +45,16 @@ class FixedPointFormat:
         return 1 << self.frac_bits
 
 
-@dataclass(frozen=True)
-class FixedValue:
-    raw: int
-    fmt: FixedPointFormat
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-    @property
-    def complement_code(self) -> int:
-        """The raw pattern as an unsigned l_x-bit word."""
-        return self.raw & ((1 << self.fmt.total_bits) - 1)
-
-
-def quantize(x: float, fmt: FixedPointFormat) -> FixedValue:
-    """Truncation quantizer: floor(x * 2^f), saturating at the raw range."""
-    raw = int(np.floor(float(x) * fmt.scale))
-    raw = min(max(raw, fmt.raw_min), fmt.raw_max)
-    return FixedValue(raw=raw, fmt=fmt)
-
-
 def quantize_array(x: np.ndarray, fmt: FixedPointFormat):
-    """Vectorized quantizer: the raw int64 array, saturating like quantize."""
+    """Truncation quantizer: the raw int64 array floor(x * 2^f), saturating
+    at the raw range."""
     scaled = np.floor(np.asarray(x, dtype=np.float64) * fmt.scale)
     return np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
 
 
-def truncation_shares(v: FixedValue) -> list[int]:
-    """The l_x logical right shifts of the complement code."""
-    u = v.complement_code
-    return [u >> k for k in range(v.fmt.total_bits)]
-
-
-def truncation_sign(v: FixedValue) -> str:
-    """Sign from shifts alone: nonnegative iff some share equals 0."""
-    if any(s == 0 for s in truncation_shares(v)):
-        return NONNEGATIVE
-    return NEGATIVE
-
-
 def _nonneg_by_shifts(raw: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Vectorized share simulation over an int64 raw array."""
+    """Nonnegative where some logical right shift of the raw's complement
+    code, by 0 .. l_x - 1, is 0 (raw is an int64 array)."""
     mask = (1 << fmt.total_bits) - 1
     u = raw & mask
     nonneg = np.zeros(u.shape, dtype=bool)

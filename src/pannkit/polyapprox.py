@@ -347,34 +347,6 @@ def _select_reference(xs: np.ndarray, errs: np.ndarray, n_ref: int):
     return np.array(xs), np.array(errs)
 
 
-def count_alternations(poly: Polynomial, target, interval, max_error: float,
-                       tol: float, grid_size: int = 20001) -> int:
-    """Number of sign-alternating error extrema with |err| within tol of
-    max_error."""
-    a, b = interval
-    if target == SGN_POSITIVE_BRANCH:
-        f = lambda x: np.sign(x)
-    else:
-        f = target
-    grid = _fit_grid((a, b), a > 0, grid_size)
-    err = poly(grid) - np.asarray(f(grid), dtype=float)
-    idx = _alternating_extrema(grid, err)
-    good = [i for i in idx
-            if abs(abs(err[i]) - max_error) <= tol * max(max_error, 1e-300)]
-    # count the longest alternating run among qualifying extrema
-    count, best, prev_sign = 0, 0, 0.0
-    for i in idx:
-        s = math.copysign(1.0, err[i])
-        qualifies = i in set(good)
-        if qualifies:
-            count = count + 1 if s != prev_sign else 1
-            prev_sign = s
-            best = max(best, count)
-        else:
-            count, prev_sign = 0, 0.0
-    return best
-
-
 # ---------------------------------------------------------------------------
 # composite sign approximation
 
@@ -420,21 +392,17 @@ class CompositeSgnApprox:
             if not p.is_odd():
                 raise ValueError("chain stages must be odd polynomials")
 
-    def eval(self, z, scale=None):
-        """The chain at z / scale; scale defaults to B. The certificate holds
-        at any scale B' >= B (a scalar, or an array broadcasting against z),
-        with the uncertified band widened to |z| < eps0 * B' / B."""
-        u = np.asarray(z, dtype=np.float64) / (self.bound if scale is None
-                                                else scale)
+    def eval(self, z):
+        """The chain at z / B."""
+        u = np.asarray(z, dtype=np.float64) / self.bound
         for p in self.chain:
             u = p(u)
         return u if np.ndim(z) else float(u)
 
-    def eval_with_derivative(self, z, scale=None):
-        """Chain value and d/dz, both elementwise, at the scale of eval."""
-        scale = self.bound if scale is None else scale
-        u = np.asarray(z, dtype=np.float64) / scale
-        du = np.ones_like(u) / scale
+    def eval_with_derivative(self, z):
+        """Chain value and d/dz, both elementwise, at z / B."""
+        u = np.asarray(z, dtype=np.float64) / self.bound
+        du = np.ones_like(u) / self.bound
         for p in self.chain:
             du = du * p.derivative()(u)
             u = p(u)

@@ -20,32 +20,31 @@ from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
                          approx_to_json, build_appsgn, check_injection,
                          check_number, _filter_mask, _injection_errors)
 
-OVERFLOW_POLICIES = ("clamp_to_B", "widen_and_recertify", "error")
+OVERFLOW_POLICIES = ("clamp_to_B", "error")
 
 
 @dataclass
 class IntervalPolicy:
     """What to do when a pre-activation falls outside the certified [-B, B].
 
-    clamp_to_B clips the sign-approximant argument; widen_and_recertify runs
-    each out-of-range sample (index along axis 0) at its own scale
-    B' = 1.2 max|z| of that sample, which needs no new certificate because
-    the certificate lives on the unit domain; error aborts deterministically.
-    Every policy is a pure function of the batch it is given.
+    clamp_to_B clips the sign-approximant argument to +-B, where the chain
+    reads s(+-1), which the certificate covers; error aborts
+    deterministically. Every policy is a pure function of the batch it is
+    given.
     """
 
     overflow: str = "clamp_to_B"
 
     def __post_init__(self):
         if self.overflow not in OVERFLOW_POLICIES:
-            raise ValueError(f"overflow must be one of {OVERFLOW_POLICIES}")
+            raise ValueError(f"overflow must be one of {OVERFLOW_POLICIES}, "
+                             f"got {self.overflow!r}")
 
 
 class CompositeReLU:
     """Certified smooth ReLU: (z + z * appsgn(z)) / 2 with interval policy.
 
-    The approximant's certificate lives on the unit domain, so a scale B'
-    above its bound B reuses it; the mode never changes after construction.
+    The mode never changes after construction.
     """
 
     name = "composite_relu"
@@ -55,35 +54,29 @@ class CompositeReLU:
         self.approx = approx  # its construction demands a passing certificate
         self.policy = policy or IntervalPolicy()
 
-    def _admit(self, z: np.ndarray):
-        """(z as the chain reads it, the scale it reads z at, and the
-        per-sample max |z| when samples are widened, else None)."""
+    def _admit(self, z: np.ndarray) -> np.ndarray:
+        """z as the chain reads it: clipped to the certified [-B, B]."""
         b = self.approx.bound
         if not (np.abs(z) > b).any():
-            return z, None, None
+            return z
         if self.policy.overflow == "error":
             worst = float(np.max(np.abs(z)))
             raise IntervalOverflowError(
                 f"|z| reached {worst:.6g} > certified bound {b:.6g}")
-        if self.policy.overflow == "widen_and_recertify":
-            m = np.max(np.abs(z), axis=tuple(range(1, np.ndim(z))),
-                       keepdims=True)
-            return z, np.where(m > b, 1.2 * m, b), m
-        return np.clip(z, -b, b), None, None
+        return np.clip(z, -b, b)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        zc, scale, _ = self._admit(z)
-        s = self.approx.eval(zc, scale)
+        # zc stays alive to the return: which heap holes this slot's
+        # temporaries land in sets a sweep's peak RSS
+        zc = self._admit(z)
+        s = self.approx.eval(zc)
         return (z + z * s) / 2.0
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        zc, scale, m = self._admit(z)
-        s, ds = self.approx.eval_with_derivative(zc, scale)
-        # the chain's argument moves with z except where z is clipped to
-        # +-B, and at a widened sample's max |z|, where z / B' stays +-1/1.2
+        zc = self._admit(z)
+        s, ds = self.approx.eval_with_derivative(zc)
+        # the chain's argument moves with z except where z is clipped to +-B
         inside = np.abs(z) <= self.approx.bound
-        if m is not None:
-            inside |= np.abs(z) < m
         return (1.0 + s + z * ds * inside) / 2.0
 
     def descriptor(self) -> dict:
@@ -189,23 +182,6 @@ class PartialReplaceReLU:
 
     def __repr__(self):
         return f"PartialReplaceReLU(c={self.c}, binarized={self.binarized})"
-
-
-def replacement_error(g_val, p_val, c: float, binarized_choice: str):
-    """Error committed by binarizing the mixed slot.
-
-    Rounding the mix to the true ReLU leaves (1-c)(g - p); rounding to the
-    polynomial leaves c(p - g).
-    """
-    g_val = np.asarray(g_val, dtype=np.float64)
-    p_val = np.asarray(p_val, dtype=np.float64)
-    if binarized_choice == "g":
-        out = (1.0 - c) * (g_val - p_val)
-    elif binarized_choice == "p":
-        out = c * (p_val - g_val)
-    else:
-        raise ValueError("binarized_choice must be 'g' or 'p'")
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

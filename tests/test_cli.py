@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pannkit import cli, datasets, nn, records, training
@@ -19,6 +19,8 @@ from pannkit import sturdiness as sd
 from pannkit import transform as tf
 from pannkit.fixedpoint import FixedPointFormat, TruncatedReLU
 from pannkit.polyapprox import approx_from_json, build_appsgn
+
+from idx_files import write_digit_idx_dataset
 
 
 def run(capsys, *argv):
@@ -742,7 +744,7 @@ class TestConfigFuzz:
 _MISSING = object()
 _SLOT_BAD_VALUES = {
     "composite_relu": {
-        ("policy",): [None, 3, "x", _MISSING],
+        ("policy",): [None, 3, "x", "widen_and_recertify", _MISSING],
         ("approx",): [None, 3, "x", [], _MISSING],
         ("approx", "format"): [None, "x", _MISSING],
         ("approx", "beta"): [None, "x", True, 0, 2.5, 12, 1e300, _MISSING],
@@ -836,6 +838,9 @@ class TestArtefactFuzz:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_malformed_artefact())
+    # a removed overflow policy is rejected, never run as another policy
+    @example(case=("slot", "composite_relu", ("policy",),
+                   "widen_and_recertify"))
     def test_malformed_artefacts_exit_2(self, tmp_path, capsys, no_training,
                                         fuzz_model, train_cfg, case):
         what, kind, path, value = case
@@ -959,15 +964,7 @@ class TestImports:
 class TestDataDirEnv:
     def test_relative_path_resolves_against_env(self, tmp_path, capsys,
                                                 monkeypatch):
-        d = tmp_path / "digits"
-        d.mkdir()
-        img, lab = datasets.synthetic_digits(60, seed=0)
-        datasets.write_idx(d / datasets.MNIST_FILES["train_images"],
-                           img[:40])
-        datasets.write_idx(d / datasets.MNIST_FILES["train_labels"],
-                           lab[:40])
-        datasets.write_idx(d / datasets.MNIST_FILES["test_images"], img[40:])
-        datasets.write_idx(d / datasets.MNIST_FILES["test_labels"], lab[40:])
+        write_digit_idx_dataset(tmp_path / "digits", n_train=40, n_test=20)
         monkeypatch.setenv("PANNKIT_DATA_DIR", str(tmp_path))
         cfg = write_config(tmp_path / "c.json", {
             "arch": "mlp:8", "epochs": 1, "lr": 0.05,

@@ -1,7 +1,8 @@
 """Dataset parser and generator tests.
 
-File-format cases are checked against hand-built byte strings so the reader
-is validated independently of the writer.
+File-format cases are checked against hand-built byte strings (IDX files
+come from idx_files, which builds them byte by byte), so the readers are
+validated independently of any writer.
 """
 
 import hashlib
@@ -12,11 +13,7 @@ import pytest
 from pannkit import datasets as ds
 from pannkit.seeding import derive_rng
 
-
-def _idx_bytes(magic, dims, payload: bytes) -> bytes:
-    head = magic.to_bytes(4, "big")
-    head += b"".join(int(d).to_bytes(4, "big") for d in dims)
-    return head + payload
+from idx_files import idx_bytes, write_digit_idx_dataset, write_idx
 
 
 def _sha(a: np.ndarray) -> str:
@@ -59,7 +56,7 @@ _DIGIT_LABELS = {
 class TestIdx:
     def test_read_hand_built_labels(self, tmp_path):
         p = tmp_path / "labels"
-        p.write_bytes(_idx_bytes(0x00000801, [3], bytes([7, 0, 9])))
+        p.write_bytes(idx_bytes(0x00000801, [3], bytes([7, 0, 9])))
         out = ds.read_idx(p)
         assert out.dtype == np.uint8
         assert out.tolist() == [7, 0, 9]
@@ -67,7 +64,7 @@ class TestIdx:
     def test_read_hand_built_images(self, tmp_path):
         p = tmp_path / "imgs"
         payload = bytes(range(2 * 2 * 3))
-        p.write_bytes(_idx_bytes(0x00000803, [2, 2, 3], payload))
+        p.write_bytes(idx_bytes(0x00000803, [2, 2, 3], payload))
         out = ds.read_idx(p)
         assert out.shape == (2, 2, 3)
         assert out.ravel().tolist() == list(range(12))
@@ -75,18 +72,18 @@ class TestIdx:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
-        ds.write_idx(tmp_path / "x", img)
+        write_idx(tmp_path / "x", img)
         assert np.array_equal(ds.read_idx(tmp_path / "x"), img)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad"
-        p.write_bytes(_idx_bytes(0x00000802, [1], b"\x00"))
+        p.write_bytes(idx_bytes(0x00000802, [1], b"\x00"))
         with pytest.raises(ds.DatasetFormatError, match="magic 0x00000802"):
             ds.read_idx(p)
 
     def test_truncated_payload_names_lengths(self, tmp_path):
         p = tmp_path / "short"
-        p.write_bytes(_idx_bytes(0x00000803, [2, 2, 2], b"\x00" * 5))
+        p.write_bytes(idx_bytes(0x00000803, [2, 2, 2], b"\x00" * 5))
         with pytest.raises(ds.DatasetFormatError, match=r"require 24 bytes.*has 21"):
             ds.read_idx(p)
 
@@ -103,14 +100,14 @@ class TestIdx:
             ds.read_idx(p)
 
     def test_count_mismatch(self, tmp_path):
-        ds.write_idx(tmp_path / ds.MNIST_FILES["train_images"],
-                     np.zeros((3, 4, 4), np.uint8))
-        ds.write_idx(tmp_path / ds.MNIST_FILES["train_labels"],
-                     np.zeros(2, np.uint8))
-        ds.write_idx(tmp_path / ds.MNIST_FILES["test_images"],
-                     np.zeros((1, 4, 4), np.uint8))
-        ds.write_idx(tmp_path / ds.MNIST_FILES["test_labels"],
-                     np.zeros(1, np.uint8))
+        write_idx(tmp_path / ds.MNIST_FILES["train_images"],
+                  np.zeros((3, 4, 4), np.uint8))
+        write_idx(tmp_path / ds.MNIST_FILES["train_labels"],
+                  np.zeros(2, np.uint8))
+        write_idx(tmp_path / ds.MNIST_FILES["test_images"],
+                  np.zeros((1, 4, 4), np.uint8))
+        write_idx(tmp_path / ds.MNIST_FILES["test_labels"],
+                  np.zeros(1, np.uint8))
         with pytest.raises(ds.DatasetFormatError, match="3 images but 2 labels"):
             ds.load_mnist_idx(tmp_path)
 
@@ -243,7 +240,7 @@ class TestSynthetic:
         assert acc >= 0.8
 
     def test_digit_idx_files(self, tmp_path):
-        ds.write_digit_idx_dataset(tmp_path, n_train=30, n_test=10, seed=0)
+        write_digit_idx_dataset(tmp_path, n_train=30, n_test=10, seed=0)
         data = ds.load_mnist_idx(tmp_path)
         assert data.x_train.shape == (30, 1, 28, 28)
         assert data.x_test.shape == (10, 1, 28, 28)

@@ -122,40 +122,6 @@ class TestIntervalPolicy:
         with pytest.raises(tf.IntervalOverflowError):
             mode.apply(np.array([2.0 * ap.bound]))
 
-    def test_widen_rescales_out_of_range_samples(self):
-        small = pa.build_appsgn(6, bound=1.0)
-        mode = tf.CompositeReLU(small, tf.IntervalPolicy("widen_and_recertify"))
-        out = mode.apply(np.array([3.0]))
-        assert mode.approx is small and small.bound == 1.0
-        assert out[0] == (3.0 + 3.0 * small.eval(3.0, 1.2 * 3.0)) / 2.0
-        assert abs(out[0] - 3.0) <= 2.0 ** -6 * 3.0
-        # only the out-of-range sample (row 0) moves to its own scale
-        z = np.array([[0.5, -3.0, 2.0], [0.25, -0.5, 0.75]])
-        got = mode.apply(z)
-        np.testing.assert_array_equal(
-            got[0], (z[0] + z[0] * small.eval(z[0], 1.2 * 3.0)) / 2.0)
-        np.testing.assert_array_equal(got[1], tf.CompositeReLU(small)
-                                      .apply(z[1:])[0])
-
-    def test_widen_gradient_matches_fd(self):
-        """The elementwise derivative, as every mode's grad is; at a
-        widened sample's max |z| the scale moves with z, z / B' stays
-        fixed, and the chain term drops out."""
-        small = pa.build_appsgn(6, bound=1.0)
-        mode = tf.CompositeReLU(small, tf.IntervalPolicy("widen_and_recertify"))
-        z = derive_rng(5, "z").normal(size=(4, 6)) * [[3.0], [0.4], [2.0],
-                                                       [0.1]]
-        assert (np.abs(z).max(axis=1) > 1.0).tolist() == [True, False,
-                                                           True, False]
-        g = mode.grad(z)
-        h = 1e-6
-        for idx in np.ndindex(z.shape):
-            zp, zm = z.copy(), z.copy()
-            zp[idx] += h
-            zm[idx] -= h
-            fd = (mode.apply(zp)[idx] - mode.apply(zm)[idx]) / (2 * h)
-            assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8), idx
-
     def test_clamped_output_still_close_to_relu(self, ap):
         mode = tf.CompositeReLU(ap, tf.IntervalPolicy("clamp_to_B"))
         z = np.array([1.7 * ap.bound, -1.7 * ap.bound])
@@ -163,9 +129,10 @@ class TestIntervalPolicy:
         relu = np.maximum(z, 0.0)
         assert np.all(np.abs(out - relu) <= 2.0 ** -ap.beta * np.abs(z))
 
-    def test_unknown_policy_rejected(self):
+    @pytest.mark.parametrize("name", ["hope", "widen_and_recertify"])
+    def test_unknown_policy_rejected(self, name):
         with pytest.raises(ValueError):
-            tf.IntervalPolicy("hope")
+            tf.IntervalPolicy(name)
 
 
 class TestPartialReplace:
@@ -200,12 +167,22 @@ class TestPartialReplace:
 
     def test_replacement_error_formulas(self):
         """Rounding toward g leaves (1-c)(g-p); toward p leaves c(p-g)."""
-        g, p, c = 2.0, 1.5, 0.7
-        assert tf.replacement_error(g, p, c, "g") == pytest.approx(0.3 * 0.5)
-        assert tf.replacement_error(g, p, c, "p") == pytest.approx(0.7 * -0.5)
-        # the two choices bracket zero: their sum is the full gap g-p scaled
-        with pytest.raises(ValueError):
-            tf.replacement_error(g, p, c, "q")
+        z = np.linspace(-2, 2, 9)
+        p = tf.default_quadratic_replacement()
+        g, c = np.maximum(z, 0.0), 0.7
+        mixed = tf.PartialReplaceReLU(p, c).apply(z)
+        to_g = tf.PartialReplaceReLU(p, c=1.0, binarized=True).apply(z) - mixed
+        to_p = tf.PartialReplaceReLU(p, c=0.0, binarized=True).apply(z) - mixed
+        np.testing.assert_allclose(to_g, (1 - c) * (g - p(z)), atol=1e-15)
+        np.testing.assert_allclose(to_p, c * (p(z) - g), atol=1e-15)
+        # a point with g = 2, p = 1.5 gives the frozen values
+        q = pa.Polynomial((1.5,))
+        two = np.array([2.0])
+        mixed = tf.PartialReplaceReLU(q, c).apply(two)
+        assert (tf.PartialReplaceReLU(q, c=1.0, binarized=True).apply(two)
+                - mixed)[0] == pytest.approx(0.3 * 0.5)
+        assert (tf.PartialReplaceReLU(q, c=0.0, binarized=True).apply(two)
+                - mixed)[0] == pytest.approx(0.7 * -0.5)
 
     def test_mix_interpolates(self):
         z = np.linspace(-2, 2, 9)
@@ -317,8 +294,8 @@ class TestCompositeGradient:
 
 
 # every activation mode; "error" only ever sees in-range inputs
-_PURE_MODES = ("exact", "clamp_to_B", "widen_and_recertify", "error",
-               "injected", "partial", "truncated")
+_PURE_MODES = ("exact", "clamp_to_B", "error", "injected", "partial",
+               "truncated")
 
 
 @pytest.fixture(scope="module")
