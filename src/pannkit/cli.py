@@ -21,10 +21,10 @@ import numpy as np
 
 from . import datasets
 from . import nn
-from . import transform as tf  # registers the activation modes
+from . import transform as tf
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import (INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES,
-                         PrecisionInfeasible, approx_to_json, build_appsgn)
+from .polyapprox import (STAGE_CANDIDATES, PrecisionInfeasible,
+                         approx_to_json, build_appsgn)
 
 __all__ = ["main", "ConfigError"]
 
@@ -365,28 +365,23 @@ def _cmd_experiment(args) -> int:
 def _cmd_validate_theorems(args) -> int:
     from . import sturdiness as sd
     checks = []
-    rep = sd.validate_theorem1(sd.quadratic_probe(-1.0),
-                               sd.quadratic_probe(1.0))
-    checks.append({
-        "name": "increment_gap_equal_curvature",
-        "passed": rep.limit == 2.0 and abs(rep.ratio_at(1e-4) - 2.0) <= 1e-3,
-        "limit": rep.limit, "ratio_at_1e-4": rep.ratio_at(1e-4),
-        "slope": rep.slope})
-    rep = sd.validate_theorem1(sd.quadratic_probe(-1.0),
-                               sd.quadratic_probe(1.0, scale=2.0))
-    checks.append({
-        "name": "increment_gap_convergence_rate",
-        "passed": (rep.slope is not None and rep.slope >= 0.9
-                   and abs(rep.ratio_at(1e-4) - 2.0) <= 1e-3),
-        "limit": rep.limit, "ratio_at_1e-4": rep.ratio_at(1e-4),
-        "slope": rep.slope})
-    rep = sd.validate_theorem1(sd.abs_plus_quadratic_probe(),
-                               sd.quadratic_probe(1.0, scale=2.0))
-    checks.append({
-        "name": "increment_gap_kinked_probe",
-        "passed": rep.limit == 1.0 and abs(rep.ratio_at(1e-4) - 1.0) <= 1e-3,
-        "limit": rep.limit, "ratio_at_1e-4": rep.ratio_at(1e-4),
-        "slope": rep.slope})
+    # (name, negative probe, positive probe, expected limit, whether the
+    # gap must converge at a log-log slope >= 0.9)
+    for name, neg, pos, limit, rate in (
+            ("equal_curvature", sd.quadratic_probe(-1.0),
+             sd.quadratic_probe(1.0), 2.0, False),
+            ("convergence_rate", sd.quadratic_probe(-1.0),
+             sd.quadratic_probe(1.0, scale=2.0), 2.0, True),
+            ("kinked_probe", sd.abs_plus_quadratic_probe(),
+             sd.quadratic_probe(1.0, scale=2.0), 1.0, False)):
+        rep = sd.validate_theorem1(neg, pos)
+        ratio = rep.ratio_at(1e-4)
+        checks.append({
+            "name": f"increment_gap_{name}",
+            "passed": (rep.limit == limit and abs(ratio - limit) <= 1e-3
+                       and (not rate or rep.slope is not None
+                            and rep.slope >= 0.9)),
+            "limit": rep.limit, "ratio_at_1e-4": ratio, "slope": rep.slope})
     for i, probe in enumerate(sd.default_lemma_probes(), start=1):
         lb = sd.validate_lemma_bound(probe)
         checks.append({
@@ -510,9 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_.add_argument("--max-stage-degree", type=int, default=15)
     tr_.add_argument("--overflow", default="clamp_to_B",
                      choices=tf.OVERFLOW_POLICIES)
-    tr_.add_argument("--sign-filter", default="all", choices=SIGN_FILTERS)
+    tr_.add_argument("--sign-filter", default="all", choices=tf.SIGN_FILTERS)
     tr_.add_argument("--inj-mode", default="uniform_random",
-                     choices=INJECTION_MODES)
+                     choices=tf.INJECTION_MODES)
     tr_.add_argument("--seed", type=int, default=0)
     tr_.add_argument("--mix-c", type=float, default=0.5)
     tr_.add_argument("--binarized", action="store_true")

@@ -6,7 +6,9 @@ the old one, so references held elsewhere (checkpoints, sweeps) stay valid.
 
 The activation slot is pluggable: a mode object only has to provide
 ``apply(z)`` and ``grad(z)``. The exact ReLU lives here; polynomial and
-fixed-point modes are defined next to the code that builds them.
+fixed-point modes are defined next to the code that builds them. A
+checkpoint holds a backbone, exact-ReLU slots and valid convolutions only;
+a PANN is stored as that backbone plus a descriptor of its slots.
 """
 
 from __future__ import annotations
@@ -67,18 +69,6 @@ class ExactReLU:
         return "ExactReLU()"
 
 
-# Registry for reconstructing activation modes from checkpoint descriptors.
-# Other modules register their modes on import.
-MODE_REGISTRY: dict[str, object] = {}
-
-
-def register_mode(kind: str, from_descriptor) -> None:
-    MODE_REGISTRY[kind] = from_descriptor
-
-
-register_mode("exact_relu", lambda d: ExactReLU())
-
-
 @contextmanager
 def field_errors(where: str):
     """Re-raise what a malformed JSON field makes the code inside raise as
@@ -91,13 +81,6 @@ def field_errors(where: str):
         # AttributeError: an object expected holds some other JSON type;
         # ArithmeticError: an integer field holds Infinity or 1e400
         raise ValueError(f"{where}: {exc}") from exc
-
-
-def mode_from_descriptor(desc: dict):
-    kind = desc.get("kind")
-    if kind not in MODE_REGISTRY:
-        raise ValueError(f"unknown activation mode kind: {kind!r}")
-    return MODE_REGISTRY[kind](desc)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +111,6 @@ class Dense:
         return Dense(W=p["W"], b=p["b"])
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    # odd kernels only; checked at construction
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
 def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """[N, C, H, W] -> read-only [N, C, kh, kw, OH, OW] view of the patches."""
     n, c, h, w = x.shape
@@ -145,28 +122,18 @@ def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Conv2d:
-    """2-D convolution, stride 1, kernel of shape [F, C, kh, kw]. Forward
+    """2-D valid convolution, stride 1, kernel of shape [F, C, kh, kw]. Forward
     memory does not grow with N x patch size; backward holds all patches,
     and adds their gradients into the input gradient channels-last, in
     (kh, kw) order, with no copy of them."""
 
     kernel: np.ndarray
     b: np.ndarray
-    padding: str = "valid"  # "valid" | "same"
-
-    def __post_init__(self):
-        if self.padding not in ("valid", "same"):
-            raise ValueError(f"unknown padding {self.padding!r}")
-        kh, kw = self.kernel.shape[2:]
-        if self.padding == "same" and (kh % 2 == 0 or kw % 2 == 0):
-            raise ValueError("same padding requires odd kernel sizes")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         f, c, kh, kw = self.kernel.shape
         if x.ndim != 4 or x.shape[1] != c:
             raise ValueError(f"conv expects [N, {c}, H, W], got {x.shape}")
-        if self.padding == "same":
-            x = _pad_same(x, kh, kw)
         if x.shape[2] < kh or x.shape[3] < kw:
             raise ValueError(f"input {x.shape} smaller than kernel {kh}x{kw}")
         win = _windows(x, kh, kw)
@@ -183,10 +150,9 @@ class Conv2d:
 
     def backward(self, x: np.ndarray, gy: np.ndarray, input_grad=True):
         f, c, kh, kw = self.kernel.shape
-        xp = _pad_same(x, kh, kw) if self.padding == "same" else x
         n = x.shape[0]
         oh, ow = gy.shape[2], gy.shape[3]
-        cols = _windows(xp, kh, kw).reshape(n, c * kh * kw, oh * ow)
+        cols = _windows(x, kh, kw).reshape(n, c * kh * kw, oh * ow)
         gyf = gy.reshape(n, f, oh * ow)
         gk = np.einsum("nfl,nkl->fk", gyf, cols).reshape(self.kernel.shape)
         gb = gy.sum(axis=(0, 2, 3))
@@ -196,19 +162,18 @@ class Conv2d:
         gcols = gcols.reshape(n, c, kh, kw, oh, ow).transpose(2, 3, 4, 5, 0, 1)
         # scattered channels-last, [H, W, N, C], so that each (i, j) add
         # runs over rows of OW*N*C contiguous values
-        gxp = np.zeros(xp.shape[2:] + xp.shape[:2], dtype=DTYPE)
+        gx = np.zeros(x.shape[2:] + x.shape[:2], dtype=DTYPE)
         for i in range(kh):
             for j in range(kw):
-                gxp[i:i + oh, j:j + ow] += gcols[i, j]
-        ph, pw = (kh // 2, kw // 2) if self.padding == "same" else (0, 0)
-        gx = gxp[ph:ph + x.shape[2], pw:pw + x.shape[3]].transpose(2, 3, 0, 1)
-        return np.ascontiguousarray(gx), {"kernel": gk, "b": gb}
+                gx[i:i + oh, j:j + ow] += gcols[i, j]
+        gx = np.ascontiguousarray(gx.transpose(2, 3, 0, 1))
+        return gx, {"kernel": gk, "b": gb}
 
     def params(self) -> dict:
         return {"kernel": self.kernel, "b": self.b}
 
     def with_params(self, p: dict) -> "Conv2d":
-        return Conv2d(kernel=p["kernel"], b=p["b"], padding=self.padding)
+        return Conv2d(kernel=p["kernel"], b=p["b"])
 
 
 @dataclass(frozen=True)
@@ -391,9 +356,10 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
 # losses
 
 
-def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], k), dtype=DTYPE)
-    out[np.arange(y.shape[0]), y.astype(int)] = 1.0
+def one_hot(y: np.ndarray, k: int) -> np.ndarray:
+    """Rows of k weights, 1 at each integer label."""
+    out = np.zeros((len(y), k), dtype=DTYPE)
+    out[np.arange(len(y)), np.asarray(y, dtype=int)] = 1.0
     return out
 
 
@@ -402,7 +368,7 @@ def row_losses(logits: np.ndarray, target: np.ndarray, kind: str):
     labels or rows of weights."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected {LOSS_KINDS}")
-    t = target if target.ndim == 2 else _one_hot(target, logits.shape[1])
+    t = target if target.ndim == 2 else one_hot(target, logits.shape[1])
     if kind == "cross_entropy":
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
@@ -617,6 +583,7 @@ def build_cnn(input_shape, conv_channels, n_classes, seed=0,
 
 
 CHECKPOINT_VERSION = 1
+_PANN = "a PANN is stored as a backbone checkpoint plus a pann descriptor"
 
 
 def _enc(a: np.ndarray) -> dict:
@@ -637,18 +604,22 @@ def _dec(d: dict) -> np.ndarray:
 
 
 def network_to_dict(net: Network) -> dict:
+    """The checkpoint of a backbone; a slot whose mode is not ExactReLU
+    raises ValueError, since no checkpoint may hold one."""
     layers = []
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         kind = LAYER_KINDS[type(layer)]
         entry: dict = {"kind": kind}
         if isinstance(layer, Dense):
             entry["W"], entry["b"] = _enc(layer.W), _enc(layer.b)
         elif isinstance(layer, Conv2d):
             entry["kernel"], entry["b"] = _enc(layer.kernel), _enc(layer.b)
-            entry["padding"] = layer.padding
+            entry["padding"] = "valid"
         elif isinstance(layer, AvgPool):
             entry["size"] = layer.size
         elif isinstance(layer, Activation):
+            if not isinstance(layer.mode, ExactReLU):
+                raise ValueError(f"layers[{i}]: runs {layer.mode!r}; {_PANN}")
             entry["mode"] = layer.mode.descriptor()
         layers.append(entry)
     return {"format": "pannkit-checkpoint", "version": CHECKPOINT_VERSION,
@@ -698,12 +669,17 @@ def _layer_from_dict(entry: dict):
     if kind == "dense":
         return Dense(W=_dec(entry["W"]), b=_dec(entry["b"]))
     if kind == "conv2d":
-        return Conv2d(kernel=_dec(entry["kernel"]), b=_dec(entry["b"]),
-                      padding=entry.get("padding", "valid"))
+        if entry.get("padding", "valid") != "valid":
+            raise ValueError(f"padding: expected 'valid', got "
+                             f"{entry['padding']!r}")
+        return Conv2d(kernel=_dec(entry["kernel"]), b=_dec(entry["b"]))
     if kind == "avgpool":
         return AvgPool(entry["size"])
     if kind == "flatten":
         return Flatten()
     if kind == "activation":
-        return Activation(mode_from_descriptor(entry["mode"]))
+        if entry["mode"]["kind"] != "exact_relu":
+            raise ValueError(f"mode: {entry['mode']['kind']!r} is not an "
+                             f"exact ReLU; {_PANN}")
+        return Activation(ExactReLU())
     raise ValueError(f"unknown layer kind {kind!r}")

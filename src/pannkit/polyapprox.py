@@ -1,5 +1,5 @@
-"""Minimax polynomial machinery: Remez exchange, composite odd approximations
-of sign, the derived smooth ReLU, and the bounded-error ReLU model.
+"""Minimax polynomial machinery: Remez exchange and composite odd
+approximations of sign, certified and serialized.
 
 The sign approximant is a chain p_k(...p_1(z/B)...) of odd polynomials. Each
 stage is a best L-inf fit of the constant 1 on the current positive interval;
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-
-from .seeding import derive_rng
 
 SGN_POSITIVE_BRANCH = "sgn_positive_branch"
 
@@ -87,13 +85,10 @@ class Polynomial:
         return acc if acc.ndim else float(acc)
 
     @cached_property
-    def _derivative(self) -> "Polynomial":
+    def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def derivative(self) -> "Polynomial":
-        return self._derivative
 
 
 def _affine_substitute(coeffs_u, alpha: float, gamma: float):
@@ -394,9 +389,9 @@ class CompositeSgnApprox:
 
     def eval(self, z):
         """The chain at z / B."""
-        u = np.asarray(z, dtype=np.float64) / self.bound
-        for p in self.chain:
-            u = p(u)
+        # passed, not bound to a name, so each stage frees the one before
+        u = _run_chain(self.chain,
+                       np.asarray(z, dtype=np.float64) / self.bound)
         return u if np.ndim(z) else float(u)
 
     def eval_with_derivative(self, z):
@@ -404,9 +399,16 @@ class CompositeSgnApprox:
         u = np.asarray(z, dtype=np.float64) / self.bound
         du = np.ones_like(u) / self.bound
         for p in self.chain:
-            du = du * p.derivative()(u)
+            du = du * p.derivative(u)
             u = p(u)
         return u, du
+
+
+def _run_chain(chain, u):
+    """The stages of a chain applied to u, innermost first."""
+    for p in chain:
+        u = p(u)
+    return u
 
 
 # uniformly spaced points of the audit on [t0, 1]; descriptors record it
@@ -421,15 +423,8 @@ def _certify_chain(chain, t0, beta):
     resolves crowding toward t0, plus |chain - 1| on the band [0, t0]. A
     NaN anywhere fails the audit. One audit per (chain, t0, beta) and
     process: builds and loads of the same chain share it."""
-
-    def chain_eval(u):
-        v = u
-        for p in chain:
-            v = p(v)
-        return v
-
     grid = np.linspace(t0, 1.0, AUDIT_POINTS)
-    signed = chain_eval(grid) - 1.0
+    signed = _run_chain(chain, grid) - 1.0
     err = np.abs(signed)
     ext = _alternating_extrema(grid, signed)
     lo = grid[np.maximum(ext - 1, 0)][:, None]
@@ -438,11 +433,11 @@ def _certify_chain(chain, t0, beta):
     sweep = np.geomspace(t0, 1.0, AUDIT_POINTS // 10)
     # np.max propagates NaN, so a NaN at any audited point fails the audit
     max_err = float(np.max([err.max(),
-                            np.abs(chain_eval(local) - 1.0).max(),
-                            np.abs(chain_eval(sweep) - 1.0).max()]))
+                            np.abs(_run_chain(chain, local) - 1.0).max(),
+                            np.abs(_run_chain(chain, sweep) - 1.0).max()]))
 
     band = np.linspace(0.0, t0, 2048)
-    band_max_error = float(np.max(np.abs(chain_eval(band) - 1.0)))
+    band_max_error = float(np.max(np.abs(_run_chain(chain, band) - 1.0)))
 
     passed = bool(max_err <= 2.0 ** -beta and band_max_error <= 2.0)
     return PrecisionCertificate(beta=beta, max_error=max_err,
@@ -558,11 +553,7 @@ def _unit_chain(beta, t0, cands):
 
 
 # ---------------------------------------------------------------------------
-# bounded-error ReLU (noise model of the approximation, no polynomials)
-
-
-SIGN_FILTERS = ("all", "neg_only", "pos_only")
-INJECTION_MODES = ("uniform_random", "worst_case_fixed")
+# checked numeric fields
 
 
 def check_number(name: str, value, lo=-math.inf, hi=math.inf,
@@ -577,32 +568,6 @@ def check_number(name: str, value, lo=-math.inf, hi=math.inf,
         raise ValueError(f"{name} must be {what} in [{lo}, {hi}], got "
                          f"{value!r}")
     return value
-
-
-def check_injection(sign_filter: str, mode: str) -> None:
-    if sign_filter not in SIGN_FILTERS:
-        raise ValueError(f"sign_filter must be one of {SIGN_FILTERS}, got "
-                         f"{sign_filter!r}")
-    if mode not in INJECTION_MODES:
-        raise ValueError(f"mode must be one of {INJECTION_MODES}, got "
-                         f"{mode!r}")
-
-
-def _injection_errors(shape, beta, mode, rng_seed):
-    rng = derive_rng(rng_seed, "inject")
-    bound = 2.0 ** -beta
-    if mode == "uniform_random":
-        return rng.uniform(-bound, bound, size=shape)
-    g = rng.standard_normal(size=shape)
-    return np.where(g >= 0, bound, -bound)
-
-
-def _filter_mask(z, sign_filter):
-    if sign_filter == "all":
-        return np.ones(z.shape, dtype=bool)
-    if sign_filter == "neg_only":
-        return z < 0
-    return z > 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ from . import training
 from . import transform as tf
 from .datasets import Dataset
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import (INJECTION_MODES, SIGN_FILTERS, STAGE_CANDIDATES,
-                         build_appsgn)
+from .polyapprox import STAGE_CANDIDATES, build_appsgn
 from .training import MixupConfig, NgnvConfig, TrainingDiverged, evaluate
 
 
@@ -217,10 +216,11 @@ def perturbation_loss_experiment(net: nn.Network, x: np.ndarray,
                                  loss_kind: str = "cross_entropy") -> list:
     """Test-loss increment when only one sign class of activation inputs is
     perturbed. The same seeds are used for every sign filter, so the neg/pos
-    comparison shares its noise draws. Returns per-seed rows plus one
-    aggregate row (seed='mean') per (beta, filter).
+    comparison shares its noise draws. Returns per-seed rows of beta,
+    sign_filter, seed and delta_loss, plus one aggregate row (seed='mean')
+    per (beta, filter).
     """
-    base_loss, base_acc = evaluate(net, x, y, loss_kind=loss_kind)
+    base_loss, _ = evaluate(net, x, y, loss_kind=loss_kind)
     rows = []
     for beta in betas:
         for filt in sign_filters:
@@ -229,16 +229,12 @@ def perturbation_loss_experiment(net: nn.Network, x: np.ndarray,
                 probe = tf.transform(
                     net, tf.InjectedReLU(beta=beta, sign_filter=filt,
                                          mode=mode, seed=seed))
-                loss, acc = evaluate(probe, x, y, loss_kind=loss_kind)
+                loss, _ = evaluate(probe, x, y, loss_kind=loss_kind)
                 deltas.append(loss - base_loss)
                 rows.append({"beta": int(beta), "sign_filter": filt,
-                             "seed": int(seed), "delta_loss": loss - base_loss,
-                             "loss": loss, "accuracy": acc})
+                             "seed": int(seed), "delta_loss": loss - base_loss})
             rows.append({"beta": int(beta), "sign_filter": filt,
-                         "seed": "mean",
-                         "delta_loss": float(np.mean(deltas)),
-                         "loss": base_loss + float(np.mean(deltas)),
-                         "accuracy": base_acc})
+                         "seed": "mean", "delta_loss": float(np.mean(deltas))})
     return rows
 
 
@@ -403,9 +399,10 @@ class PerturbSpec(_CellSpec):
     def __post_init__(self):
         self._check(
             betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
-            sign_filters=(set(self.sign_filters) <= set(SIGN_FILTERS),
-                          f"filters from {SIGN_FILTERS}"),
-            mode=(self.mode in INJECTION_MODES, f"one of {INJECTION_MODES}"))
+            sign_filters=(set(self.sign_filters) <= set(tf.SIGN_FILTERS),
+                          f"filters from {tf.SIGN_FILTERS}"),
+            mode=(self.mode in tf.INJECTION_MODES,
+                  f"one of {tf.INJECTION_MODES}"))
 
     def cells(self):
         return [(wd, self.train_seed) for wd in self.wds]

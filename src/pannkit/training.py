@@ -78,12 +78,6 @@ class TrainingDiverged(RuntimeError):
 # mixup
 
 
-def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(y), n_classes))
-    out[np.arange(len(y)), np.asarray(y, dtype=int)] = 1.0
-    return out
-
-
 def draw_mixup_lambda(cfg: MixupConfig, rng) -> float:
     if cfg.fixed_lambda is not None:
         return cfg.fixed_lambda
@@ -210,7 +204,7 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
             if mixup is not None and mixup.enabled:
                 lam = draw_mixup_lambda(mixup, mixup_rng)
                 pair = mixup_rng.permutation(len(idx))
-                yh = one_hot(yb, data.n_classes)
+                yh = nn.one_hot(yb, data.n_classes)
                 xb, yb = mixup_batch(xb, xb[pair], yh, yh[pair], lam)
             try:
                 grads, loss = nn.backward(net, xb, yb, loss_kind,

@@ -3,7 +3,8 @@
 The transform never touches the source network: it returns a copy whose
 activation slots carry new mode objects. Modes are recorded (descriptors),
 so the swap is reversible and a transformed network can be reconstructed
-bit-identically from its descriptor plus the backbone checkpoint.
+bit-identically from its descriptor plus the backbone checkpoint. This is
+the one module that knows how every mode is built, stored and rebuilt.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from . import nn
 from .nn import IntervalOverflowError  # raised under the error policy
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
-                         approx_to_json, build_appsgn, check_injection,
-                         check_number, _filter_mask, _injection_errors)
+                         approx_to_json, build_appsgn, check_number)
+from .seeding import derive_rng
 
 OVERFLOW_POLICIES = ("clamp_to_B", "error")
+SIGN_FILTERS = ("all", "neg_only", "pos_only")
+INJECTION_MODES = ("uniform_random", "worst_case_fixed")
 
 
 @dataclass
@@ -89,12 +92,14 @@ class CompositeReLU:
 
 
 class InjectedReLU:
-    """ReLU plus seeded, bounded error e * z / 2 with |e| <= 2^-beta.
+    """ReLU plus seeded, bounded error e * z / 2 with |e| <= 2^-beta: the
+    noise model of an approximation, with no polynomial in it.
 
     Errors are drawn once per activation unit (the trailing axes of z) and
     shared across the leading batch axis, so the perturbed net is a fixed
     function of its input: batched and single-sample evaluation agree, and
-    the objective of any optimizer probing this mode is well defined.
+    the objective of any optimizer probing this mode is well defined. The
+    sign filter picks the inputs that carry the error: all, z < 0 or z > 0.
     """
 
     name = "injected_relu"
@@ -102,7 +107,12 @@ class InjectedReLU:
     def __init__(self, beta: int, sign_filter: str = "all",
                  mode: str = "uniform_random", seed: int = 0,
                  slot: int = 0):
-        check_injection(sign_filter, mode)
+        if sign_filter not in SIGN_FILTERS:
+            raise ValueError(f"sign_filter must be one of {SIGN_FILTERS}, "
+                             f"got {sign_filter!r}")
+        if mode not in INJECTION_MODES:
+            raise ValueError(f"mode must be one of {INJECTION_MODES}, got "
+                             f"{mode!r}")
         self.beta = int(check_number("beta", beta, 1, integer=True))
         self.sign_filter = sign_filter
         self.mode = mode
@@ -111,18 +121,28 @@ class InjectedReLU:
 
     def _errors(self, shape) -> np.ndarray:
         # per-slot label keeps layers on independent draws of one seed
-        unit = _injection_errors(shape[1:], self.beta, self.mode,
-                                 self.seed * 100_003 + self.slot)
+        rng = derive_rng(self.seed * 100_003 + self.slot, "inject")
+        bound = 2.0 ** -self.beta
+        if self.mode == "uniform_random":
+            unit = rng.uniform(-bound, bound, size=shape[1:])
+        else:
+            g = rng.standard_normal(size=shape[1:])
+            unit = np.where(g >= 0, bound, -bound)
         return np.broadcast_to(unit, shape)
+
+    def _mask(self, z: np.ndarray) -> np.ndarray:
+        if self.sign_filter == "all":
+            return np.ones(z.shape, dtype=bool)
+        return z < 0 if self.sign_filter == "neg_only" else z > 0
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         e = self._errors(z.shape)
-        mask = _filter_mask(z, self.sign_filter)
+        mask = self._mask(z)
         return np.maximum(z, 0.0) + np.where(mask, e * z / 2.0, 0.0)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         e = self._errors(z.shape)
-        mask = _filter_mask(z, self.sign_filter)
+        mask = self._mask(z)
         return (z > 0).astype(np.float64) + np.where(mask, e / 2.0, 0.0)
 
     def descriptor(self) -> dict:
@@ -170,7 +190,7 @@ class PartialReplaceReLU:
         return self.c * np.maximum(z, 0.0) + (1.0 - self.c) * self.p(z)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        dp = self.p.derivative()
+        dp = self.p.derivative
         if self.binarized:
             return (z > 0).astype(np.float64) if self.c == 1.0 else dp(z)
         return self.c * (z > 0) + (1.0 - self.c) * dp(z)
@@ -254,7 +274,8 @@ def pann_descriptor(net: nn.Network) -> dict:
 
 
 def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
-    """The backbone with each activation slot rebuilt from the descriptor.
+    """The backbone with each activation slot rebuilt from the descriptor
+    by the MODES factory of its kind.
 
     Composite slots are re-certified, each distinct chain once per process.
     A malformed descriptor, an approximant that fails re-certification, or a
@@ -272,7 +293,10 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
     out = backbone
     for slot_pos, (slot, layer_idx) in enumerate(zip(slots, acts)):
         with nn.field_errors(f"slots[{slot_pos}]"):
-            mode = nn.mode_from_descriptor(slot)
+            kind = slot.get("kind")
+            if kind not in MODES:
+                raise ValueError(f"unknown activation mode kind: {kind!r}")
+            mode = MODES[kind](slot)
         out = out.replace_layer(layer_idx, nn.Activation(mode))
     return out
 
@@ -282,26 +306,17 @@ def save_pann_descriptor(net: nn.Network, path) -> None:
         json.dump(pann_descriptor(net), fh)
 
 
-def _composite_from_descriptor(d: dict) -> CompositeReLU:
-    return CompositeReLU(approx_from_json(d["approx"]),
-                         IntervalPolicy(d["policy"]))
-
-
-def _injected_from_descriptor(d: dict) -> InjectedReLU:
-    return InjectedReLU(d["beta"], d["sign_filter"], d["mode"], d["seed"],
-                        slot=d.get("slot", 0))
-
-
-def _partial_from_descriptor(d: dict) -> PartialReplaceReLU:
-    return PartialReplaceReLU(Polynomial(tuple(d["coeffs"])), c=d["c"],
-                              binarized=d["binarized"])
-
-
-def _truncated_from_descriptor(d: dict) -> TruncatedReLU:
-    return TruncatedReLU(FixedPointFormat(d["total_bits"]))
-
-
-nn.register_mode("composite_relu", _composite_from_descriptor)
-nn.register_mode("injected_relu", _injected_from_descriptor)
-nn.register_mode("partial_replace_relu", _partial_from_descriptor)
-nn.register_mode("truncated_relu", _truncated_from_descriptor)
+# slot descriptor kind -> the mode it describes; exact_relu is here because
+# a descriptor of the backbone (transform --mode exact) holds exact slots
+MODES = {
+    "exact_relu": lambda d: nn.ExactReLU(),
+    "composite_relu": lambda d: CompositeReLU(approx_from_json(d["approx"]),
+                                              IntervalPolicy(d["policy"])),
+    "injected_relu": lambda d: InjectedReLU(
+        d["beta"], d["sign_filter"], d["mode"], d["seed"],
+        slot=d.get("slot", 0)),
+    "partial_replace_relu": lambda d: PartialReplaceReLU(
+        Polynomial(tuple(d["coeffs"])), c=d["c"], binarized=d["binarized"]),
+    "truncated_relu": lambda d: TruncatedReLU(
+        FixedPointFormat(d["total_bits"])),
+}

@@ -784,6 +784,7 @@ _CHECKPOINT_BAD_VALUES = {
                                   ["x"], _MISSING],
     ("layers", 0, "W", "data"): [None, 3, "x!", "AAAA", _MISSING],
     ("layers", 1, "mode"): [None, "x", [], {}, _MISSING],
+    ("layers", 1, "mode", "kind"): ["injected_relu", "truncated_relu"],
     ("layers", 2, "b", "shape"): [[4], _MISSING],
 }
 
@@ -862,6 +863,34 @@ class TestArtefactFuzz:
         assert cli.main(argv) == 2, (case, capsys.readouterr())
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, (case, err)
+
+
+class TestCheckpointIsBackbone:
+    """A checkpoint holds exact-ReLU slots and valid convolutions; a PANN
+    is a backbone checkpoint plus a descriptor."""
+
+    def test_pann_slot_in_checkpoint_exits_2(self, tmp_path, capsys,
+                                             fuzz_model, train_cfg):
+        _, checkpoint, slots = fuzz_model
+        doc = json.loads(json.dumps(checkpoint))
+        doc["layers"][1]["mode"] = slots["injected_relu"]
+        model = write_config(tmp_path / "m.json", {"network": doc})
+        for argv in (["transform", "--model", model, "--out",
+                      tmp_path / "d.json", "--mode", "truncated"],
+                     ["eval-pann", "--model", model, "--config", train_cfg]):
+            assert cli.main([str(a) for a in argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert "layers[1]" in err and "backbone" in err, err
+            assert "Traceback" not in err, err
+
+    def test_same_padding_exits_2(self, tmp_path, capsys):
+        doc = nn.network_to_dict(nn.build_arch("cnn:2", (1, 8, 8), 3))
+        doc["layers"][0]["padding"] = "same"
+        model = write_config(tmp_path / "m.json", {"network": doc})
+        assert cli.main(["transform", "--model", str(model), "--out",
+                         str(tmp_path / "d.json"), "--mode", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert "layers[0]: padding" in err and "Traceback" not in err, err
 
 
 class TestValidateTheorems:

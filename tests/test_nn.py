@@ -2,7 +2,11 @@
 optimizer arithmetic, checkpoint round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +52,6 @@ def im2col_forward(layer, x):
     """Reference conv forward: the whole [N, C*kh*kw, OH*OW] patch matrix
     copied at once, one stacked matmul, the bias added to a second array."""
     f, c, kh, kw = layer.kernel.shape
-    if layer.padding == "same":
-        x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
     n, _, h, w = x.shape
     oh, ow = h - kh + 1, w - kw + 1
     s0, s1, s2, s3 = x.strides
@@ -64,16 +66,14 @@ def col2im_input_grad(layer, x, gy):
     """Reference conv input gradient: the patch gradients added back
     sample- and channel-major, one (i, j) kernel offset at a time."""
     f, c, kh, kw = layer.kernel.shape
-    pad = (kh // 2, kw // 2) if layer.padding == "same" else (0, 0)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad[0],) * 2, (pad[1],) * 2))
     n, _, oh, ow = gy.shape
     gcols = layer.kernel.reshape(f, -1).T @ gy.reshape(n, f, oh * ow)
     gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-    gxp = np.zeros_like(xp)
+    gx = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
-    return gxp[:, :, pad[0]:pad[0] + x.shape[2], pad[1]:pad[1] + x.shape[3]]
+            gx[:, :, i:i + oh, j:j + ow] += gcols[:, :, i, j]
+    return gx
 
 
 def avgpool_reference(x, gy, p):
@@ -124,7 +124,8 @@ class TestForward:
 
     @pytest.mark.parametrize("layout", ["contiguous", "channel_slice",
                                         "transposed"])
-    @pytest.mark.parametrize("padding", ["valid", "same"])
+    # valid, the only padding a checkpoint holds, stays in the test ids
+    @pytest.mark.parametrize("padding", ["valid"])
     @pytest.mark.parametrize("c", [1, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 257, 512])
     def test_conv_bit_identical_to_im2col(self, n, c, padding, layout):
@@ -133,7 +134,7 @@ class TestForward:
         hw, f = (28, 4) if c == 1 else (12, 8)
         rng = np.random.default_rng(100 * n + 10 * c + len(layout))
         layer = nn.Conv2d(rng.standard_normal((f, c, 5, 5)),
-                          rng.standard_normal(f), padding=padding)
+                          rng.standard_normal(f))
         if layout == "channel_slice":
             x = rng.standard_normal((n, 2 * c, hw, hw))[:, 1::2]
         elif layout == "transposed":
@@ -156,13 +157,6 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
-
-    def test_same_padding_preserves_spatial_dims(self):
-        rng = np.random.default_rng(0)
-        layer = nn.Conv2d(rng.normal(size=(2, 1, 3, 3)), np.zeros(2),
-                          padding="same")
-        out = layer.forward(rng.normal(size=(1, 1, 8, 8)))
-        assert out.shape == (1, 2, 8, 8)
 
     def test_avgpool(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -195,14 +189,15 @@ class TestForward:
         assert not np.shares_memory(y, x)  # p = 1 too
         assert not np.shares_memory(gx, gy)
 
-    @pytest.mark.parametrize("padding", ["valid", "same"])
+    # valid, the only padding a checkpoint holds, stays in the test ids
+    @pytest.mark.parametrize("padding", ["valid"])
     @pytest.mark.parametrize("c", [1, 4])
     @pytest.mark.parametrize("n", [1, 3, 32])
     def test_conv_input_grad_bit_identical_to_col2im(self, n, c, padding):
         hw, f = (28, 4) if c == 1 else (12, 8)
         rng = np.random.default_rng(10 * n + c)
         layer = nn.Conv2d(rng.standard_normal((f, c, 5, 5)),
-                          rng.standard_normal(f), padding=padding)
+                          rng.standard_normal(f))
         x = rng.standard_normal((n, c, hw, hw))
         gy = rng.standard_normal(layer.forward(x).shape)
         gy *= 10.0 ** rng.integers(-4, 4, size=gy.shape)
@@ -500,6 +495,44 @@ class TestCheckpoints:
         x = derive_rng(0, "x").normal(size=(2, 1, 10, 10))
         np.testing.assert_array_equal(nn.forward(net, x)[0],
                                       nn.forward(back, x)[0])
+
+    def test_transformed_network_refused(self):
+        from pannkit import transform as tf
+        pann = tf.transform(nn.build_mlp((3,), [2], 2, seed=0),
+                            tf.InjectedReLU(6))
+        with pytest.raises(ValueError, match=r"layers\[1\]: .*backbone"):
+            nn.network_to_dict(pann)
+
+    def test_loading_needs_no_other_module(self):
+        """In a process that imports only pannkit.nn, a backbone loads and
+        a PANN slot gets the error it gets here, where transform is
+        imported."""
+        from pannkit import transform as tf
+        doc = nn.network_to_dict(nn.build_mlp((3,), [2], 2, seed=0))
+        doc["layers"][1]["mode"] = tf.InjectedReLU(6).descriptor()
+        with pytest.raises(ValueError) as here:
+            nn.network_from_dict(doc)
+        script = """if True:
+            import json, sys
+            from pannkit import nn
+            doc = json.loads(sys.argv[1])
+            nn.network_from_dict(dict(doc, layers=[
+                l if l["kind"] != "activation" else dict(
+                    l, mode={"kind": "exact_relu"}) for l in doc["layers"]]))
+            try:
+                nn.network_from_dict(doc)
+            except ValueError as exc:
+                print(exc)
+            print(sorted(m for m in sys.modules if m.startswith("pannkit")))
+            """
+        src = str(Path(nn.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(doc)],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout.splitlines()
+        assert out == [str(here.value), str(["pannkit", "pannkit.nn",
+                                             "pannkit.seeding"])]
 
     def test_truncated_payload_rejected(self, tmp_path):
         net = nn.build_mlp((3,), [2], 2, seed=0)

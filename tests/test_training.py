@@ -70,34 +70,34 @@ def blobs():
 class TestMixup:
     def test_lambda_one_is_identity(self):
         x = np.array([[0.5, -1.0]])
-        y = tr.one_hot(np.array([1]), 3)
+        y = nn.one_hot(np.array([1]), 3)
         xm, ym = tr.mixup_batch(x, x * 9, y, y[::-1], 1.0)
         assert xm is x and ym is y
 
     def test_lambda_zero_returns_partner(self):
         x = np.array([[1.0]])
         x2 = np.array([[2.0]])
-        y = tr.one_hot(np.array([0]), 2)
-        y2 = tr.one_hot(np.array([1]), 2)
+        y = nn.one_hot(np.array([0]), 2)
+        y2 = nn.one_hot(np.array([1]), 2)
         xm, ym = tr.mixup_batch(x, x2, y, y2, 0.0)
         assert xm is x2 and ym is y2
 
     def test_halfway_point(self):
         x = np.array([[0.0, 2.0]])
         x2 = np.array([[2.0, 0.0]])
-        y = tr.one_hot(np.array([0]), 2)
+        y = nn.one_hot(np.array([0]), 2)
         xm, _ = tr.mixup_batch(x, x2, y, y, 0.5)
         assert np.array_equal(xm, np.array([[1.0, 1.0]]))
 
     def test_label_weights(self):
-        y = tr.one_hot(np.array([3]), 10)
-        y2 = tr.one_hot(np.array([7]), 10)
+        y = nn.one_hot(np.array([3]), 10)
+        y2 = nn.one_hot(np.array([7]), 10)
         _, ym = tr.mixup_batch(np.zeros((1, 1)), np.zeros((1, 1)), y, y2, 0.25)
         assert ym[0, 3] == 0.25 and ym[0, 7] == 0.75
         assert ym.sum() == 1.0
 
     def test_rejects_bad_lambda(self):
-        y = tr.one_hot(np.array([0]), 2)
+        y = nn.one_hot(np.array([0]), 2)
         with pytest.raises(ValueError, match="lam"):
             tr.mixup_batch(np.zeros((1, 1)), np.zeros((1, 1)), y, y, 1.5)
 
