@@ -26,7 +26,7 @@ class AttackConfig:
     eps is the ∞-norm budget; eps_atk keeps only coordinates whose gradient
     difference between the two models is at least that large; eps_lim drops
     coordinates where the backbone gradient moved more than that from its
-    clean-input value.
+    clean-input value. The attack scores the cross-entropy loss.
     """
 
     alpha: float = 0.05
@@ -37,7 +37,6 @@ class AttackConfig:
     search_draws: int = 16
     max_iters: int = 200
     backtrack_depth: int = 8
-    loss_kind: str = "cross_entropy"
 
     def __post_init__(self):
         for name in ("alpha", "eps", "eps_atk", "eps_lim", "search_radius"):
@@ -71,8 +70,8 @@ def _predict_one(net: nn.Network, x1: np.ndarray) -> int:
     return int(nn.predict(net, x1[None])[0])
 
 
-def _input_grad_one(net, x1, y, kind) -> np.ndarray:
-    g, _ = nn.input_gradient(net, x1[None], np.array([y]), kind)
+def _input_grad_one(net, x1, y) -> np.ndarray:
+    g, _ = nn.input_gradient(net, x1[None], np.array([y]))
     return g[0]
 
 
@@ -94,8 +93,8 @@ def _random_search(x, delta, y, backbone, pann, cfg, rng):
     cands = cands[nn.predict(backbone, x + cands) == y]
     if not len(cands):
         return delta
-    logits, _ = nn.forward(pann, x + cands)
-    losses, _ = nn.row_losses(logits, np.full(len(cands), y), cfg.loss_kind)
+    losses, _ = nn.row_losses(nn.infer(pann, x + cands),
+                              np.full(len(cands), y), "cross_entropy")
     best = 0 if np.isnan(losses[0]) else int(np.nanargmax(losses))
     return cands[best]
 
@@ -124,7 +123,7 @@ def attack_pann(x, y, backbone: nn.Network, pann: nn.Network,
 
     # the eps_lim mask compares against the backbone gradient at the clean
     # input, which never changes during the search
-    g_bb_clean = _input_grad_one(backbone, x, y, cfg.loss_kind)
+    g_bb_clean = _input_grad_one(backbone, x, y)
 
     checkpoints = [delta.copy()]  # delta = 0 is safe by precondition
     alpha = cfg.alpha
@@ -136,12 +135,12 @@ def attack_pann(x, y, backbone: nn.Network, pann: nn.Network,
     while iters < cfg.max_iters:
         iters += 1
         if pp == y:
-            g_pann = _input_grad_one(pann, x + delta, y, cfg.loss_kind)
+            g_pann = _input_grad_one(pann, x + delta, y)
             delta = clip(delta + alpha * g_pann)
             delta = clip(_random_search(x, delta, y, backbone, pann,
                                         cfg, rng))
-            g_pann = _input_grad_one(pann, x + delta, y, cfg.loss_kind)
-            g_bb = _input_grad_one(backbone, x + delta, y, cfg.loss_kind)
+            g_pann = _input_grad_one(pann, x + delta, y)
+            g_bb = _input_grad_one(backbone, x + delta, y)
             delta = clip(delta * (np.abs(g_pann - g_bb) >= cfg.eps_atk))
             delta = clip(delta * (np.abs(g_bb - g_bb_clean) <= cfg.eps_lim))
         pb = _predict_one(backbone, x + delta)

@@ -188,7 +188,7 @@ def _cmd_train(args) -> int:
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = datasets.load_dataset(_dataset_spec(cfg))
     _check_arch_fits(arch, data)
-    chash = records.config_hash(dict(cfg, dataset=data.spec.key()))
+    chash = records.config_hash(sd.run_key("train", spec, arch, data))
     store = _open_store(args.records, records.RECORD_COLUMNS) \
         if args.records else None
     try:
@@ -288,7 +288,7 @@ def _cmd_transform(args) -> int:
         pann = tf.transform(backbone, TruncatedReLU(fmt))
     else:  # exact: descriptor of the unchanged backbone
         pann = backbone
-    tf.save_pann_descriptor(pann, args.out)
+    Path(args.out).write_text(json.dumps(tf.pann_descriptor(pann)))
     _emit({"mode": args.mode, "out": str(args.out)})
     return 0
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn import FieldError
 from .seeding import derive_rng
 
 IDX_MAGIC_LABELS = 0x00000801  # uint8 payload, 1 axis
@@ -300,10 +301,31 @@ class DatasetSpec:
     normalize_std: float | None = None
 
     def __post_init__(self):
+        """Raise FieldError naming the first field no loader can use."""
         if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}; one of {SOURCES}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+            raise FieldError(f"source: unknown source {self.source!r}; one "
+                             f"of {SOURCES}")
+        pool = self.source not in ("mnist_idx", "cifar10_binary")
+        blobs = self.source == "synthetic_blobs"
+        n_train = int(round(self.train_fraction * self.n))  # _split_pool's
+        for name, ok, wanted in (
+                ("path", pool or self.path is not None, "a data directory"),
+                ("n", not pool or self.n >= 2, "an integer >= 2"),
+                ("classes", not blobs or self.classes >= 2, "an integer >= 2"),
+                ("dim", not blobs or self.dim >= 1, "an integer >= 1"),
+                ("noise", self.noise >= 0, "a nonnegative number"),
+                ("train_fraction", 0.0 < self.train_fraction < 1.0 and (
+                    not pool or 0 < n_train < self.n),
+                 "a share in (0, 1) that leaves train and test samples"),
+                ("limit_train", self.limit_train is None
+                 or self.limit_train >= 1, "an integer >= 1 or null"),
+                ("limit_test", self.limit_test is None
+                 or self.limit_test >= 1, "an integer >= 1 or null"),
+                ("normalize_std", self.normalize_std is None
+                 or self.normalize_std > 0, "a positive number or null")):
+            if not ok:
+                raise FieldError(f"{name}: expected {wanted}, got "
+                                 f"{getattr(self, name)!r}")
 
     def key(self) -> dict:
         """Every field, with a file path resolved: the dataset's part of a

@@ -71,8 +71,6 @@ class TruncatedReLU:
     never runs in this mode.
     """
 
-    name = "truncated_relu"
-
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
 

@@ -54,8 +54,6 @@ class FieldError(ValueError):
 class ExactReLU:
     """max(z, 0) with subgradient 0 at z = 0."""
 
-    name = "exact_relu"
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
 
@@ -218,9 +216,6 @@ class AvgPool:
     def params(self) -> dict:
         return {}
 
-    def with_params(self, p: dict) -> "AvgPool":
-        return self
-
 
 @dataclass(frozen=True)
 class Flatten:
@@ -232,9 +227,6 @@ class Flatten:
 
     def params(self) -> dict:
         return {}
-
-    def with_params(self, p: dict) -> "Flatten":
-        return self
 
 
 @dataclass(frozen=True)
@@ -251,9 +243,6 @@ class Activation:
 
     def params(self) -> dict:
         return {}
-
-    def with_params(self, p: dict) -> "Activation":
-        return self
 
 
 LAYER_KINDS = {Dense: "dense", Conv2d: "conv2d", AvgPool: "avgpool",

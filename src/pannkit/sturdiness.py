@@ -55,16 +55,14 @@ class ConvexProbe:
     def a(self) -> float:
         return max(self.zbar, 0.0)
 
-    def midpoint_convex(self, lo: float = -3.0, hi: float = 3.0,
-                        n: int = 41, tol: float = 1e-9) -> bool:
-        """h((x+y)/2) <= (h(x)+h(y))/2 on an n x n grid, up to tol."""
-        pts = np.linspace(lo, hi, n)
-        x = pts[:, None]
-        y = pts[None, :]
+    def midpoint_convex(self) -> bool:
+        """h((x+y)/2) <= (h(x)+h(y))/2 on a 41 x 41 grid over [-3, 3]."""
+        pts = np.linspace(-3.0, 3.0, 41)
+        x, y = pts[:, None], pts[None, :]
         lhs = self.h((x + y) / 2.0)
         rhs = (self.h(x) + self.h(y)) / 2.0
         scale = max(1.0, float(np.max(np.abs(rhs))))
-        return bool(np.all(lhs <= rhs + tol * scale))
+        return bool(np.all(lhs <= rhs + 1e-9 * scale))  # rounding slack
 
 
 def quadratic_probe(center: float, scale: float = 1.0) -> ConvexProbe:
@@ -113,11 +111,10 @@ def _require_convex(probe: ConvexProbe) -> None:
                          "test; rejected")
 
 
-def _loglog_slope(eps: np.ndarray, residuals: np.ndarray,
-                  floor: float = 1e-10):
+def _loglog_slope(eps: np.ndarray, residuals: np.ndarray):
     """Least-squares slope of log(residual) vs log(eps); None when the
-    residuals sit below the floor (exact agreement, no rate to measure)."""
-    m = residuals > floor
+    residuals sit below 1e-10 (exact agreement, no rate to measure)."""
+    m = residuals > 1e-10
     if int(m.sum()) < 2:
         return None
     return float(np.polyfit(np.log(eps[m]), np.log(residuals[m]), 1)[0])
@@ -238,15 +235,14 @@ def perturbation_loss_experiment(net: nn.Network, x: np.ndarray,
     return rows
 
 
-def detect_plateau(train_losses, rel_tol: float = 1e-4,
-                   window: int = 5):
-    """First 1-based epoch whose loss improved relatively less than rel_tol
-    over the preceding ``window`` epochs; None if training never plateaued."""
+def detect_plateau(train_losses):
+    """First 1-based epoch whose loss improved relatively less than 1e-4
+    over the preceding 5 epochs; None if training never plateaued."""
     losses = list(train_losses)
-    for e in range(window + 1, len(losses) + 1):
-        ref = losses[e - 1 - window]
+    for e in range(6, len(losses) + 1):
+        ref = losses[e - 6]
         rel = (ref - losses[e - 1]) / max(abs(ref), 1e-12)
-        if rel < rel_tol:
+        if rel < 1e-4:
             return e
     return None
 
@@ -276,6 +272,7 @@ class _CellSpec:
     gamma = 0.1
     mixup = ngnv = None
     columns = records.SWEEP_COLUMNS
+    grid = ()  # a spec without a grid is one run
 
     def prepare(self):
         """Build, before a cell trains, what its evaluation may fail to
@@ -496,23 +493,32 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     return results, n_written, cached
 
 
+def run_key(experiment: str, spec: _CellSpec, arch: str,
+            data: Dataset) -> dict:
+    """What names a run: the experiment, the architecture, every field of
+    the dataset's spec (its name when it has none) and every spec field but
+    the grid ones."""
+    key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
+    key.update(experiment=experiment, arch=arch,
+               dataset=(data.name or "dataset") if data.spec is None
+               else data.spec.key())
+    return key
+
+
 def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
               *, store: records.RecordStore | None = None,
               force: bool = False, workers: int = 1, snapshot_epochs=()):
     """The one experiment-cell engine.
 
-    A cell's hash covers the experiment name, the architecture, every field
-    of the dataset's spec (of its name when it has none), the cell's (wd,
-    seed) and every spec field but the grid ones. A cell not in the store
-    runs the spec's ``prepare`` and then trains once; a divergence becomes
-    its single ``failed`` row, and otherwise ``evaluation(result, base)``
-    turns the trained result into rows that extend ``base``. Returns (rows,
-    rows written, cell statuses in cell order).
+    A cell's hash covers its ``run_key`` and its (wd, seed). A cell not in
+    the store runs the spec's ``prepare`` and then trains once; a
+    divergence becomes its single ``failed`` row, and otherwise
+    ``evaluation(result, base)`` turns the trained result into rows that
+    extend ``base``. Returns (rows, rows written, cell statuses in cell
+    order).
     """
     dataset = data.name or "dataset"
-    key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
-    key.update(experiment=experiment, arch=arch,
-               dataset=dataset if data.spec is None else data.spec.key())
+    key = run_key(experiment, spec, arch, data)
     cells = spec.cells()
     chash = {c: records.config_hash(dict(key, wd=c[0], seed=c[1]))
              for c in cells}
@@ -552,10 +558,13 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
 
 
 def _composite_eval(spec: SweepSpec, net: nn.Network, data: Dataset, beta):
-    pann = tf.build_composite_pann(
-        net, data.x_train[:spec.calib_samples], beta,
-        safety=spec.bound_safety, max_stage_degree=spec.max_stage_degree)
-    return evaluate(pann, data.x_test, data.y_test)
+    """(loss, accuracy) of net with every slot calibrated and certified."""
+    bound = tf.calibrate_bound(net, data.x_train[:spec.calib_samples],
+                               safety=spec.bound_safety)
+    approx = build_appsgn(beta=beta, bound=bound,
+                          max_stage_degree=spec.max_stage_degree)
+    return evaluate(tf.transform(net, tf.CompositeReLU(approx)), data.x_test,
+                    data.y_test)
 
 
 def _trend(rows, metric: str, keys) -> dict:

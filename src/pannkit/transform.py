@@ -1,16 +1,15 @@
 """Swap a trained backbone's exact ReLUs for approximate activation modes.
 
 The transform never touches the source network: it returns a copy whose
-activation slots carry new mode objects. Modes are recorded (descriptors),
-so the swap is reversible and a transformed network can be reconstructed
-bit-identically from its descriptor plus the backbone checkpoint. This is
-the one module that knows how every mode is built, stored and rebuilt.
+activation slots all carry one new mode. Modes are recorded (descriptors),
+so a transformed network can be reconstructed bit-identically from its
+descriptor plus the backbone checkpoint. This is the one module that knows
+how every mode is built, stored and rebuilt.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import nn
 from .nn import IntervalOverflowError  # raised under the error policy
 from .fixedpoint import FixedPointFormat, TruncatedReLU
 from .polyapprox import (CompositeSgnApprox, Polynomial, approx_from_json,
-                         approx_to_json, build_appsgn, check_number)
+                         approx_to_json, check_number)
 from .seeding import derive_rng
 
 OVERFLOW_POLICIES = ("clamp_to_B", "error")
@@ -49,8 +48,6 @@ class CompositeReLU:
 
     The mode never changes after construction.
     """
-
-    name = "composite_relu"
 
     def __init__(self, approx: CompositeSgnApprox,
                  policy: IntervalPolicy | None = None):
@@ -101,8 +98,6 @@ class InjectedReLU:
     the objective of any optimizer probing this mode is well defined. The
     sign filter picks the inputs that carry the error: all, z < 0 or z > 0.
     """
-
-    name = "injected_relu"
 
     def __init__(self, beta: int, sign_filter: str = "all",
                  mode: str = "uniform_random", seed: int = 0,
@@ -171,8 +166,6 @@ class PartialReplaceReLU:
     which keeps the c=1 case bit-identical to the backbone.
     """
 
-    name = "partial_replace_relu"
-
     def __init__(self, p: Polynomial | None = None, c: float = 0.5,
                  binarized: bool = False):
         self.p = p if p is not None else default_quadratic_replacement()
@@ -208,26 +201,14 @@ class PartialReplaceReLU:
 # the transform itself
 
 
-def transform(net: nn.Network, mode, slots=None) -> nn.Network:
-    """Return a copy of net with activation slots running ``mode``.
-
-    slots: activation indices (positions among the network's activation
-    slots, 0-based) to replace; default all. Approximate modes must be
-    installed over exact ReLUs, i.e. transforms start from the backbone;
-    installing ExactReLU is always allowed and restores the backbone.
-    """
-    act_indices = net.activation_indices()
-    chosen = set(range(len(act_indices))) if slots is None else set(slots)
-    bad = chosen - set(range(len(act_indices)))
-    if bad:
-        raise ValueError(f"no such activation slots: {sorted(bad)}")
-    restoring = isinstance(mode, nn.ExactReLU)
+def transform(net: nn.Network, mode) -> nn.Network:
+    """Return a copy of the backbone net with every activation slot running
+    ``mode``. A slot that already runs another mode raises ValueError:
+    transforms start from the exact-ReLU backbone."""
     out = net
-    for slot_pos, layer_idx in enumerate(act_indices):
-        if slot_pos not in chosen:
-            continue
+    for slot_pos, layer_idx in enumerate(net.activation_indices()):
         current = net.layers[layer_idx].mode
-        if not restoring and not isinstance(current, nn.ExactReLU):
+        if not isinstance(current, nn.ExactReLU):
             raise ValueError(
                 f"slot {slot_pos} already runs {current!r}; transform from "
                 "the exact-ReLU backbone")
@@ -237,23 +218,12 @@ def transform(net: nn.Network, mode, slots=None) -> nn.Network:
     return out
 
 
-def build_composite_pann(net: nn.Network, calib_x: np.ndarray, beta: int, *,
-                         safety: float = 1.2,
-                         max_stage_degree: int = 15) -> nn.Network:
-    """Calibrate the interval on calib_x, certify an approximant for it, and
-    install the clamping smooth ReLU in every activation slot."""
-    bound = calibrate_bound(net, calib_x, safety=safety)
-    approx = build_appsgn(beta=beta, bound=bound,
-                          max_stage_degree=max_stage_degree)
-    return transform(net, CompositeReLU(approx))
-
-
-def calibrate_bound(net: nn.Network, x: np.ndarray, safety: float = 1.2,
-                    batch: int = 512) -> float:
+def calibrate_bound(net: nn.Network, x: np.ndarray,
+                    safety: float = 1.2) -> float:
     """B = safety * max |pre-activation| over the given inputs."""
     worst = 0.0
-    for i in range(0, x.shape[0], batch):
-        _, trace = nn.forward(net, x[i:i + batch])
+    for i in range(0, x.shape[0], 512):  # bounds the traces held at once
+        _, trace = nn.forward(net, x[i:i + 512])
         for z in trace:
             worst = max(worst, float(np.max(np.abs(z))))
     if worst == 0.0:
@@ -267,9 +237,8 @@ def calibrate_bound(net: nn.Network, x: np.ndarray, safety: float = 1.2,
 
 def pann_descriptor(net: nn.Network) -> dict:
     """Per-slot mode descriptors for a transformed network."""
-    slots = []
-    for slot_pos, layer_idx in enumerate(net.activation_indices()):
-        slots.append(net.layers[layer_idx].mode.descriptor())
+    slots = [net.layers[i].mode.descriptor()
+             for i in net.activation_indices()]
     return {"format": "pannkit-pann-descriptor", "version": 1, "slots": slots}
 
 
@@ -299,11 +268,6 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
             mode = MODES[kind](slot)
         out = out.replace_layer(layer_idx, nn.Activation(mode))
     return out
-
-
-def save_pann_descriptor(net: nn.Network, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pann_descriptor(net), fh)
 
 
 # slot descriptor kind -> the mode it describes; exact_relu is here because

@@ -160,7 +160,7 @@ def _search_loop(x, delta, y, backbone, pann, cfg, rng, score=None):
             continue
         logits, _ = nn.forward(pann, (x + cand)[None])
         loss, _ = nn.loss_and_logit_grad(logits, np.array([y]),
-                                         cfg.loss_kind)
+                                         "cross_entropy")
         if score is not None:
             loss = float(score(np.array([loss]))[0])
         if best_loss is None or loss > best_loss:
@@ -178,14 +178,18 @@ def _coarse(losses):
 def _attack_loop(x, y, backbone, pann, cfg, seed=0):
     """attack_pann as it was before predictions were reused and the random
     search was batched."""
-    predict, grad = attack._predict_one, attack._input_grad_one
+    predict = attack._predict_one
+
+    def grad(net, x1, y, kind):
+        return nn.input_gradient(net, x1[None], np.array([y]), kind)[0][0]
+
     x = np.asarray(x, dtype=np.float64)
     rng = derive_rng(seed, "attack")
     clip = lambda d: np.clip(d, -cfg.eps, cfg.eps)
     delta = np.zeros_like(x)
     if predict(pann, x) != y:
         return attack.AttackOutcome(True, delta, 0)
-    g_bb_clean = grad(backbone, x, y, cfg.loss_kind)
+    g_bb_clean = grad(backbone, x, y, "cross_entropy")
     checkpoints = [delta.copy()]
     alpha = cfg.alpha
     trace = []
@@ -193,12 +197,12 @@ def _attack_loop(x, y, backbone, pann, cfg, seed=0):
     while iters < cfg.max_iters:
         iters += 1
         if predict(pann, x + delta) == y:
-            g_pann = grad(pann, x + delta, y, cfg.loss_kind)
+            g_pann = grad(pann, x + delta, y, "cross_entropy")
             delta = clip(delta + alpha * g_pann)
             delta = clip(_search_loop(x, delta, y, backbone, pann, cfg,
                                       rng))
-            g_pann = grad(pann, x + delta, y, cfg.loss_kind)
-            g_bb = grad(backbone, x + delta, y, cfg.loss_kind)
+            g_pann = grad(pann, x + delta, y, "cross_entropy")
+            g_bb = grad(backbone, x + delta, y, "cross_entropy")
             delta = clip(delta * (np.abs(g_pann - g_bb) >= cfg.eps_atk))
             delta = clip(delta * (np.abs(g_bb - g_bb_clean) <= cfg.eps_lim))
         if predict(backbone, x + delta) != y:

@@ -134,7 +134,26 @@ class TestPinnedHashes:
 
     def test_train_config_hash(self, capsys, train_cfg):
         code, doc = run(capsys, "train", "--config", train_cfg)
-        assert code == 0 and doc["config_hash"] == "800bdf6fcc740994"
+        assert code == 0 and doc["config_hash"] == "2fb17a4526cc54b4"
+
+    def test_train_hash_names_the_parsed_run(self, tmp_path, capsys):
+        # three spellings of one run: one hash, and one set of rows
+        base = {"arch": "mlp:8", "dataset": BLOBS, "epochs": 2}
+        spelled_out = dict(
+            base, seed=0, loss="cross_entropy", wd=0.0, milestones=[],
+            gamma=0.1, mixup=None, ngnv=None, lr=0.05, momentum=0.9,
+            batch_size=64, dataset=dict(BLOBS, path=None, noise=0.1,
+                                        train_fraction=0.8))
+        recs = tmp_path / "runs.csv"
+        hashes = set()
+        for doc in (base, spelled_out, dict(base, wd=0)):
+            cfg = write_config(tmp_path / "t.json", doc)
+            code, out = run(capsys, "train", "--config", cfg, "--records",
+                            recs)
+            assert code == 0
+            hashes.add(out["config_hash"])
+        assert len(hashes) == 1
+        assert len(list(csv.DictReader(recs.open()))) == 3
 
     @pytest.mark.parametrize("command", sorted(TINY))
     def test_cell_hash(self, tmp_path, capsys, command):
@@ -622,6 +641,30 @@ class TestExit2BeforeTraining:
                 argv += ["--records", tmp_path / "r.csv"]
             self._expect(capsys, argv, detail)
 
+    # blobs dataset fields -> the field the error names
+    BAD_DATASETS = [
+        ({"n": 0}, "n"), ({"n": -5}, "n"), ({"n": 1}, "n"),
+        ({"classes": 1}, "classes"), ({"dim": 0}, "dim"),
+        ({"limit_train": 0}, "limit_train"),
+        ({"limit_test": 0}, "limit_test"),
+        ({"limit_train": -1}, "limit_train"),
+        ({"n": 100, "train_fraction": 0.001}, "train_fraction"),
+        ({"normalize_std": 0}, "normalize_std"),
+        ({"normalize_std": -1.0}, "normalize_std"),
+        ({"noise": -1}, "noise"),
+        ({"source": "mnist_idx"}, "path")]
+
+    @pytest.mark.parametrize("dataset, field", BAD_DATASETS, ids=[
+        ",".join(f"{k}={v}" for k, v in d.items()) for d, _ in BAD_DATASETS])
+    def test_dataset_values(self, tmp_path, capsys, no_training, dataset,
+                            field):
+        cfg = write_config(tmp_path / "c.json", {
+            "arch": "mlp:8", "epochs": 1, "dataset": dict(BLOBS, **dataset)})
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config.dataset.{field}: " in err, err
+        assert "Traceback" not in err, err
+
     def test_infeasible_beta_fails_before_training(self, tmp_path, capsys,
                                                    no_training):
         cfg = write_config(tmp_path / "s.json", {
@@ -805,7 +848,7 @@ def fuzz_model(tmp_path_factory):
     net = nn.build_arch("mlp:16", (2,), 3, seed=0)
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
     path.write_text(json.dumps({"network": nn.network_to_dict(net)}))
-    slots = {m.name: m.descriptor() for m in (
+    slots = {m.descriptor()["kind"]: m.descriptor() for m in (
         tf.CompositeReLU(build_appsgn(4, bound=5.0)),
         tf.InjectedReLU(6, seed=1).with_slot(0),
         tf.PartialReplaceReLU(c=0.5),
@@ -971,8 +1014,8 @@ class TestImports:
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"network": nn.network_to_dict(net)}))
         desc = tmp_path / "pann.json"
-        tf.save_pann_descriptor(tf.transform(net, tf.CompositeReLU(
-            build_appsgn(6, bound=5.0))), desc)
+        desc.write_text(json.dumps(tf.pann_descriptor(tf.transform(
+            net, tf.CompositeReLU(build_appsgn(6, bound=5.0))))))
         commands = [
             ["eval-pann", "--model", model, "--config", train_cfg,
              "--pann", desc],
@@ -988,6 +1031,30 @@ class TestImports:
                               check=True)
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         assert loaded == [[], [], []]
+
+
+class TestTracer:
+    def test_traced_sweep_writes_spans(self, tmp_path):
+        """The benchmark's tracer wraps pannkit names at start-up, so a
+        renamed or deleted name fails here rather than in a benchmark
+        run."""
+        root = Path(cli.__file__).parents[2]
+        cfg = write_config(tmp_path / "s.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "sweep": {
+                "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}})
+        trace = tmp_path / "trace.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_cli.py"),
+             "t", str(trace), "sweep-wd", "--config", str(cfg),
+             "--records", str(tmp_path / "r.csv")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert any(line.get("name") == "sturdiness.weight_decay_sweep"
+                   for line in lines)
+        assert "counters" in lines[-1]
 
 
 class TestDataDirEnv:
