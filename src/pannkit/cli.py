@@ -312,12 +312,13 @@ def _cmd_eval_pann(args) -> int:
 
 
 # command -> sturdiness spec class, the config object holding it ("" for
-# the top level), the sturdiness preset that runs it, and its plot CSV header
+# the top level), the sturdiness preset that runs it, and its plot CSV
+# header; sweep-beta is sweep-wd with every t' at the final epoch
 _EXPERIMENTS = {
     "sweep-wd": ("SweepSpec", "sweep", "weight_decay_sweep",
                  ("beta", "wd", "mean_pann_accuracy")),
-    "sweep-beta": ("SweepSpec", "sweep", "beta_sweep",
-                   ("beta", "mean_pann_accuracy")),
+    "sweep-beta": ("SweepSpec", "sweep", "weight_decay_sweep",
+                   ("beta", "wd", "mean_pann_accuracy")),
     "trunc-sweep": ("TruncSpec", "sweep", "truncation_sweep",
                     ("l_x", "mean_accuracy")),
     "perturb-exp": ("PerturbSpec", "", "perturbation_sweep",
@@ -331,7 +332,7 @@ def _plot_rows(res) -> list:
                  r["metric"].removeprefix("delta_loss_"), r["value"])
                 for r in res.rows if str(r["seed"]) == "mean"]
     rows = []
-    for key, mean in sorted(res.trend.items()):  # sweep-wd: beta -> wd
+    for key, mean in sorted(res.trend.items()):  # the wd sweeps: beta -> wd
         rows += ([(key, *sub) for sub in sorted(mean.items())]
                  if isinstance(mean, dict) else [(key, mean)])
     return rows
@@ -342,9 +343,11 @@ def _cmd_experiment(args) -> int:
     spec_cls, section, preset, plot_header = _EXPERIMENTS[args.command]
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, getattr(sd, spec_cls), section)
-    if args.command == "sweep-beta" and len(spec.wds) != 1:
-        raise ConfigError(f"config.sweep.wds: expected exactly one wd for "
-                          f"a beta sweep, got {list(spec.wds)}")
+    if args.command == "sweep-beta":
+        if "t_primes" in cfg[section]:
+            raise ConfigError("config.sweep.t_primes: sweep-beta evaluates "
+                              "the final epoch; use sweep-wd to set t'")
+        spec = dataclasses.replace(spec, t_primes=(spec.epochs,))
     data = datasets.load_dataset(_dataset_spec(cfg))
     _check_arch_fits(arch, data)
     store = _open_store(args.records, spec.columns) if args.records else None
@@ -526,7 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, plot_help in (
             ("sweep-wd", "CSV of beta, wd, mean pann accuracy"),
-            ("sweep-beta", "CSV of beta, mean pann accuracy"),
+            ("sweep-beta", "CSV of beta, wd, mean pann accuracy at the "
+                           "final epoch"),
             ("trunc-sweep", "CSV of l_x, mean accuracy")):
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)

@@ -1,5 +1,5 @@
 """Machine checks of the convex-analysis claims behind activation-error
-sensitivity, plus the experiment-cell engine and its four presets.
+sensitivity, plus the experiment-cell engine and its three presets.
 
 The validators work on one-dimensional convex probes with closed-form
 one-sided derivatives. Two results are checked numerically: the limit of the
@@ -11,10 +11,11 @@ without a single violation.
 Every experiment is a grid of cells. A cell trains one network at one (wd,
 seed), turns a divergence into its single ``failed`` row, and otherwise
 evaluates the trained network: at composite precisions past the loss
-plateau (weight-decay sweep), at composite precisions (beta sweep), at
-fixed-point widths (truncation sweep), or under sign-filtered injection
-(perturbation sweep). ``run_cells`` is the one engine; a cell whose hash is
-already stored is read back instead of trained.
+plateau (weight-decay sweep; the CLI's precision sweep is this preset at
+the final epoch), at fixed-point widths (truncation sweep), or under
+sign-filtered injection (perturbation sweep). ``run_cells`` is the one
+engine; a cell whose hash is already stored is read back instead of
+trained.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ class SweepSpec(_CellSpec):
     """Grid for the weight-decay and precision experiments.
 
     t_primes are epochs past the detected train-loss plateau at which the
-    model is snapshotted and approximated; betas are approximant precisions.
+    model is snapshotted and approximated, each capped at the final epoch;
+    betas are approximant precisions. A spec whose t' are all >= epochs
+    only ever evaluates the final network, so it skips the plateau pass.
     """
 
     wds: tuple[float, ...]
@@ -322,6 +325,7 @@ class SweepSpec(_CellSpec):
         self._check(
             method=(self.method in SWEEP_METHODS, f"one of {SWEEP_METHODS}"),
             betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
+            t_primes=(all(t >= 0 for t in self.t_primes), "integers >= 0"),
             max_stage_degree=(self.max_stage_degree >= least,
                               f"an integer >= {least}"),
             calib_samples=(self.calib_samples >= 1, "an integer >= 1"),
@@ -590,15 +594,22 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                        store: records.RecordStore | None = None,
                        force: bool = False, workers: int = 1) -> SweepResult:
     """Train per (wd, seed) cell, snapshot past the plateau, approximate at
-    each beta, and persist accuracy/loss rows. Cells already present in the
-    store are read back instead of recomputed (unless force). trend maps
-    beta -> wd -> mean accuracy at the last t'."""
+    each beta, and persist accuracy/loss rows, with a plateau_epoch row
+    unless every t' >= epochs. Cells already present in the store are read
+    back instead of recomputed (unless force). trend maps beta -> wd -> mean
+    accuracy at the last t'."""
+
+    # every t' caps at the final epoch: no plateau to find, one snapshot
+    final_only = min(spec.t_primes) >= spec.epochs
 
     def evaluation(result, base):
-        plateau = detect_plateau(
-            [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
-             for e in range(1, spec.epochs + 1)]) or spec.epochs
-        rows = [dict(base, metric="plateau_epoch", value=float(plateau))]
+        plateau, rows = spec.epochs, []
+        if not final_only:
+            plateau = detect_plateau(
+                [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
+                 for e in range(1, spec.epochs + 1)]) or spec.epochs
+            rows.append(dict(base, metric="plateau_epoch",
+                             value=float(plateau)))
         for t_prime in spec.t_primes:
             net = result.snapshots[min(plateau + int(t_prime), spec.epochs)]
             bb_loss, bb_acc = evaluate(net, data.x_test, data.y_test)
@@ -616,7 +627,8 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
     rows, n_written, cells = run_cells(
         "wd_sweep", spec, arch, data, evaluation, store=store,
         force=force, workers=workers,
-        snapshot_epochs=range(1, spec.epochs + 1))
+        snapshot_epochs=(spec.epochs,) if final_only
+        else range(1, spec.epochs + 1))
     t_max = str(max(spec.t_primes))
     trend = {int(beta): {} for beta in spec.betas}
     for wd in spec.wds:
@@ -625,28 +637,6 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
         for beta, mean in _trend(at_wd, "pann_accuracy", spec.betas).items():
             trend[beta][wd] = mean
     return _result(rows, trend, n_written, cells)
-
-
-def beta_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
-               store: records.RecordStore | None = None,
-               force: bool = False, workers: int = 1) -> SweepResult:
-    """Fully train one model per seed at a single weight decay, then report
-    its approximated accuracy at every precision in spec.betas: exactly
-    len(betas) rows per seed. trend maps beta -> mean accuracy."""
-    if len(spec.wds) != 1:
-        raise ValueError(f"beta sweep expects exactly one wd, got "
-                         f"{spec.wds}")
-
-    def evaluation(result, base):
-        return [dict(base, beta=int(beta), metric="pann_accuracy",
-                     value=_composite_eval(spec, result.net, data, beta)[1])
-                for beta in spec.betas]
-
-    rows, n_written, cells = run_cells(
-        "beta_sweep", spec, arch, data, evaluation, store=store,
-        force=force, workers=workers)
-    return _result(rows, _trend(rows, "pann_accuracy", spec.betas),
-                   n_written, cells)
 
 
 def truncation_sweep(spec: TruncSpec, arch: str, data: Dataset, *,

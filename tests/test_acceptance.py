@@ -30,7 +30,7 @@ from pannkit import transform as tf
 from pannkit.fixedpoint import FixedPointFormat, _nonneg_by_shifts
 from pannkit.training import MixupConfig, NgnvConfig
 
-from oracles import count_alternations
+from oracles import count_alternations, discrepancy_grid
 
 BETAS = (6, 8, 10, 12)
 SLACK = 0.005               # 0.5pp slack on accuracy-trend comparisons
@@ -417,8 +417,8 @@ def test_criterion_12_attack_validity():
             if not attack.verify_outcome(TOY_ANCHOR, TOY_LABEL, out.delta,
                                          backbone, pann, TOY_EPS):
                 unverified += 1
-    _, mask = attack.discrepancy_grid(TOY_ANCHOR, TOY_LABEL, backbone, pann,
-                                      TOY_EPS, steps=60)
+    _, mask = discrepancy_grid(TOY_ANCHOR, TOY_LABEL, backbone, pann,
+                               TOY_EPS, steps=60)
     region = int(mask.sum())
     ok = wins >= 1 and unverified == 0 and region > 0
     _report(12, ok, f"{wins}/100 successes, {unverified} failed "

@@ -16,6 +16,8 @@ from pannkit import polyapprox as pa
 from pannkit import transform as tf
 from pannkit.seeding import derive_rng
 
+from oracles import discrepancy_grid
+
 
 @pytest.fixture(scope="module")
 def backbone():
@@ -69,8 +71,7 @@ class TestConfig:
 
 class TestGridOracle:
     def test_sliver_exists(self, backbone, pann):
-        axis, mask = attack.discrepancy_grid(ANCHOR, LABEL, backbone,
-                                             pann, EPS)
+        axis, mask = discrepancy_grid(ANCHOR, LABEL, backbone, pann, EPS)
         assert axis[0] == -EPS and axis[-1] == EPS and len(axis) == 101
         assert mask.any()
         # every marked point re-verifies independently
@@ -82,7 +83,7 @@ class TestGridOracle:
 
     def test_rejects_non_planar_input(self, backbone, pann):
         with pytest.raises(ValueError, match="2-feature"):
-            attack.discrepancy_grid(np.zeros(3), 0, backbone, pann, EPS)
+            discrepancy_grid(np.zeros(3), 0, backbone, pann, EPS)
 
 
 class TestAttack:
@@ -291,8 +292,7 @@ class TestVerify:
                                          backbone, pann, EPS)
 
     def test_norm_violation_is_false_regardless(self, backbone, pann):
-        axis, mask = attack.discrepancy_grid(ANCHOR, LABEL, backbone,
-                                             pann, EPS)
+        axis, mask = discrepancy_grid(ANCHOR, LABEL, backbone, pann, EPS)
         ii, jj = np.where(mask)
         good = np.array([axis[ii[0]], axis[jj[0]]])
         assert attack.verify_outcome(ANCHOR, LABEL, good, backbone, pann,

@@ -124,7 +124,7 @@ class TestPinnedHashes:
     TINY = {
         "sweep-wd": ("0b58ca01bd8a410e", {"sweep": {
             "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
-        "sweep-beta": ("e33430ccd6a0f820", {"sweep": {
+        "sweep-beta": ("8ccf2eea103d5ecd", {"sweep": {
             "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
         "trunc-sweep": ("3a1b0432413c98da", {"sweep": {
             "l_xs": [8], "seeds": [0], "epochs": 1}}),
@@ -372,8 +372,41 @@ class TestSweeps:
                         "--records", tmp_path / "r.csv",
                         "--plot", tmp_path / "p.csv")
         assert code == 0
-        assert doc["rows"] == 4  # len(betas) rows per seed
+        # per seed: the backbone, then a pann and a delta row per beta
+        assert doc["rows"] == 10
         assert set(doc["trend"]) == {"6", "8"}
+        rows = list(csv.reader((tmp_path / "p.csv").open()))
+        assert rows[0] == ["beta", "wd", "mean_pann_accuracy"]
+        assert [r[:2] for r in rows[1:]] == [["6", "0.0"], ["8", "0.0"]]
+
+    def test_beta_sweep_is_wd_sweep_at_the_final_epoch(self, tmp_path,
+                                                       capsys):
+        sweep = {"wds": [0.0], "seeds": [0, 1], "betas": [6, 8],
+                 "epochs": 3, "lr": 0.1}
+        doc = {"arch": "mlp:8", "dataset": BLOBS}
+        beta_cfg = write_config(tmp_path / "b.json", dict(doc, sweep=sweep))
+        wd_cfg = write_config(tmp_path / "w.json",
+                              dict(doc, sweep=dict(sweep, t_primes=[3])))
+
+        def pann_rows(path):
+            return [(r["seed"], r["beta"], r["value"])
+                    for r in csv.DictReader(path.open())
+                    if r["metric"] == "pann_accuracy"]
+
+        wd_recs, beta_recs = tmp_path / "wd.csv", tmp_path / "beta.csv"
+        assert run(capsys, "sweep-wd", "--config", wd_cfg, "--records",
+                   wd_recs)[0] == 0
+        assert run(capsys, "sweep-beta", "--config", beta_cfg, "--records",
+                   beta_recs)[0] == 0
+        assert len(pann_rows(wd_recs)) == 4
+        assert pann_rows(beta_recs) == pann_rows(wd_recs)
+        # one cell hash: the wd sweep's store already holds every cell
+        before = wd_recs.read_bytes()
+        code, out = run(capsys, "sweep-beta", "--config", beta_cfg,
+                        "--records", wd_recs)
+        assert code == 0 and out["rows_written"] == 0
+        assert all(c["status"] == "cached" for c in out["cells"])
+        assert wd_recs.read_bytes() == before
 
     def test_trunc_sweep_plot(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "t.json", {
@@ -622,8 +655,10 @@ class TestExit2BeforeTraining:
              "config.sweep.wd"),
             ("sweep-beta", dict(base, sweep=dict(sweep, max_stage_degree=2)),
              "config.sweep.max_stage_degree"),
-            ("sweep-beta", dict(base, sweep=dict(sweep, wds=[0.0, 0.1])),
-             "config.sweep.wds"),
+            ("sweep-beta", dict(base, sweep=dict(sweep, t_primes=[1])),
+             "config.sweep.t_primes"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, t_primes=[-5])),
+             "config.sweep.t_primes"),
             ("trunc-sweep", dict(base, sweep=dict(trunc, l_xs=[7])),
              "config.sweep.l_xs"),
             ("perturb-exp", {**base, **perturb, "sign_filters": ["bogus"]},
@@ -718,6 +753,9 @@ _FUZZ_BASES = {
     "sweep-wd": (sd.SweepSpec, "sweep", ("wds", "seeds", "betas"),
                  {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 2,
                   "calib_samples": 8}),
+    "sweep-beta": (sd.SweepSpec, "sweep", ("wds", "seeds", "betas"),
+                   {"wds": [0.0, 0.1], "seeds": [0], "betas": [6],
+                    "epochs": 2, "calib_samples": 8}),
     "trunc-sweep": (sd.TruncSpec, "sweep", ("l_xs", "seeds"),
                     {"l_xs": [8], "seeds": [0], "epochs": 2}),
     "perturb-exp": (sd.PerturbSpec, "", ("wds", "betas"),
@@ -732,7 +770,7 @@ _BAD_VALUES = {
     "max_stage_degree": [2], "method": ["bogus"], "ngnv_r": [2.0],
     "mixup_alpha": [0.0], "bound_safety": [0.0], "l_xs": [[7], [2], [40]],
     "sign_filters": [["bogus"], []], "mode": ["bogus"], "loss": ["bogus"],
-    "t_primes": [[]], "lr": ["fast", float("nan"), float("inf")],
+    "t_primes": [[], [-1]], "lr": ["fast", float("nan"), float("inf")],
     "milestones": [[1.5], ["x"], 2], "gamma": ["x", float("nan")],
     "mixup": [[], "x", {"alpha": 0.0}, {"alpah": 1.0}],
     "ngnv": [[0.3], {"r": 2.0}, {"scale": 1.0}],

@@ -241,3 +241,31 @@ class TestSweep:
                         batch_size=64, seed=0)
         _, acc = tr.evaluate(redo.net, blobs.x_test, blobs.y_test)
         assert bb["value"] == acc
+
+    @pytest.mark.parametrize("t_prime, plateau_evals", [(6, 0), (0, 6)])
+    def test_final_epoch_cell_skips_the_plateau_pass(
+            self, blobs, monkeypatch, t_prime, plateau_evals):
+        # t' >= epochs picks the final network whatever the plateau, so
+        # that cell runs no plateau pass and keeps only the final network
+        calls, snapshots = [], []
+        real_evaluate, real_train = sd.evaluate, tr.train
+
+        def counted(*args, **kwargs):
+            calls.append(args[1] is blobs.x_train)
+            return real_evaluate(*args, **kwargs)
+
+        def kept(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            snapshots.append(sorted(result.snapshots))
+            return result
+
+        monkeypatch.setattr(sd, "evaluate", counted)
+        monkeypatch.setattr(tr, "train", kept)
+        betas = (4, 6)
+        spec = self._spec(wds=(0.0,), betas=betas, t_primes=(t_prime,))
+        res = sd.weight_decay_sweep(spec, "mlp:8", blobs)
+        assert calls.count(True) == plateau_evals
+        assert calls.count(False) == 1 + len(betas)
+        metrics = [r["metric"] for r in res.rows]
+        assert metrics.count("plateau_epoch") == (1 if plateau_evals else 0)
+        assert snapshots == [[6] if t_prime else list(range(1, 7))]
