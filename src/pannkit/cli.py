@@ -208,7 +208,7 @@ def _cmd_train(args) -> int:
                "network": nn.network_to_dict(result.net)}
         Path(args.out).write_text(json.dumps(doc))
     written = 0
-    if store is not None and (args.force or not store.has(chash)):
+    if store is not None:  # a stored hash writes nothing unless --force
         base = {"config_hash": chash, "timestamp": records.timestamp(),
                 "arch": arch, "dataset": data.name or "dataset",
                 "method": spec.method, "wd": spec.wd, "precision": "",
@@ -468,17 +468,6 @@ def _cmd_approx(args) -> int:
 # parser
 
 
-def _add_records_args(p, plot_help):
-    p.add_argument("--records", required=True,
-                   help="append-only metrics CSV")
-    p.add_argument("--plot", help=plot_help)
-    p.add_argument("--force", action="store_true",
-                   help="recompute cells whose config hash is already "
-                        "stored")
-    p.add_argument("--workers", type=int, default=1,
-                   help="bounded pool size for independent cells")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pannkit",
@@ -534,7 +523,14 @@ def _build_parser() -> argparse.ArgumentParser:
             ("trunc-sweep", "CSV of l_x, mean accuracy")):
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
-        _add_records_args(s, plot_help)
+        s.add_argument("--records", required=True,
+                       help="append-only metrics CSV")
+        s.add_argument("--plot", help=plot_help)
+        s.add_argument("--force", action="store_true",
+                       help="recompute cells whose config hash is already "
+                            "stored")
+        s.add_argument("--workers", type=int, default=1,
+                       help="bounded pool size for independent cells")
         s.set_defaults(handler=_cmd_experiment)
 
     pe = sub.add_parser("perturb-exp",

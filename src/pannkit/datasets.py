@@ -106,6 +106,14 @@ def _paired_idx(images_path, labels_path):
         raise DatasetFormatError(
             f"{images_path}: {images.shape[0]} images but "
             f"{labels.shape[0]} labels in {labels_path}")
+    if labels.size == 0:
+        raise DatasetFormatError(f"{images_path}: empty file (0 images)")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        i = int(bad[0])  # a label file's payload starts at offset 8
+        raise DatasetFormatError(
+            f"{labels_path}: label {int(labels[i])} > 9 in record {i} "
+            f"(offset {8 + i})")
     x = images.astype(np.float64)[:, None, :, :] / 255.0  # (n, 1, H, W)
     return x, labels.astype(np.int64)
 
@@ -176,8 +184,6 @@ def _balanced_labels(n: int, classes: int, rng) -> np.ndarray:
 
 def synthetic_blobs(n: int, classes: int, dim: int, seed: int):
     """Gaussian clusters around well-separated deterministic centers."""
-    if classes < 2 or dim < 1:
-        raise ValueError("need classes >= 2 and dim >= 1")
     rng = derive_rng(seed, "blobs")
     if dim == 1:
         centers = (np.arange(classes) - (classes - 1) / 2.0)[:, None] * 4.0

@@ -163,7 +163,7 @@ def _basis_to_polynomial(gamma: np.ndarray, degree: int, odd: bool,
     return Polynomial(tuple(_affine_substitute(mono_u, alpha, gamma0)))
 
 
-def _fit_grid(interval, odd: bool, size: int) -> np.ndarray:
+def _fit_grid(interval, size: int) -> np.ndarray:
     """Dense abscissae for locating error extrema during the exchange."""
     a, b = interval
     pieces = [np.linspace(a, b, size)]
@@ -172,8 +172,7 @@ def _fit_grid(interval, odd: bool, size: int) -> np.ndarray:
         s = np.linspace(math.sqrt(a), math.sqrt(b), size)
         pieces.append(s * s)
         pieces.append(np.geomspace(a, b, size))
-    grid = np.unique(np.concatenate(pieces))
-    return grid
+    return np.unique(np.concatenate(pieces))
 
 
 def _alternating_extrema(xs: np.ndarray, err: np.ndarray):
@@ -215,7 +214,7 @@ def _refine_extrema(f, p, grid, idx):
 
 
 def remez_minimax(target, interval, degree: int, tol: float = 1e-10,
-                  odd: bool = False, max_iter: int = 100):
+                  max_iter: int = 100):
     """Best uniform polynomial approximation on an interval.
 
     target: a callable, or the string "sgn_positive_branch" for the odd fit
@@ -231,8 +230,8 @@ def remez_minimax(target, interval, degree: int, tol: float = 1e-10,
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    if target == SGN_POSITIVE_BRANCH:
-        odd = True
+    odd = target == SGN_POSITIVE_BRANCH
+    if odd:
         f = lambda x: np.ones_like(np.asarray(x, dtype=float))
     elif callable(target):
         f = lambda x: np.asarray(target(np.asarray(x, dtype=float)), dtype=float)
@@ -254,7 +253,7 @@ def remez_minimax(target, interval, degree: int, tol: float = 1e-10,
         refs = (a + b) / 2 + (b - a) / 2 * _cheb_extrema(n_ref)
 
     # locates the extrema only; certification audits on its own grid
-    grid = _fit_grid((a, b), odd, 4096)
+    grid = _fit_grid((a, b), 4096)
     fgrid = f(grid)
     fscale = max(1.0, float(np.max(np.abs(fgrid))))
 
@@ -396,19 +395,19 @@ class CompositeSgnApprox:
 
     def eval_with_derivative(self, z):
         """Chain value and d/dz, both elementwise, at z / B."""
-        u = np.asarray(z, dtype=np.float64) / self.bound
-        du = np.ones_like(u) / self.bound
-        for p in self.chain:
-            du = du * p.derivative(u)
-            u = p(u)
-        return u, du
+        return _run_chain(self.chain,
+                          np.asarray(z, dtype=np.float64) / self.bound,
+                          np.full(np.shape(z), 1.0 / self.bound))
 
 
-def _run_chain(chain, u):
-    """The stages of a chain applied to u, innermost first."""
+def _run_chain(chain, u, du=None):
+    """The stages of a chain applied to u, innermost first. Given du, the
+    derivative of u, returns (chain(u), its derivative by the chain rule)."""
     for p in chain:
+        if du is not None:
+            du = du * p.derivative(u)
         u = p(u)
-    return u
+    return u if du is None else (u, du)
 
 
 # uniformly spaced points of the audit on [t0, 1]; descriptors record it

@@ -74,11 +74,25 @@ class RecordStore:
             self._hashes = set()
 
     def read_rows(self) -> list[dict]:
+        """Every stored row, with wd and value as floats and seed as an int
+        unless it is an aggregate ('mean'). Raises ValueError naming the
+        file and line of a row that is short, long or not a number there."""
+        rows = []
         with self.path.open(newline="") as fh:
-            return list(csv.DictReader(fh))
-
-    def hashes(self) -> frozenset:
-        return frozenset(self._hashes)
+            reader = csv.DictReader(fh)
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"expected {len(self.columns)} "
+                                         "comma-separated fields")
+                    row.update(wd=float(row["wd"]), value=float(row["value"]))
+                    if row["seed"] != "mean":
+                        row["seed"] = int(row["seed"])
+                except ValueError as exc:
+                    raise ValueError(f"{self.path}: line {reader.line_num}: "
+                                     f"{exc}") from None
+                rows.append(row)
+        return rows
 
     def has(self, chash: str) -> bool:
         return chash in self._hashes

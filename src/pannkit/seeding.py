@@ -12,12 +12,8 @@ import hashlib
 import numpy as np
 
 
-def derive_seed(seed: int, label: str) -> int:
-    """Hash (seed, label) into a 64-bit stream seed."""
-    digest = hashlib.sha256(f"{int(seed)}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def derive_rng(seed: int, label: str) -> np.random.Generator:
-    """Independent generator for the component named by ``label``."""
-    return np.random.default_rng(derive_seed(seed, label))
+    """Independent generator for the component named by ``label``, seeded
+    with the first 64 bits of the hash of (seed, label)."""
+    digest = hashlib.sha256(f"{int(seed)}:{label}".encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))

@@ -13,9 +13,11 @@ seed), turns a divergence into its single ``failed`` row, and otherwise
 evaluates the trained network: at composite precisions past the loss
 plateau (weight-decay sweep; the CLI's precision sweep is this preset at
 the final epoch), at fixed-point widths (truncation sweep), or under
-sign-filtered injection (perturbation sweep). ``run_cells`` is the one
-engine; a cell whose hash is already stored is read back instead of
-trained.
+sign-filtered injection (perturbation sweep). The weight-decay sweep
+calibrates each distinct snapshot once and evaluates it once per precision;
+t' values that cap to the same epoch share that measurement. ``run_cells``
+is the one engine; a cell whose hash is already stored is read back
+instead of trained.
 """
 
 from __future__ import annotations
@@ -459,14 +461,6 @@ class SweepResult:
 # the cell engine and its cache harness
 
 
-def _stored(row: dict) -> dict:
-    """A stored row with its wd, seed and value columns typed back."""
-    out = dict(row, wd=float(row["wd"]), value=float(row["value"]))
-    if row["seed"].lstrip("-").isdigit():  # not an aggregate ('mean') row
-        out["seed"] = int(row["seed"])
-    return out
-
-
 def _sweep_cells(cells, chash, runner, store, force, workers):
     """The cache harness: skip cells whose hash is stored, run the rest
     (optionally on a bounded thread pool), then append rows in deterministic
@@ -474,8 +468,7 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     written, cached cells)."""
     cached = set()
     if store is not None and not force:
-        have = store.hashes()
-        cached = {c for c in cells if chash[c] in have}
+        cached = {c for c in cells if store.has(chash[c])}
     to_run = [c for c in cells if c not in cached]
     results = {}
     if workers > 1 and len(to_run) > 1:
@@ -490,8 +483,7 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     stored = store.read_rows() if cached else []
     for c in cells:
         if c in cached:
-            results[c] = [_stored(r) for r in stored
-                          if r["config_hash"] == chash[c]]
+            results[c] = [r for r in stored if r["config_hash"] == chash[c]]
         elif store is not None:
             n_written += store.append_rows(results[c], force=force)
     return results, n_written, cached
@@ -561,16 +553,6 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
 # presets: what each experiment evaluates on a trained cell
 
 
-def _composite_eval(spec: SweepSpec, net: nn.Network, data: Dataset, beta):
-    """(loss, accuracy) of net with every slot calibrated and certified."""
-    bound = tf.calibrate_bound(net, data.x_train[:spec.calib_samples],
-                               safety=spec.bound_safety)
-    approx = build_appsgn(beta=beta, bound=bound,
-                          max_stage_degree=spec.max_stage_degree)
-    return evaluate(tf.transform(net, tf.CompositeReLU(approx)), data.x_test,
-                    data.y_test)
-
-
 def _trend(rows, metric: str, keys) -> dict:
     """int(key) -> mean value of the metric's rows whose beta column holds
     the key (the bit width for truncation rows); keys without rows are
@@ -595,9 +577,10 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                        force: bool = False, workers: int = 1) -> SweepResult:
     """Train per (wd, seed) cell, snapshot past the plateau, approximate at
     each beta, and persist accuracy/loss rows, with a plateau_epoch row
-    unless every t' >= epochs. Cells already present in the store are read
-    back instead of recomputed (unless force). trend maps beta -> wd -> mean
-    accuracy at the last t'."""
+    unless every t' >= epochs. Each distinct snapshot is calibrated once;
+    t' values that cap to the same epoch repeat its rows' values. Cells
+    already present in the store are read back instead of recomputed
+    (unless force). trend maps beta -> wd -> mean accuracy at the last t'."""
 
     # every t' caps at the final epoch: no plateau to find, one snapshot
     final_only = min(spec.t_primes) >= spec.epochs
@@ -610,13 +593,24 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                  for e in range(1, spec.epochs + 1)]) or spec.epochs
             rows.append(dict(base, metric="plateau_epoch",
                              value=float(plateau)))
+        measured = {}  # snapshot epoch -> backbone and per-beta (loss, acc)
         for t_prime in spec.t_primes:
-            net = result.snapshots[min(plateau + int(t_prime), spec.epochs)]
-            bb_loss, bb_acc = evaluate(net, data.x_test, data.y_test)
+            epoch = min(plateau + int(t_prime), spec.epochs)
+            if epoch not in measured:  # one calibration per snapshot
+                net = result.snapshots[epoch]
+                backbone = evaluate(net, data.x_test, data.y_test)
+                bound = tf.calibrate_bound(
+                    net, data.x_train[:spec.calib_samples],
+                    safety=spec.bound_safety)
+                measured[epoch] = backbone, [evaluate(tf.transform(
+                    net, tf.CompositeReLU(build_appsgn(
+                        beta=beta, bound=bound,
+                        max_stage_degree=spec.max_stage_degree))),
+                    data.x_test, data.y_test) for beta in spec.betas]
+            (bb_loss, bb_acc), panns = measured[epoch]
             rows.append(dict(base, t_prime=t_prime,
                              metric="backbone_accuracy", value=bb_acc))
-            for beta in spec.betas:
-                p_loss, p_acc = _composite_eval(spec, net, data, beta)
+            for beta, (p_loss, p_acc) in zip(spec.betas, panns):
                 rows.append(dict(base, t_prime=t_prime, beta=int(beta),
                                  metric="pann_accuracy", value=p_acc))
                 rows.append(dict(base, t_prime=t_prime, beta=int(beta),

@@ -14,7 +14,7 @@ def count_alternations(poly, target, interval, max_error: float, tol: float,
     max_error: the longest alternating run among them on a dense grid."""
     a, b = interval
     f = np.sign if target == pa.SGN_POSITIVE_BRANCH else target
-    grid = pa._fit_grid((a, b), a > 0, grid_size)
+    grid = pa._fit_grid((a, b), grid_size)
     err = poly(grid) - np.asarray(f(grid), dtype=float)
     idx = pa._alternating_extrema(grid, err)
     good = {i for i in idx

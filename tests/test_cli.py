@@ -20,7 +20,7 @@ from pannkit import transform as tf
 from pannkit.fixedpoint import FixedPointFormat, TruncatedReLU
 from pannkit.polyapprox import approx_from_json, build_appsgn
 
-from idx_files import write_digit_idx_dataset
+from idx_files import write_digit_idx_dataset, write_idx
 
 
 def run(capsys, *argv):
@@ -96,6 +96,18 @@ class TestTrain:
                         "--records", recs)
         assert code == 0 and doc["rows_written"] == 0
         assert recs.read_bytes() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_writes_nothing(self, tmp_path, capsys, train_cfg):
+        cfg = write_config(tmp_path / "d.json", dict(
+            json.loads(train_cfg.read_text()), lr=1e200))
+        model, recs = tmp_path / "model.json", tmp_path / "runs.csv"
+        code, doc = run(capsys, "train", "--config", cfg, "--out", model,
+                        "--records", recs)
+        assert code == 1
+        assert doc["status"] == "failed" and doc["diverged_at_epoch"] == 1
+        assert records.RecordStore(recs).read_rows() == []
+        assert not model.exists()
 
     def test_empty_milestones_train(self, tmp_path, capsys, train_cfg):
         cfg = write_config(tmp_path / "flat.json", dict(
@@ -194,6 +206,20 @@ class TestTransformEval:
         assert code == 0
         assert doc["backbone_accuracy"] - doc["pann_accuracy"] <= 0.02
 
+    def test_partial_descriptor(self, tmp_path, capsys, train_cfg):
+        model = tmp_path / "model.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        desc = tmp_path / "partial.json"
+        code, doc = run(capsys, "transform", "--model", model, "--out", desc,
+                        "--mode", "partial", "--mix-c", 0.25)
+        assert (code, doc) == (0, {"mode": "partial", "out": str(desc)})
+        slots = json.loads(desc.read_text())["slots"]
+        assert [(s["kind"], s["c"]) for s in slots] == \
+            [("partial_replace_relu", 0.25)]
+        code, doc = run(capsys, "eval-pann", "--model", model,
+                        "--config", train_cfg, "--pann", desc)
+        assert code == 0 and 0.0 <= doc["pann_accuracy"] <= 1.0
+
 
 class TestConfigErrors:
     def test_missing_field_names_dotted_path(self, tmp_path, capsys):
@@ -249,7 +275,8 @@ class TestConfigErrors:
                          "approx": approx}] * len(doc["slots"])))
         cases = [(truncated, "invalid JSON"), (short, "slots"),
                  (nokind, "slots[0]"), (nondict, "slots[0]"),
-                 (infbeta, "slots[0]")]
+                 (infbeta, "slots[0]"),
+                 (model, f"{model}: not a pann descriptor")]
 
         # tampered composite and truncated slots fail on load
         comp, trunc = tmp_path / "comp.json", tmp_path / "trunc.json"
@@ -565,6 +592,16 @@ class TestExit2BeforeTraining:
         for flag, value in (("--calib-samples", 0), ("--calib-samples", -5),
                             ("--safety", 0), ("--safety", "nan")):
             self._expect(capsys, composite + [flag, value], flag)
+        for mode, flags, detail in (
+                ("composite", ["--bound", 1.0],
+                 "--beta is required for composite mode"),
+                ("injected", [], "--beta is required for injected mode"),
+                ("composite", ["--beta", 6],
+                 "composite mode needs --bound or --config with a "
+                 "calibration dataset")):
+            self._expect(capsys, ["transform", "--model", model, "--out",
+                                  desc, "--mode", mode, *flags],
+                         f"config error: {detail}\n")
         partial = ["transform", "--model", model, "--out", desc, "--mode",
                    "partial"]
         self._expect(capsys, partial + ["--mix-c", 2], "--mix-c")
@@ -588,6 +625,53 @@ class TestExit2BeforeTraining:
                               tmp_path / "r.csv", "--workers", 0],
                      "--workers")
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["label 12", "empty"])
+    def test_idx_defects(self, tmp_path, capsys, no_training, defect):
+        data = tmp_path / "digits"
+        write_digit_idx_dataset(data, n_train=40, n_test=20)
+        labels = data / datasets.MNIST_FILES["train_labels"]
+        images = data / datasets.MNIST_FILES["train_images"]
+        if defect == "empty":
+            write_idx(images, np.zeros((0, 28, 28), np.uint8))
+            write_idx(labels, np.zeros(0, np.uint8))
+            detail = f"dataset error: {images}: empty file (0 images)\n"
+        else:
+            write_idx(labels, np.full(40, 12, np.uint8))
+            detail = (f"dataset error: {labels}: label 12 > 9 in record 0 "
+                      "(offset 8)\n")
+        dataset = {"source": "mnist_idx", "path": str(data)}
+        sweep = {"wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}
+        for command, doc in (("train", {"epochs": 1}),
+                             ("sweep-wd", {"sweep": sweep})):
+            cfg = write_config(tmp_path / "c.json",
+                               dict(doc, arch="mlp:8", dataset=dataset))
+            assert cli.main([command, "--config", str(cfg), "--records",
+                             str(tmp_path / f"{command}.csv")]) == 2
+            assert capsys.readouterr().err == detail
+
+    @pytest.mark.parametrize("defect", ["abc", "short"])
+    def test_malformed_stored_row(self, tmp_path, capsys, monkeypatch,
+                                  sweep_cfg, defect):
+        recs = tmp_path / "r.csv"
+        argv = ["sweep-wd", "--config", sweep_cfg, "--records", recs]
+        assert run(capsys, *argv)[0] == 0
+        lines = recs.read_text().splitlines(keepends=True)
+        fields = lines[-1].rstrip("\n").split(",")
+        if defect == "abc":
+            lines[-1] = ",".join(fields[:-1] + ["abc"]) + "\n"
+            why = "could not convert string to float: 'abc'"
+        else:  # what a writer killed mid-append leaves
+            lines[-1] = ",".join(fields[:5])
+            why = "expected 12 comma-separated fields"
+        recs.write_text("".join(lines))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a cell trained on a malformed store")
+        monkeypatch.setattr(training, "train", boom)
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --records: {recs}: line {len(lines)}: {why}\n")
 
     @pytest.mark.parametrize("arch", ["mlp:x", "cnn:", "rnn:3"])
     def test_bad_arch_exits_before_loading(self, tmp_path, capsys,
@@ -645,6 +729,8 @@ class TestExit2BeforeTraining:
             ("train", dict(base, epochs=1, gamma="x"), "config.gamma"),
             ("train", dict(base, epochs=0), "config.epochs"),
             ("train", dict(base, epochs=1, mixup=[]), "config.mixup"),
+            ("train", [dict(base, epochs=1)],
+             "config error: config: expected an object\n"),
             ("sweep-wd", dict(base, sweep=dict(sweep, betas=[0])),
              "config.sweep.betas"),
             ("sweep-wd", dict(base, sweep=dict(sweep, batch_size=0)),

@@ -111,6 +111,28 @@ class TestIdx:
         with pytest.raises(ds.DatasetFormatError, match="3 images but 2 labels"):
             ds.load_mnist_idx(tmp_path)
 
+    def test_label_out_of_range_names_record_and_offset(self, tmp_path):
+        write_digit_idx_dataset(tmp_path, n_train=6, n_test=3)
+        labels = np.array([1, 2, 3, 9, 12, 0], np.uint8)
+        path = tmp_path / ds.MNIST_FILES["train_labels"]
+        write_idx(path, labels)
+        with pytest.raises(ds.DatasetFormatError) as exc:
+            ds.load_mnist_idx(tmp_path)
+        # the payload of a 1-axis file starts after 4 magic and 4 dim bytes
+        assert str(exc.value) == \
+            f"{path}: label 12 > 9 in record 4 (offset 12)"
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_file(self, tmp_path, split):
+        write_digit_idx_dataset(tmp_path, n_train=6, n_test=3)
+        images = tmp_path / ds.MNIST_FILES[f"{split}_images"]
+        write_idx(images, np.zeros((0, 28, 28), np.uint8))
+        write_idx(tmp_path / ds.MNIST_FILES[f"{split}_labels"],
+                  np.zeros(0, np.uint8))
+        with pytest.raises(ds.DatasetFormatError) as exc:
+            ds.load_mnist_idx(tmp_path)
+        assert str(exc.value) == f"{images}: empty file (0 images)"
+
 
 class TestCifar10:
     def _write_batch(self, path, labels, rng):
@@ -169,6 +191,16 @@ class TestSynthetic:
         a = ds.synthetic_blobs(50, 2, 3, seed=9)
         b = ds.synthetic_blobs(50, 2, 3, seed=9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_blobs_on_a_line(self):
+        # one axis: centers 4 apart around 0, sigma 4/6
+        x, y = ds.synthetic_blobs(900, 3, 1, seed=2)
+        assert x.shape == (900, 1)
+        centers = np.array([-4.0, 0.0, 4.0])
+        for k in range(3):
+            assert abs(x[y == k].mean() - centers[k]) < 0.15
+        nearest = np.argmin(np.abs(x - centers), axis=1)
+        assert np.mean(nearest == y) >= 0.99
 
     def test_blobs_separable(self):
         # centers are 6 sigma apart, so nearest-center classification on a

@@ -96,7 +96,7 @@ class TestRecordStore:
         assert store.has("aa" * 8)
         assert store.append_rows([_record(value=0.9)]) == 0
         assert store.append_rows([_record(chash="cc" * 8)]) == 1
-        assert store.has("cc" * 8) and "cc" * 8 in store.hashes()
+        assert store.has("cc" * 8)
         assert reads == []
 
     def test_schema_mismatch_rejected(self, tmp_path):
@@ -114,6 +114,33 @@ class TestRecordStore:
         row = {c: "0" for c in rec.SWEEP_COLUMNS}
         assert store.append_rows([row]) == 1
         assert store.read_rows()[0]["t_prime"] == "0"
+
+    def test_rows_read_typed(self, tmp_path):
+        store = rec.RecordStore(tmp_path / "r.csv")
+        store.append_rows([_record(seed=-2, value=0.25),
+                           _record(chash="bb" * 8, seed="mean")])
+        first, mean = store.read_rows()
+        assert (first["wd"], first["seed"], first["value"]) == (0.0, -2, 0.25)
+        assert (mean["seed"], mean["precision"]) == ("mean", "beta=6")
+
+    @pytest.mark.parametrize("line, why", [
+        ("aa,t,mlp,blobs,vanilla,0.0,beta=6,0,accuracy,abc",
+         "could not convert string to float: 'abc'"),
+        ("aa,t,mlp,blobs,vanilla,0.0,beta=6,1.5,accuracy,0.5",
+         "invalid literal for int"),
+        ("aa,t,mlp,blobs,vanilla,zero,beta=6,0,accuracy,0.5",
+         "could not convert string to float: 'zero'"),
+        ("aa,t,mlp,blobs,vanilla,0.0,bet", "expected 10 comma-separated"),
+        ("aa,t,mlp,blobs,vanilla,0.0,beta=6,0,accuracy,0.5,7",
+         "expected 10 comma-separated")])
+    def test_malformed_row_named_by_line(self, tmp_path, line, why):
+        path = tmp_path / "r.csv"
+        rec.RecordStore(path).append_rows([_record()])
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError) as exc:
+            rec.RecordStore(path)
+        assert str(exc.value).startswith(f"{path}: line 3: {why}")
 
     def test_value_round_trip_exact(self, tmp_path):
         store = rec.RecordStore(tmp_path / "r.csv")

@@ -269,3 +269,31 @@ class TestSweep:
         metrics = [r["metric"] for r in res.rows]
         assert metrics.count("plateau_epoch") == (1 if plateau_evals else 0)
         assert snapshots == [[6] if t_prime else list(range(1, 7))]
+
+    @pytest.mark.parametrize("t_primes, evaluations", [((6, 9), 3),
+                                                      ((0,), 6 + 3)])
+    def test_one_calibration_and_measurement_per_snapshot(
+            self, blobs, monkeypatch, t_primes, evaluations):
+        # t' 6 and 9 both cap to the final epoch, so the cell measures one
+        # snapshot: one backbone evaluation, one calibration, one evaluation
+        # per beta (t'=0 adds its 6 plateau-pass evaluations)
+        evaluated, calibrated = [], []
+        real_evaluate, real_calibrate = sd.evaluate, tf.calibrate_bound
+
+        def counted_evaluate(*args, **kwargs):
+            evaluated.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        def counted_calibrate(*args, **kwargs):
+            calibrated.append(1)
+            return real_calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(sd, "evaluate", counted_evaluate)
+        monkeypatch.setattr(tf, "calibrate_bound", counted_calibrate)
+        spec = self._spec(wds=(0.0,), betas=(6, 8), t_primes=t_primes)
+        res = sd.weight_decay_sweep(spec, "mlp:8", blobs)
+        assert (len(evaluated), len(calibrated)) == (evaluations, 1)
+        by_t = {t: [(r["metric"], r["beta"], r["value"]) for r in res.rows
+                    if r.get("t_prime") == t] for t in t_primes}
+        assert all(len(rows) == 1 + 2 * 2 for rows in by_t.values())
+        assert by_t[t_primes[0]] == by_t[t_primes[-1]]
