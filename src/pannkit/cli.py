@@ -189,8 +189,7 @@ def _cmd_train(args) -> int:
     data = datasets.load_dataset(_dataset_spec(cfg))
     _check_arch_fits(arch, data)
     chash = records.config_hash(sd.run_key("train", spec, arch, data))
-    store = _open_store(args.records, records.RECORD_COLUMNS) \
-        if args.records else None
+    store = _open_store(args.records, spec.columns) if args.records else None
     try:
         result = sd.train_cell(spec, arch, data, spec.wd, spec.seed)
     except training.TrainingDiverged as exc:
@@ -204,13 +203,13 @@ def _cmd_train(args) -> int:
                                             data.y_test, loss_kind=spec.loss)
     if args.out:
         doc = {"config_hash": chash, "arch": arch,
-               "dataset": data.name or "dataset",
+               "dataset": data.spec.source,
                "network": nn.network_to_dict(result.net)}
         Path(args.out).write_text(json.dumps(doc))
     written = 0
     if store is not None:  # a stored hash writes nothing unless --force
         base = {"config_hash": chash, "timestamp": records.timestamp(),
-                "arch": arch, "dataset": data.name or "dataset",
+                "arch": arch, "dataset": data.spec.source,
                 "method": spec.method, "wd": spec.wd, "precision": "",
                 "seed": spec.seed}
         rows = [dict(base, metric="train_loss", value=train_loss),
@@ -236,7 +235,10 @@ _FLAG_RANGES = {
     "beta": _COUNT, "max_stage_degree": _DEGREE, "bound": _POSITIVE,
     "safety": _POSITIVE, "calib_samples": _COUNT, "batch_size": _COUNT,
     "samples": _COUNT, "seeds": _COUNT, "workers": _COUNT,
-    "plot_points": _POINTS}
+    "plot_points": _POINTS, "alpha": _POSITIVE, "eps": _POSITIVE,
+    "eps_atk": _POSITIVE, "eps_lim": _POSITIVE, "radius": _POSITIVE,
+    "draws": _COUNT, "max_iters": (lambda v: v >= 0, "an integer >= 0"),
+    "backtrack_depth": _COUNT}
 
 
 def _check_flags(args) -> None:
@@ -328,9 +330,9 @@ _EXPERIMENTS = {
 
 def _plot_rows(res) -> list:
     if res.trend is None:  # one mean row per (wd, beta, sign filter)
-        return [(r["wd"], str(r["precision"]).removeprefix("beta="),
+        return [(r["wd"], r["precision"].removeprefix("beta="),
                  r["metric"].removeprefix("delta_loss_"), r["value"])
-                for r in res.rows if str(r["seed"]) == "mean"]
+                for r in res.rows if r["seed"] == "mean"]
     rows = []
     for key, mean in sorted(res.trend.items()):  # the wd sweeps: beta -> wd
         rows += ([(key, *sub) for sub in sorted(mean.items())]
@@ -396,21 +398,13 @@ def _cmd_validate_theorems(args) -> int:
     return 0 if all_passed else 1
 
 
-# AttackConfig field -> the attack flag that sets it
-_ATTACK_FLAGS = {"alpha": "--alpha", "eps": "--eps", "eps_atk": "--eps-atk",
-                 "eps_lim": "--eps-lim", "search_radius": "--radius",
-                 "search_draws": "--draws", "max_iters": "--max-iters",
-                 "backtrack_depth": "--backtrack-depth"}
-
-
 def _cmd_attack(args) -> int:
     from . import attack as atk
-    try:
-        acfg = atk.AttackConfig(**{
-            name: getattr(args, flag[2:].replace("-", "_"))
-            for name, flag in _ATTACK_FLAGS.items()})
-    except ValueError as exc:  # its message starts with the field's name
-        raise ConfigError(f"{_ATTACK_FLAGS[str(exc).split()[0]]}: {exc}")
+    acfg = atk.AttackConfig(
+        alpha=args.alpha, eps=args.eps, eps_atk=args.eps_atk,
+        eps_lim=args.eps_lim, search_radius=args.radius,
+        search_draws=args.draws, max_iters=args.max_iters,
+        backtrack_depth=args.backtrack_depth)
     backbone = _load_network(args.model)
     pann = _load_pann(backbone, args.pann)
     cfg = _load_json(args.config)

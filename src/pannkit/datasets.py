@@ -43,8 +43,7 @@ class Dataset:
     x_test: np.ndarray
     y_test: np.ndarray
     n_classes: int
-    name: str = ""
-    spec: DatasetSpec | None = None  # set by load_dataset; keys cached cells
+    spec: DatasetSpec | None = None  # set by load_dataset; names the data
 
     def __post_init__(self):
         for y in (self.y_train, self.y_test):
@@ -125,7 +124,7 @@ def load_mnist_idx(data_dir) -> Dataset:
                              d / MNIST_FILES["train_labels"])
     x_te, y_te = _paired_idx(d / MNIST_FILES["test_images"],
                              d / MNIST_FILES["test_labels"])
-    return Dataset(x_tr, y_tr, x_te, y_te, n_classes=10, name="mnist_idx")
+    return Dataset(x_tr, y_tr, x_te, y_te, n_classes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def load_cifar10_binary(data_dir) -> Dataset:
     y_tr = np.concatenate(ys).astype(np.int64)
     img, lab = read_cifar10_batch(d / "test_batch.bin")
     return Dataset(x_tr, y_tr, img.astype(np.float64) / 255.0,
-                   lab.astype(np.int64), n_classes=10, name="cifar10_binary")
+                   lab.astype(np.int64), n_classes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +341,10 @@ class DatasetSpec:
         return key
 
 
-def _split_pool(x, y, spec: DatasetSpec, n_classes: int, name: str) -> Dataset:
+def _split_pool(x, y, spec: DatasetSpec, n_classes: int) -> Dataset:
     n_train = int(round(spec.train_fraction * len(x)))
     return Dataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:],
-                   n_classes=n_classes, name=name)
+                   n_classes=n_classes)
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
@@ -356,14 +355,14 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         ds = load_cifar10_binary(spec.path)
     elif spec.source == "synthetic_blobs":
         x, y = synthetic_blobs(spec.n, spec.classes, spec.dim, spec.seed)
-        ds = _split_pool(x, y, spec, spec.classes, "synthetic_blobs")
+        ds = _split_pool(x, y, spec, spec.classes)
     elif spec.source == "synthetic_moons":
         x, y = synthetic_moons(spec.n, spec.noise, spec.seed)
-        ds = _split_pool(x, y, spec, 2, "synthetic_moons")
+        ds = _split_pool(x, y, spec, 2)
     else:
         img, lab = synthetic_digits(spec.n, spec.seed, spec.noise)
         x = np.divide(img[:, None], 255.0, dtype=np.float64)
-        ds = _split_pool(x, lab, spec, 10, "synthetic_digits")
+        ds = _split_pool(x, lab, spec, 10)
     x_tr, y_tr = ds.x_train, ds.y_train
     x_te, y_te = ds.x_test, ds.y_test
     if spec.limit_train is not None:

@@ -21,6 +21,8 @@ RECORD_COLUMNS = ("config_hash", "timestamp", "arch", "dataset", "method",
 SWEEP_COLUMNS = ("config_hash", "timestamp", "arch", "dataset", "method",
                  "wd", "epochs", "t_prime", "beta", "seed", "metric", "value")
 
+INT_COLUMNS = ("epochs", "t_prime", "beta")  # ints where not empty
+
 
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON; the hashing preimage."""
@@ -46,12 +48,13 @@ def timestamp() -> str:
 
 
 class RecordStore:
-    """Append-only CSV with a fixed column set.
+    """Append-only CSV with a fixed column set; the one source of its rows.
 
     Writes happen through a single store instance per file; concurrent sweep
     cells must funnel their rows through one store (single-writer rule).
-    Being the only writer, the store reads the stored hashes once and keeps
-    them up to date as it appends.
+    Being the only writer, the store reads its file once, when it opens, and
+    keeps ``rows``: each config hash's rows in file order, typed as a fresh
+    cell makes them. Appends extend it.
     """
 
     def __init__(self, path, columns=RECORD_COLUMNS):
@@ -59,27 +62,28 @@ class RecordStore:
         self.columns = tuple(columns)
         if "config_hash" not in self.columns:
             raise ValueError("store schema must include config_hash")
+        self.rows = {}
         if self.path.exists() and self.path.stat().st_size > 0:
-            with self.path.open(newline="") as fh:
-                header = next(csv.reader(fh), None)
-            if header != list(self.columns):
-                raise ValueError(
-                    f"{self.path}: existing header {header} does not match "
-                    f"schema {list(self.columns)}")
-            self._hashes = {r["config_hash"] for r in self.read_rows()}
+            for r in self.read_rows():
+                self.rows.setdefault(r["config_hash"], []).append(r)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("w", newline="") as fh:
                 csv.writer(fh).writerow(self.columns)
-            self._hashes = set()
 
     def read_rows(self) -> list[dict]:
-        """Every stored row, with wd and value as floats and seed as an int
-        unless it is an aggregate ('mean'). Raises ValueError naming the
-        file and line of a row that is short, long or not a number there."""
+        """Every stored row, typed as a fresh cell makes it: wd and value as
+        floats, seed as an int unless it is an aggregate ('mean'), and the
+        INT_COLUMNS as ints unless empty. Raises ValueError on a header that
+        is not the schema, or naming the file and line of a row that is
+        short, long or not a number there."""
         rows = []
         with self.path.open(newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames != list(self.columns):
+                raise ValueError(
+                    f"{self.path}: existing header {reader.fieldnames} does "
+                    f"not match schema {list(self.columns)}")
             for row in reader:
                 try:
                     if None in row or None in row.values():
@@ -88,14 +92,13 @@ class RecordStore:
                     row.update(wd=float(row["wd"]), value=float(row["value"]))
                     if row["seed"] != "mean":
                         row["seed"] = int(row["seed"])
+                    row.update({c: int(row[c]) for c in INT_COLUMNS
+                                if row.get(c)})
                 except ValueError as exc:
                     raise ValueError(f"{self.path}: line {reader.line_num}: "
                                      f"{exc}") from None
                 rows.append(row)
         return rows
-
-    def has(self, chash: str) -> bool:
-        return chash in self._hashes
 
     def append_rows(self, rows, force: bool = False) -> int:
         """Write rows whose config_hash is new; returns the count written.
@@ -112,12 +115,13 @@ class RecordStore:
                     f"row keys do not match schema (missing {sorted(missing)},"
                     f" unexpected {sorted(extra)})")
         if not force:
-            rows = [r for r in rows if r["config_hash"] not in self._hashes]
+            rows = [r for r in rows if r["config_hash"] not in self.rows]
         if not rows:
             return 0
         with self.path.open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=self.columns)
             for r in rows:
                 writer.writerow({k: str(r[k]) for k in self.columns})
-        self._hashes.update(r["config_hash"] for r in rows)
+        for r in rows:
+            self.rows.setdefault(r["config_hash"], []).append(r)
         return len(rows)

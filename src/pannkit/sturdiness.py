@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -283,11 +283,12 @@ class _CellSpec:
 
     def _check(self, **checks):
         """Raise nn.FieldError for the first field whose (ok, wanted) check
-        fails; every grid must be non-empty and every spec must train."""
-        shared = [(f.name, (len(getattr(self, f.name)) > 0,
-                            "a non-empty grid")) for f in fields(self)
-                  if f.name != "milestones"  # a schedule, not a grid
-                  and isinstance(getattr(self, f.name), (tuple, list))]
+        fails; every grid needs distinct values and every spec must train."""
+        shared = [(name, (0 < len(v) == len(set(v)),
+                          "a non-empty grid of distinct values"))
+                  for name, v in vars(self).items()
+                  if name != "milestones"  # a schedule, not a grid
+                  and isinstance(v, (tuple, list))]
         shared += [("epochs", (self.epochs >= 1, "an integer >= 1")),
                    ("batch_size", (self.batch_size >= 1, "an integer >= 1")),
                    ("loss", (self.loss in nn.LOSS_KINDS,
@@ -425,6 +426,8 @@ class TrainSpec(_CellSpec):
     mixup: MixupConfig | None = None
     ngnv: NgnvConfig | None = None
 
+    columns = records.RECORD_COLUMNS
+
     def __post_init__(self):
         self._check()
 
@@ -468,7 +471,7 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     written, cached cells)."""
     cached = set()
     if store is not None and not force:
-        cached = {c for c in cells if store.has(chash[c])}
+        cached = {c for c in cells if chash[c] in store.rows}
     to_run = [c for c in cells if c not in cached]
     results = {}
     if workers > 1 and len(to_run) > 1:
@@ -480,10 +483,9 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
         for c in to_run:
             results[c] = runner(c)
     n_written = 0
-    stored = store.read_rows() if cached else []
     for c in cells:
         if c in cached:
-            results[c] = [r for r in stored if r["config_hash"] == chash[c]]
+            results[c] = store.rows[chash[c]]
         elif store is not None:
             n_written += store.append_rows(results[c], force=force)
     return results, n_written, cached
@@ -492,12 +494,9 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
 def run_key(experiment: str, spec: _CellSpec, arch: str,
             data: Dataset) -> dict:
     """What names a run: the experiment, the architecture, every field of
-    the dataset's spec (its name when it has none) and every spec field but
-    the grid ones."""
+    the dataset's spec and every spec field but the grid ones."""
     key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
-    key.update(experiment=experiment, arch=arch,
-               dataset=(data.name or "dataset") if data.spec is None
-               else data.spec.key())
+    key.update(experiment=experiment, arch=arch, dataset=data.spec.key())
     return key
 
 
@@ -513,7 +512,6 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
     extend ``base``. Returns (rows, rows written, cell statuses in cell
     order).
     """
-    dataset = data.name or "dataset"
     key = run_key(experiment, spec, arch, data)
     cells = spec.cells()
     chash = {c: records.config_hash(dict(key, wd=c[0], seed=c[1]))
@@ -523,8 +521,9 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
     def runner(cell):
         wd, seed = cell
         known = {"config_hash": chash[cell], "timestamp": records.timestamp(),
-                 "arch": arch, "dataset": dataset, "method": spec.method,
-                 "wd": wd, "epochs": spec.epochs, "seed": seed}
+                 "arch": arch, "dataset": data.spec.source,
+                 "method": spec.method, "wd": wd, "epochs": spec.epochs,
+                 "seed": seed}
         base = {k: known.get(k, "") for k in spec.columns}
         with preparing:
             spec.prepare()
@@ -543,7 +542,7 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
         for r in results[c]:
             if r["metric"] == "failed":
                 st.update(status="failed",
-                          diverged_at_epoch=int(float(r["value"])))
+                          diverged_at_epoch=int(r["value"]))
         statuses[c] = st
     return ([r for c in cells for r in results[c]], n_written,
             tuple(statuses.values()))
@@ -559,8 +558,8 @@ def _trend(rows, metric: str, keys) -> dict:
     left out."""
     trend = {}
     for key in keys:
-        vals = [float(r["value"]) for r in rows if r["metric"] == metric
-                and str(r["beta"]) == str(int(key))]
+        vals = [r["value"] for r in rows
+                if r["metric"] == metric and r["beta"] == key]
         if vals:
             trend[int(key)] = float(np.mean(vals))
     return trend
@@ -623,11 +622,10 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
         force=force, workers=workers,
         snapshot_epochs=(spec.epochs,) if final_only
         else range(1, spec.epochs + 1))
-    t_max = str(max(spec.t_primes))
+    t_max = max(spec.t_primes)
     trend = {int(beta): {} for beta in spec.betas}
     for wd in spec.wds:
-        at_wd = [r for r in rows if float(r["wd"]) == float(wd)
-                 and str(r["t_prime"]) == t_max]
+        at_wd = [r for r in rows if r["wd"] == wd and r["t_prime"] == t_max]
         for beta, mean in _trend(at_wd, "pann_accuracy", spec.betas).items():
             trend[beta][wd] = mean
     return _result(rows, trend, n_written, cells)

@@ -619,7 +619,8 @@ class TestExit2BeforeTraining:
         for flag, value in (("--draws", 0), ("--eps", -1), ("--eps", "nan"),
                             ("--backtrack-depth", -1), ("--radius", 0),
                             ("--max-iters", -1), ("--samples", 0),
-                            ("--seeds", 0)):
+                            ("--seeds", 0), ("--radius", "inf"),
+                            ("--alpha", "inf")):
             self._expect(capsys, attack + [flag, value], flag)
         self._expect(capsys, ["sweep-wd", "--config", train_cfg, "--records",
                               tmp_path / "r.csv", "--workers", 0],
@@ -745,8 +746,14 @@ class TestExit2BeforeTraining:
              "config.sweep.t_primes"),
             ("sweep-wd", dict(base, sweep=dict(sweep, t_primes=[-5])),
              "config.sweep.t_primes"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, wds=[0.0, 0.0])),
+             "config.sweep.wds"),
             ("trunc-sweep", dict(base, sweep=dict(trunc, l_xs=[7])),
              "config.sweep.l_xs"),
+            ("trunc-sweep", dict(base, sweep=dict(trunc, l_xs=[6, 6])),
+             "config.sweep.l_xs"),
+            ("perturb-exp", {**base, **perturb, "seeds": [0, 0]},
+             "config.seeds"),
             ("perturb-exp", {**base, **perturb, "sign_filters": ["bogus"]},
              "config.sign_filters"),
             ("perturb-exp", {**base, **perturb, "betas": [0]},

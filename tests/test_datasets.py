@@ -294,7 +294,7 @@ class TestSpec:
                               dim=2, seed=1, train_fraction=0.8)
         data = ds.load_dataset(spec)
         assert len(data.x_train) == 80 and len(data.x_test) == 20
-        assert data.name == "synthetic_blobs"
+        assert data.spec.source == "synthetic_blobs"
 
     def test_limits_take_prefix(self):
         spec = ds.DatasetSpec(source="synthetic_digits", n=50, seed=1,

@@ -163,14 +163,18 @@ class TestForward:
         out = nn.AvgPool(2).forward(x)
         np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 8])
     @pytest.mark.parametrize("n", [1, 32])
     def test_avgpool_bit_identical_to_reshape_mean(self, p, n):
         rng = np.random.default_rng(10 * p + n)
         x = rng.standard_normal((n, 3, 4 * p, 2 * p))
         x *= 10.0 ** rng.integers(-4, 4, size=x.shape)  # mixed magnitudes
-        want = x.reshape(n, 3, 4, p, 2, p).mean(axis=(3, 5))
-        assert np.array_equal(nn.AvgPool(p).forward(x), want)
+        # p >= 8 and a non-contiguous view take numpy's mean path
+        view = x.transpose(0, 1, 3, 2).copy().transpose(0, 1, 3, 2)
+        assert not view.flags.c_contiguous
+        for inp in (x, view):
+            want = inp.reshape(n, 3, 4, p, 2, p).mean(axis=(3, 5))
+            assert np.array_equal(nn.AvgPool(p).forward(inp), want)
 
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
            st.integers(1, 3), st.integers(0, 2 ** 32 - 1))

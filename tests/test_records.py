@@ -85,18 +85,18 @@ class TestRecordStore:
     def test_reopen_preserves_rows(self, tmp_path):
         rec.RecordStore(tmp_path / "r.csv").append_rows([_record()])
         store = rec.RecordStore(tmp_path / "r.csv")
-        assert store.has("aa" * 8)
-        assert not store.has("bb" * 8)
+        assert "aa" * 8 in store.rows
+        assert "bb" * 8 not in store.rows
 
     def test_hashes_read_once_and_tracked(self, tmp_path, monkeypatch):
         rec.RecordStore(tmp_path / "r.csv").append_rows([_record()])
         store = rec.RecordStore(tmp_path / "r.csv")
         reads = []
         monkeypatch.setattr(store, "read_rows", lambda: reads.append(1))
-        assert store.has("aa" * 8)
+        assert "aa" * 8 in store.rows
         assert store.append_rows([_record(value=0.9)]) == 0
         assert store.append_rows([_record(chash="cc" * 8)]) == 1
-        assert store.has("cc" * 8)
+        assert "cc" * 8 in store.rows
         assert reads == []
 
     def test_schema_mismatch_rejected(self, tmp_path):
@@ -113,7 +113,21 @@ class TestRecordStore:
         store = rec.RecordStore(tmp_path / "s.csv", columns=rec.SWEEP_COLUMNS)
         row = {c: "0" for c in rec.SWEEP_COLUMNS}
         assert store.append_rows([row]) == 1
-        assert store.read_rows()[0]["t_prime"] == "0"
+        assert store.read_rows()[0]["t_prime"] == 0
+
+    def test_sweep_int_columns_read_typed(self, tmp_path):
+        path = tmp_path / "s.csv"
+        rec.RecordStore(path, columns=rec.SWEEP_COLUMNS)
+        with path.open("a") as fh:
+            fh.write("aa,t,mlp,blobs,vanilla,0.0,6,,8,0,pann_accuracy,0.5\n")
+        store = rec.RecordStore(path, columns=rec.SWEEP_COLUMNS)
+        row, = store.rows["aa"]
+        assert (row["epochs"], row["t_prime"], row["beta"]) == (6, "", 8)
+        with path.open("a") as fh:
+            fh.write("aa,t,mlp,blobs,vanilla,0.0,6,0,6.5,0,pann_accuracy,"
+                     "0.5\n")
+        with pytest.raises(ValueError, match="line 3: invalid literal"):
+            rec.RecordStore(path, columns=rec.SWEEP_COLUMNS)
 
     def test_rows_read_typed(self, tmp_path):
         store = rec.RecordStore(tmp_path / "r.csv")

@@ -207,19 +207,36 @@ class TestSweep:
         for acc in res.trend[6].values():
             assert 0.0 <= acc <= 1.0
 
-    def test_store_resume_skips_recompute(self, blobs, tmp_path):
-        store = rec.RecordStore(tmp_path / "sweep.csv",
-                                columns=rec.SWEEP_COLUMNS)
-        spec = self._spec(wds=(0.0,), t_primes=(0,))
-        first = sd.weight_decay_sweep(spec, "mlp:8", blobs, store=store)
+    @pytest.mark.parametrize("preset", ["weight_decay_sweep",
+                                        "truncation_sweep",
+                                        "perturbation_sweep"])
+    def test_store_resume_skips_recompute(self, blobs, tmp_path, monkeypatch,
+                                          preset):
+        # a cached cell's rows are its stored rows, typed as fresh ones, and
+        # the reopened store reads its file once
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        spec = {"weight_decay_sweep": self._spec(wds=(0.0,), t_primes=(0,)),
+                "truncation_sweep": sd.TruncSpec(l_xs=(8, 12), seeds=(0,),
+                                                 epochs=3),
+                "perturbation_sweep": sd.PerturbSpec(
+                    wds=(0.0,), betas=(8,), seeds=(0, 1), epochs=3)}[preset]
+        sweep, path = getattr(sd, preset), tmp_path / "sweep.csv"
+        first = sweep(spec, "mlp:8", blobs,
+                      store=rec.RecordStore(path, columns=spec.columns))
         assert first.n_written > 0
-        again = sd.weight_decay_sweep(spec, "mlp:8", blobs, store=store)
+        reads, read_rows = [], rec.RecordStore.read_rows
+
+        def counted(store):
+            reads.append(store.path)
+            return read_rows(store)
+
+        monkeypatch.setattr(rec.RecordStore, "read_rows", counted)
+        again = sweep(spec, "mlp:8", blobs,
+                      store=rec.RecordStore(path, columns=spec.columns))
         assert again.n_written == 0
-        got = {(r["metric"], round(float(r["value"]), 12))
-               for r in again.rows}
-        want = {(r["metric"], round(float(r["value"]), 12))
-                for r in first.rows}
-        assert got == want
+        assert again.rows == first.rows
+        assert again.trend == first.trend
+        assert reads == [path]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_recorded_not_fatal(self, blobs, tmp_path):
