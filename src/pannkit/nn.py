@@ -280,12 +280,12 @@ def _flat_add(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _run_layers(net: Network, x: np.ndarray, act_hook=None, caches=None,
-                trace=None):
-    """Forward pass; returns ``(logits, adjust)``.
+                observe=None, start=0, stop=None):
+    """Forward pass of ``layers[start:stop]``; returns ``(h, adjust)``.
 
-    ``caches``, when given, receives each layer's input for backprop, and
-    ``trace`` the pre-activation entering each activation slot. Without
-    them every intermediate is freed once the next layer has read it.
+    ``caches``, when given, receives each layer's input for backprop;
+    ``observe(i, z)`` sees the pre-activation z entering slot layers[i].
+    Without them each intermediate is freed once the next layer reads it.
 
     ``act_hook(slot_index, z) -> (indices, factors) | (None, None)`` adds a
     sparse training-time adjustment to the slot's output: the slot computes
@@ -293,11 +293,11 @@ def _run_layers(net: Network, x: np.ndarray, act_hook=None, caches=None,
     backward pass adds ``gy * factors`` there to the chain through the slot.
     ``adjust`` maps each adjusted slot to its ``(indices, factors)``.
     """
-    if x.ndim != len(net.input_shape) + 1 or x.shape[1:] != tuple(net.input_shape):
+    if not start and x.shape[1:] != tuple(net.input_shape):
         raise ShapeError(-1, f"input {x.shape[1:]} != expected {tuple(net.input_shape)}")
     adjust: dict[int, tuple] = {}
     h = np.asarray(x, dtype=DTYPE)
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.layers[start:stop], start):
         z = h
         if caches is not None:
             caches.append(z)
@@ -309,8 +309,8 @@ def _run_layers(net: Network, x: np.ndarray, act_hook=None, caches=None,
             raise IntervalOverflowError(f"layers[{i}]: {exc}") from exc
         if not isinstance(layer, Activation):
             continue
-        if trace is not None:
-            trace.append(z)
+        if observe is not None:
+            observe(i, z)
         idx, f = act_hook(i, z) if act_hook is not None else (None, None)
         if idx is not None:
             if np.may_share_memory(h, z):  # a mode may hand back its input
@@ -328,13 +328,34 @@ def forward(net: Network, x: np.ndarray):
     identical results.
     """
     trace: list[np.ndarray] = []
-    logits, _ = _run_layers(net, x, trace=trace)
+    logits, _ = _run_layers(net, x, observe=lambda _, z: trace.append(z))
     return logits, trace
 
 
-def infer(net: Network, x: np.ndarray) -> np.ndarray:
-    """The logits of ``forward``, keeping no trace."""
-    return _run_layers(net, x)[0]
+BLOCK = 64  # samples per block of infer's convolutional prefix
+
+
+def infer(net: Network, x: np.ndarray, observe=None) -> np.ndarray:
+    """The logits of ``forward``, keeping no trace. ``observe(i, z)`` sees
+    the pre-activation z entering slot layers[i]: once per block of BLOCK
+    samples in the per-sample layers before the first Flatten or Dense,
+    which run in such blocks; Dense bytes depend on the row count, so it
+    and all later layers see the whole batch."""
+    end = next((i for i, l in enumerate(net.layers)
+                if isinstance(l, (Dense, Flatten))), len(net.layers))
+    if not end or x.ndim < 2 or len(x) <= BLOCK:
+        return _run_layers(net, x, observe=observe)[0]
+    out = None
+    try:
+        for s in range(0, len(x), BLOCK):
+            h = _run_layers(net, x[s:s + BLOCK], observe=observe, stop=end)[0]
+            if out is None:
+                out = np.empty((len(x),) + h.shape[1:], dtype=DTYPE)
+            out[s:s + len(h)] = h
+    except (ShapeError, IntervalOverflowError):
+        _run_layers(net, x)  # a block may fail at a later slot than the batch
+        raise
+    return _run_layers(net, out, observe=observe, start=end)[0]
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:

@@ -66,8 +66,6 @@ class CompositeReLU:
         return np.clip(z, -b, b)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        # zc stays alive to the return: which heap holes this slot's
-        # temporaries land in sets a sweep's peak RSS
         zc = self._admit(z)
         s = self.approx.eval(zc)
         return (z + z * s) / 2.0
@@ -221,11 +219,11 @@ def transform(net: nn.Network, mode) -> nn.Network:
 def calibrate_bound(net: nn.Network, x: np.ndarray,
                     safety: float = 1.2) -> float:
     """B = safety * max |pre-activation| over the given inputs."""
-    worst = 0.0
-    for i in range(0, x.shape[0], 512):  # bounds the traces held at once
-        _, trace = nn.forward(net, x[i:i + 512])
-        for z in trace:
-            worst = max(worst, float(np.max(np.abs(z))))
+    peaks = [0.0]
+    for i in range(0, x.shape[0], 512):  # Dense bytes depend on the row count
+        nn.infer(net, x[i:i + 512],
+                 lambda _, z: peaks.append(float(np.max(np.abs(z)))))
+    worst = max(peaks)
     if worst == 0.0:
         raise ValueError("calibration inputs produced all-zero activations")
     return safety * worst

@@ -51,3 +51,15 @@ def discrepancy_grid(x, y, backbone: nn.Network, pann: nn.Network,
     pp = nn.predict(pann, batch)
     mask = ((pb == int(y)) & (pp != int(y))).reshape(di.shape)
     return axis, mask
+
+
+def calibrate_bound_by_trace(net: nn.Network, x,
+                             safety: float = 1.2) -> float:
+    """safety * max |z| over the traces of nn.forward, run on 512-sample
+    chunks: the form that transform.calibrate_bound streams."""
+    worst = 0.0
+    for i in range(0, x.shape[0], 512):
+        _, trace = nn.forward(net, x[i:i + 512])
+        for z in trace:
+            worst = max(worst, float(np.max(np.abs(z))))
+    return safety * worst

@@ -1,6 +1,7 @@
 """Transform tests: mode swaps, interval policies, replacement arithmetic."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pannkit import polyapprox as pa
 from pannkit import transform as tf
 from pannkit.fixedpoint import FixedPointFormat, TruncatedReLU
 from pannkit.seeding import derive_rng
+
+from oracles import calibrate_bound_by_trace
 
 
 @pytest.fixture(scope="module")
@@ -325,3 +328,110 @@ class TestPurity:
         except tf.IntervalOverflowError:
             assert name == "error"
         assert np.array_equal(nn.forward(pann, eval_x)[0], before)
+
+
+@pytest.fixture(scope="module")
+def cnn():
+    return nn.build_arch("cnn:4,8+32", (1, 28, 28), 10, seed=5)
+
+
+@pytest.fixture(scope="module")
+def images():
+    return derive_rng(6, "images").random((700, 1, 28, 28))
+
+
+class TestStreamedInference:
+    """nn.infer runs the convolutional prefix over blocks of nn.BLOCK
+    samples; its logits, errors and observed pre-activations are those of
+    the unblocked nn.forward."""
+
+    @pytest.fixture(scope="class")
+    def modes(self, cnn, images):
+        b = calibrate_bound_by_trace(cnn, images[:256])
+        # half the calibrated bound, so that the clamp path runs
+        clamp = pa.build_appsgn(6, bound=b / 2)
+        return {"exact": nn.ExactReLU(), "clamp_to_B": tf.CompositeReLU(clamp),
+                "injected": tf.InjectedReLU(6, "neg_only", seed=3),
+                "partial": tf.PartialReplaceReLU(c=0.3),
+                "truncated": TruncatedReLU(FixedPointFormat(8))}
+
+    @pytest.mark.parametrize("name", ["exact", "clamp_to_B", "injected",
+                                      "partial", "truncated"])
+    def test_logits_bit_identical_to_forward(self, cnn, images, modes, name):
+        pann = tf.transform(cnn, modes[name])
+        for n in (1, nn.BLOCK - 1, nn.BLOCK, nn.BLOCK + 1, 500):
+            want, _ = nn.forward(pann, images[:n])
+            assert nn.infer(pann, images[:n]).tobytes() == want.tobytes(), n
+
+    def test_observer_sees_the_trace_by_global_layer(self, cnn, images):
+        x = images[:2 * nn.BLOCK + 5]
+        seen: dict = {}
+        logits = nn.infer(cnn, x,
+                          lambda i, z: seen.setdefault(i, []).append(z))
+        want, trace = nn.forward(cnn, x)
+        assert logits.tobytes() == want.tobytes()
+        assert list(seen) == cnn.activation_indices()
+        # the prefix slots in three blocks, the dense slot in one batch
+        assert [len(v) for v in seen.values()] == [3, 3, 1]
+        for zs, z in zip(seen.values(), trace):
+            assert np.concatenate(zs).tobytes() == z.tobytes()
+
+    def test_mlp_has_no_prefix_to_stream(self, images):
+        net = nn.build_arch("mlp:16", (1, 28, 28), 10, seed=2)
+        pann = tf.transform(net, tf.InjectedReLU(6, seed=1))
+        seen = []
+        got = nn.infer(pann, images[:500], lambda i, z: seen.append(z.shape))
+        assert got.tobytes() == nn.forward(pann, images[:500])[0].tobytes()
+        assert seen == [(500, 16)]
+
+    def test_overflow_raises_the_unblocked_error(self):
+        # slot layers[1] passes x, slot layers[3] reads 10 * relu(x)
+        one = np.ones((1, 1, 1, 1))
+        net = nn.Network((nn.Conv2d(one, np.zeros(1)), nn.Activation(),
+                          nn.Conv2d(10 * one, np.zeros(1)), nn.Activation(),
+                          nn.Flatten(), nn.Dense(np.ones((2, 4)),
+                                                 np.zeros(2))), (1, 2, 2), 2)
+        pann = tf.transform(net, tf.CompositeReLU(
+            pa.build_appsgn(6, bound=5.0), tf.IntervalPolicy("error")))
+        x = np.full((2 * nn.BLOCK + 30, 1, 2, 2), 0.9)
+        x[nn.BLOCK + 3, 0, 1, 0] = 7.0  # the second block overflows layers[1]
+        x[-1, 0, 0, 1] = -9.0  # and the third, further
+        with pytest.raises(tf.IntervalOverflowError) as first:
+            nn.infer(pann, x[:nn.BLOCK])
+        assert str(first.value).startswith("layers[3]: ")
+        with pytest.raises(tf.IntervalOverflowError) as want:
+            nn.forward(pann, x)
+        assert str(want.value).startswith("layers[1]: |z| reached 9 ")
+        with pytest.raises(tf.IntervalOverflowError) as got:
+            nn.infer(pann, x)
+        assert str(got.value) == str(want.value)
+
+    def test_calibrate_bound_is_the_trace_maximum(self, cnn, images):
+        # 700 samples: a full and a partial 512-sample chunk, each in blocks
+        assert tf.calibrate_bound(cnn, images) == \
+            calibrate_bound_by_trace(cnn, images)
+
+    @pytest.mark.parametrize("name", ["exact", "composite"])
+    def test_infer_peak_below_one_conv_output(self, cnn, images, name):
+        # one [500, 4, 24, 24] conv output is 9.2 MB; the unblocked pass
+        # held two or more of them at once
+        mode = nn.ExactReLU() if name == "exact" else tf.CompositeReLU(
+            pa.build_appsgn(6, bound=tf.calibrate_bound(cnn, images[:256])))
+        pann, x = tf.transform(cnn, mode), images[:500]
+        tracemalloc.start()
+        try:
+            nn.infer(pann, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.2e6, peak
+
+    def test_calibrate_peak_below_one_conv_output(self, cnn, images):
+        x = images[:256]
+        tracemalloc.start()
+        try:
+            tf.calibrate_bound(cnn, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.2e6, peak
