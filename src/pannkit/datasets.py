@@ -249,11 +249,17 @@ def _digit_templates() -> np.ndarray:
     return out
 
 
+DIGITS_BLOCK = 256  # images per block of synthetic_digits' float64 steps
+
+
 def synthetic_digits(n: int, seed: int, noise: float = 0.1):
     """n noisy 28x28 digit images (uint8) with balanced labels.
 
     ``noise`` is the pixel-noise sigma; raising it overlaps the classes,
-    which desk-scale approximation-robustness experiments rely on.
+    which desk-scale approximation-robustness experiments rely on. The
+    float64 steps run over blocks of DIGITS_BLOCK images, each written into
+    the uint8 output; the generator draws the blocks' noise in order, so
+    the bytes are those of one draw over all n images.
     """
     rng = derive_rng(seed, "digits")
     y = _balanced_labels(n, 10, rng)
@@ -264,13 +270,17 @@ def synthetic_digits(n: int, seed: int, noise: float = 0.1):
     rows = (np.arange(28) - np.arange(-3, 4)[:, None]) % 28
     shifted = _digit_templates()[:, rows[:, None, :, None],
                                  rows[None, :, None, :]].reshape(-1, 28, 28)
-    images = shifted[(y * 7 + shifts[:, 0] + 3) * 7 + shifts[:, 1] + 3]
-    images *= brightness[:, None, None]
-    pixel_noise = rng.standard_normal((n, 28, 28))
-    images += np.multiply(pixel_noise, noise, out=pixel_noise)
-    np.clip(images, 0.0, 1.0, out=images)
-    images *= 255.0
-    return np.round(images, out=images).astype(np.uint8), y
+    glyph = (y * 7 + shifts[:, 0] + 3) * 7 + shifts[:, 1] + 3
+    out = np.empty((n, 28, 28), dtype=np.uint8)
+    for s in range(0, n, DIGITS_BLOCK):
+        images = shifted[glyph[s:s + DIGITS_BLOCK]]
+        images *= brightness[s:s + DIGITS_BLOCK, None, None]
+        pixel_noise = rng.standard_normal(images.shape)
+        images += np.multiply(pixel_noise, noise, out=pixel_noise)
+        np.clip(images, 0.0, 1.0, out=images)
+        images *= 255.0
+        out[s:s + DIGITS_BLOCK] = np.round(images, out=images)
+    return out, y
 
 
 # ---------------------------------------------------------------------------

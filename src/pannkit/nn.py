@@ -480,27 +480,48 @@ class SgdState:
                         milestones=tuple(self.milestones), gamma=self.gamma)
 
 
+SGD_BLOCK = 32_768  # values per block of sgd_step's scratch buffer
+
+
 def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
     """One optimizer step; returns a new network, old parameter arrays
-    untouched. The velocity buffers in ``state`` are updated in place."""
+    untouched. The velocity buffers in ``state`` are updated in place.
+
+    Each parameter streams in flat blocks of SGD_BLOCK values through one
+    scratch buffer, with the roundings of the whole-array step:
+    g + wd * w, then v * momentum + that (v = that on the first step),
+    then w - eta * v."""
     eta = state.lr_at(state.epoch)
+    scratch = np.empty(SGD_BLOCK, dtype=DTYPE)
     layers = list(net.layers)
     for i, layer in enumerate(layers):
         pg = grads[i]
         if not pg:
             continue
-        params = layer.params()
         new_params = {}
-        for name, w in params.items():
-            g = pg[name] + state.weight_decay * w
+        for name, w in layer.params().items():
             key = (i, name)
-            v = state.velocities.get(key)
-            if v is None:
-                v = state.velocities[key] = g
-            else:  # the state owns its buffers: update them in place
-                v *= state.momentum
-                v += g
-            new_params[name] = w - eta * v
+            first = key not in state.velocities
+            if first:  # the state owns its buffers from the first step on
+                state.velocities[key] = np.empty(w.shape, dtype=DTYPE)
+            w_flat, g_flat = w.reshape(-1), pg[name].reshape(-1)
+            v_flat = state.velocities[key].reshape(-1)
+            new = np.empty(w.shape, dtype=DTYPE)
+            new_flat = new.reshape(-1)
+            for s in range(0, w.size, SGD_BLOCK):
+                blk = slice(s, s + SGD_BLOCK)
+                v = v_flat[blk]
+                t = scratch[:len(v)]
+                np.multiply(w_flat[blk], state.weight_decay, out=t)
+                np.add(g_flat[blk], t, out=t)
+                if first:
+                    v[...] = t
+                else:
+                    v *= state.momentum
+                    v += t
+                np.multiply(v, eta, out=t)
+                np.subtract(w_flat[blk], t, out=new_flat[blk])
+            new_params[name] = new
         layers[i] = layer.with_params(new_params)
     return replace(net, layers=tuple(layers))
 

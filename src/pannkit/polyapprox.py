@@ -412,28 +412,34 @@ def _run_chain(chain, u, du=None):
 
 # uniformly spaced points of the audit on [t0, 1]; descriptors record it
 AUDIT_POINTS = 100_000
+# extrema per block of the audit's refinement windows
+AUDIT_BLOCK = 1024
 
 
 @cache
 def _certify_chain(chain, t0, beta):
     """Audit the chain on the unit domain: |chain - 1| on AUDIT_POINTS
     uniformly spaced points of [t0, 1], on 64 cosine-clustered points
-    around every extremum among them and on a log-spaced sweep that
-    resolves crowding toward t0, plus |chain - 1| on the band [0, t0]. A
-    NaN anywhere fails the audit. One audit per (chain, t0, beta) and
-    process: builds and loads of the same chain share it."""
+    around every extremum among them (AUDIT_BLOCK extrema at a time) and
+    on a log-spaced sweep that resolves crowding toward t0, plus
+    |chain - 1| on the band [0, t0]. A NaN anywhere fails the audit. One
+    audit per (chain, t0, beta) and process: builds and loads of the same
+    chain share it."""
     grid = np.linspace(t0, 1.0, AUDIT_POINTS)
     signed = _run_chain(chain, grid) - 1.0
     err = np.abs(signed)
+    maxima = [err.max()]
     ext = _alternating_extrema(grid, signed)
-    lo = grid[np.maximum(ext - 1, 0)][:, None]
-    hi = grid[np.minimum(ext + 1, len(grid) - 1)][:, None]
-    local = (lo + hi) / 2 + (hi - lo) / 2 * _cheb_extrema(64)
+    for s in range(0, len(ext), AUDIT_BLOCK):
+        block = ext[s:s + AUDIT_BLOCK]
+        lo = grid[np.maximum(block - 1, 0)][:, None]
+        hi = grid[np.minimum(block + 1, len(grid) - 1)][:, None]
+        local = (lo + hi) / 2 + (hi - lo) / 2 * _cheb_extrema(64)
+        maxima.append(np.abs(_run_chain(chain, local) - 1.0).max())
     sweep = np.geomspace(t0, 1.0, AUDIT_POINTS // 10)
+    maxima.append(np.abs(_run_chain(chain, sweep) - 1.0).max())
     # np.max propagates NaN, so a NaN at any audited point fails the audit
-    max_err = float(np.max([err.max(),
-                            np.abs(_run_chain(chain, local) - 1.0).max(),
-                            np.abs(_run_chain(chain, sweep) - 1.0).max()]))
+    max_err = float(np.max(maxima))
 
     band = np.linspace(0.0, t0, 2048)
     band_max_error = float(np.max(np.abs(_run_chain(chain, band) - 1.0)))

@@ -1,6 +1,8 @@
 """Test oracles that the package itself never runs."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,3 +65,39 @@ def calibrate_bound_by_trace(net: nn.Network, x,
         for z in trace:
             worst = max(worst, float(np.max(np.abs(z))))
     return safety * worst
+
+
+def sgd_step_reference(net: nn.Network, grads: list,
+                       state: nn.SgdState) -> nn.Network:
+    """The whole-array form of nn.sgd_step, which streams each parameter
+    through one block-sized scratch buffer with the same bits."""
+    eta = state.lr_at(state.epoch)
+    layers = list(net.layers)
+    for i, layer in enumerate(layers):
+        pg = grads[i]
+        if not pg:
+            continue
+        params = layer.params()
+        new_params = {}
+        for name, w in params.items():
+            g = pg[name] + state.weight_decay * w
+            key = (i, name)
+            v = state.velocities.get(key)
+            if v is None:
+                v = state.velocities[key] = g
+            else:  # the state owns its buffers: update them in place
+                v *= state.momentum
+                v += g
+            new_params[name] = w - eta * v
+        layers[i] = layer.with_params(new_params)
+    return replace(net, layers=tuple(layers))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of the allocations fn() makes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

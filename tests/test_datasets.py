@@ -14,6 +14,7 @@ from pannkit import datasets as ds
 from pannkit.seeding import derive_rng
 
 from idx_files import idx_bytes, write_digit_idx_dataset, write_idx
+from oracles import traced_peak
 
 
 def _sha(a: np.ndarray) -> str:
@@ -244,11 +245,18 @@ class TestSynthetic:
             images = np.clip(images, 0.0, 1.0)
             return np.round(images * 255.0).astype(np.uint8), y
 
-        for n, seed in ((1800, 3), (1000, 7), (2500, 0), (40, 2)):
+        # 777 ends on a partial block of DIGITS_BLOCK images
+        for n, seed in ((1800, 3), (1000, 7), (2500, 0), (40, 2), (777, 5)):
             img, lab = ds.synthetic_digits(n, seed)
             want_img, want_lab = loop(n, seed)
             assert np.array_equal(img, want_img)
             assert np.array_equal(lab, want_lab)
+
+    def test_digits_peak_below_one_float64_copy(self):
+        # 2500 images are 15.7 MB in float64; building them whole held that
+        # and an equal noise draw at once (36.5 MB)
+        peak = traced_peak(lambda: ds.synthetic_digits(2500, 0, 0.25))
+        assert peak < 2500 * 28 * 28 * 8, peak
 
     def test_digits_pinned_digests(self):
         for (n, noise, seed), want in _DIGIT_IMAGES.items():

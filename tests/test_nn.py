@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ from hypothesis import strategies as st
 
 from pannkit import nn
 from pannkit.seeding import derive_rng
+
+from oracles import sgd_step_reference, traced_peak
 
 
 def fd_param_grads(net, x, y, kind="cross_entropy", h=1e-5):
@@ -150,12 +151,7 @@ class TestForward:
         # is 9.4 MB, the whole patch matrix would be 59 MB more
         net = nn.build_arch("cnn:4,8+32", (1, 28, 28), 10, seed=0)
         x = np.random.default_rng(0).standard_normal((512, 1, 28, 28))
-        tracemalloc.start()
-        try:
-            net.layers[0].forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: net.layers[0].forward(x))
         assert peak < 16e6, peak
 
     def test_avgpool(self):
@@ -461,6 +457,46 @@ class TestSgd:
         assert np.array_equal(v, expect)
         assert net2.layers[0].W is not net1.layers[0].W
         assert np.array_equal(net2.layers[0].W, net1.layers[0].W - 0.5 * v)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_blocked_step_bit_identical_to_whole_array(self, momentum,
+                                                       weight_decay):
+        # W has 256 * 784 = 200,704 values, six full blocks and a partial
+        # one; the milestone changes the rate in the middle of the run
+        assert (256 * 784) % nn.SGD_BLOCK
+        rng = np.random.default_rng(int(momentum * 10) + (weight_decay > 0))
+        net = nn.Network((nn.Dense(rng.standard_normal((256, 784)),
+                                   rng.standard_normal(256)),), (784,), 256)
+        got_net, want_net = net, net
+        kw = dict(lr=0.05, momentum=momentum, weight_decay=weight_decay,
+                  milestones=(2,))
+        got_state, want_state = nn.SgdState(**kw), nn.SgdState(**kw)
+        for k in range(5):
+            got_state.epoch = want_state.epoch = k
+            grads = [{"W": rng.standard_normal((256, 784))
+                      * 10.0 ** rng.integers(-4, 4, size=(256, 784)),
+                      "b": rng.standard_normal(256)}]
+            got_net = nn.sgd_step(got_net, grads, got_state)
+            want_net = sgd_step_reference(want_net, grads, want_state)
+            for name, w in got_net.layers[0].params().items():
+                assert w.tobytes() == \
+                    want_net.layers[0].params()[name].tobytes()
+                assert got_state.velocities[0, name].tobytes() == \
+                    want_state.velocities[0, name].tobytes()
+
+    def test_second_step_peak_is_its_parameters(self):
+        # the new parameters are 2.15 MB; a whole-array step adds two
+        # temporaries of each parameter's size (4.8 MB in all)
+        net = nn.build_arch("mlp:256,256", (1, 28, 28), 10, seed=0)
+        x = np.random.default_rng(0).standard_normal((32, 1, 28, 28))
+        grads, _ = nn.backward(net, x, np.arange(32) % 10)
+        state = nn.SgdState(lr=0.1, momentum=0.9, weight_decay=1e-3)
+        net = nn.sgd_step(net, grads, state)
+        param_bytes = sum(w.nbytes for layer in net.layers
+                          for w in layer.params().values())
+        peak = traced_peak(lambda: nn.sgd_step(net, grads, state))
+        assert peak < param_bytes + 1e6, (peak, param_bytes)
 
     def test_lr_schedule_milestones(self):
         s = nn.SgdState(lr=0.1, milestones=(10, 20), gamma=0.1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pannkit import polyapprox as pa
 from pannkit import transform as tf
 
-from oracles import count_alternations
+from oracles import count_alternations, traced_peak
 
 
 class TestPolynomial:
@@ -319,6 +319,40 @@ class TestCompositeSgn:
         assert not np.isnan(spiky(grid)).any()
         got = pa._certify_chain((spiky,), 2.0 ** -6, 6)
         assert not got.passed and np.isnan(got.max_error)
+
+    def test_nan_past_the_first_block_of_windows_fails(self):
+        # a ripple with one extremum every 10 grid points has about 10,000
+        # extrema; the chain is NaN only inside the refinement window of
+        # one past the first AUDIT_BLOCK of them
+        t0 = 2.0 ** -6
+        grid = np.linspace(t0, 1.0, pa.AUDIT_POINTS)
+        h = grid[1] - grid[0]
+
+        def ripple(v):
+            return 1.0 + 1e-4 * np.sin(np.pi * (v - t0) / (10 * h))
+
+        ext = pa._alternating_extrema(grid, ripple(grid) - 1.0)
+        assert len(ext) > 2 * pa.AUDIT_BLOCK
+        k = ext[pa.AUDIT_BLOCK + 500]
+
+        def holed(v):
+            return np.where((v > grid[k] + h / 4) & (v < grid[k] + 3 * h / 4),
+                            np.nan, ripple(v))
+
+        sweep = np.geomspace(t0, 1.0, pa.AUDIT_POINTS // 10)
+        assert not np.isnan(holed(grid)).any()
+        assert not np.isnan(holed(sweep)).any()
+        assert pa._certify_chain.__wrapped__((ripple,), t0, 6).passed
+        got = pa._certify_chain.__wrapped__((holed,), t0, 6)
+        assert not got.passed and np.isnan(got.max_error)
+
+    def test_audit_peak_at_beta_12(self):
+        # beta=12 has 8,163 extrema; their windows built at once were
+        # 4.2 MB a copy, and the audit peaked at 15.2 MB
+        ap = pa.build_appsgn(12)
+        peak = traced_peak(lambda: pa._certify_chain.__wrapped__(
+            ap.chain, ap.eps0 / ap.bound, ap.beta))
+        assert peak < 9e6, peak
 
     @pytest.mark.parametrize("bad", [10 ** 12, 1.5, True, 1, "100"])
     def test_bad_grid_points_rejected(self, ap8, bad):

@@ -1,7 +1,6 @@
 """Transform tests: mode swaps, interval policies, replacement arithmetic."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from pannkit import transform as tf
 from pannkit.fixedpoint import FixedPointFormat, TruncatedReLU
 from pannkit.seeding import derive_rng
 
-from oracles import calibrate_bound_by_trace
+from oracles import calibrate_bound_by_trace, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -418,20 +417,10 @@ class TestStreamedInference:
         mode = nn.ExactReLU() if name == "exact" else tf.CompositeReLU(
             pa.build_appsgn(6, bound=tf.calibrate_bound(cnn, images[:256])))
         pann, x = tf.transform(cnn, mode), images[:500]
-        tracemalloc.start()
-        try:
-            nn.infer(pann, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: nn.infer(pann, x))
         assert peak < 9.2e6, peak
 
     def test_calibrate_peak_below_one_conv_output(self, cnn, images):
         x = images[:256]
-        tracemalloc.start()
-        try:
-            tf.calibrate_bound(cnn, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: tf.calibrate_bound(cnn, x))
         assert peak < 9.2e6, peak
