@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -126,15 +127,29 @@ def _spec(cfg, cls, section):
                               if k not in ("arch", "dataset")}, "config")
 
 
-def _check_arch_fits(arch: str, data) -> None:
-    """Exit 2 when a cnn arch cannot take the dataset's samples (an mlp
-    flattens any shape), before any training or approximant build."""
-    if nn.parse_arch(arch)[0] != "cnn":
-        return
-    try:
-        nn.build_arch(arch, data.sample_shape, data.n_classes)
-    except ValueError as exc:
-        raise ConfigError(f"config.arch: {exc}")
+class _DataOnDemand:
+    """A dataset loaded at the first use of anything but its spec."""
+
+    def __init__(self, spec: datasets.DatasetSpec, arch: str):
+        self.spec, self._arch, self._data = spec, arch, None
+        self._lock = threading.Lock()  # cells may train on a thread pool
+
+    def load(self) -> datasets.Dataset:
+        """Load once; exit 2 if a cnn arch cannot take the samples."""
+        with self._lock:
+            if self._data is None:
+                data = datasets.load_dataset(self.spec)
+                if nn.parse_arch(self._arch)[0] == "cnn":
+                    try:
+                        nn.build_arch(self._arch, data.sample_shape,
+                                      data.n_classes)
+                    except ValueError as exc:
+                        raise ConfigError(f"config.arch: {exc}")
+                self._data = data
+        return self._data
+
+    def __getattr__(self, name):  # the names __init__ did not set
+        return getattr(self.load(), name)
 
 
 def _load_network(path) -> nn.Network:
@@ -186,8 +201,7 @@ def _cmd_train(args) -> int:
     from . import records, sturdiness as sd, training
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
-    data = datasets.load_dataset(_dataset_spec(cfg))
-    _check_arch_fits(arch, data)
+    data = _DataOnDemand(_dataset_spec(cfg), arch).load()
     chash = records.config_hash(sd.run_key("train", spec, arch, data))
     store = _open_store(args.records, spec.columns) if args.records else None
     try:
@@ -350,8 +364,9 @@ def _cmd_experiment(args) -> int:
             raise ConfigError("config.sweep.t_primes: sweep-beta evaluates "
                               "the final epoch; use sweep-wd to set t'")
         spec = dataclasses.replace(spec, t_primes=(spec.epochs,))
-    data = datasets.load_dataset(_dataset_spec(cfg))
-    _check_arch_fits(arch, data)
+    data = _DataOnDemand(_dataset_spec(cfg), arch)
+    if args.force or not (args.records and os.path.exists(args.records)):
+        data.load()  # every cell trains: fail before the store is written
     store = _open_store(args.records, spec.columns) if args.records else None
     run = dict(store=store, force=args.force, workers=args.workers)
     # looked up by name per call, so that wrappers installed on the module

@@ -34,13 +34,40 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; the message names the offending byte offset."""
 
 
+def _normalize(x: np.ndarray, norm) -> np.ndarray:
+    return x if norm is None else (x - norm[0]) / norm[1]
+
+
+class ByteImages:
+    """8-bit images that read as float64. Indexing decodes only the chosen
+    images: raw / 255, then (x - mean) / std when ``norm`` is (mean, std).
+    Decoding is elementwise, so a batch holds the bytes a decoded pool
+    would; the pool takes a byte per pixel, not eight."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, raw: np.ndarray, norm=None):
+        self.raw, self.norm = raw, norm
+        self.shape, self.ndim = raw.shape, raw.ndim
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return _normalize(np.divide(self.raw[idx], 255.0, dtype=np.float64),
+                          self.norm)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[...], dtype=dtype)  # always a new array
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory train/test split with float64 inputs and int64 labels."""
+    """In-memory train/test split: float64-reading inputs, int64 labels."""
 
-    x_train: np.ndarray
+    x_train: np.ndarray | ByteImages
     y_train: np.ndarray
-    x_test: np.ndarray
+    x_test: np.ndarray | ByteImages
     y_test: np.ndarray
     n_classes: int
     spec: DatasetSpec | None = None  # set by load_dataset; names the data
@@ -113,8 +140,7 @@ def _paired_idx(images_path, labels_path):
         raise DatasetFormatError(
             f"{labels_path}: label {int(labels[i])} > 9 in record {i} "
             f"(offset {8 + i})")
-    x = images.astype(np.float64)[:, None, :, :] / 255.0  # (n, 1, H, W)
-    return x, labels.astype(np.int64)
+    return ByteImages(images[:, None]), labels.astype(np.int64)  # (n, 1, H, W)
 
 
 def load_mnist_idx(data_dir) -> Dataset:
@@ -163,10 +189,9 @@ def load_cifar10_binary(data_dir) -> Dataset:
         img, lab = read_cifar10_batch(d / f"data_batch_{i}.bin")
         xs.append(img)
         ys.append(lab)
-    x_tr = np.concatenate(xs).astype(np.float64) / 255.0
-    y_tr = np.concatenate(ys).astype(np.int64)
     img, lab = read_cifar10_batch(d / "test_batch.bin")
-    return Dataset(x_tr, y_tr, img.astype(np.float64) / 255.0,
+    return Dataset(ByteImages(np.concatenate(xs)),
+                   np.concatenate(ys).astype(np.int64), ByteImages(img),
                    lab.astype(np.int64), n_classes=10)
 
 
@@ -351,10 +376,11 @@ class DatasetSpec:
         return key
 
 
-def _split_pool(x, y, spec: DatasetSpec, n_classes: int) -> Dataset:
+def _split_pool(x, y, spec: DatasetSpec, n_classes: int,
+                wrap=np.asarray) -> Dataset:
     n_train = int(round(spec.train_fraction * len(x)))
-    return Dataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:],
-                   n_classes=n_classes)
+    return Dataset(wrap(x[:n_train]), y[:n_train], wrap(x[n_train:]),
+                   y[n_train:], n_classes=n_classes)
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
@@ -371,18 +397,17 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         ds = _split_pool(x, y, spec, 2)
     else:
         img, lab = synthetic_digits(spec.n, spec.seed, spec.noise)
-        x = np.divide(img[:, None], 255.0, dtype=np.float64)
-        ds = _split_pool(x, lab, spec, 10)
-    x_tr, y_tr = ds.x_train, ds.y_train
-    x_te, y_te = ds.x_test, ds.y_test
-    if spec.limit_train is not None:
-        x_tr, y_tr = x_tr[:spec.limit_train], y_tr[:spec.limit_train]
-    if spec.limit_test is not None:
-        x_te, y_te = x_te[:spec.limit_test], y_te[:spec.limit_test]
+        ds = _split_pool(img[:, None], lab, spec, 10, wrap=ByteImages)
+    norm = None
     if spec.normalize_mean is not None or spec.normalize_std is not None:
-        mean = spec.normalize_mean or 0.0
-        std = spec.normalize_std or 1.0
-        x_tr = (x_tr - mean) / std
-        x_te = (x_te - mean) / std
-    return replace(ds, x_train=x_tr, y_train=y_tr, x_test=x_te, y_test=y_te,
-                   spec=spec)
+        norm = (spec.normalize_mean or 0.0, spec.normalize_std or 1.0)
+
+    def head(x, stop):  # a prefix, normalized; 8-bit images stay 8-bit
+        if isinstance(x, ByteImages):
+            return ByteImages(x.raw[:stop], norm)
+        return _normalize(x[:stop], norm)
+
+    return replace(ds, x_train=head(ds.x_train, spec.limit_train),
+                   y_train=ds.y_train[:spec.limit_train],
+                   x_test=head(ds.x_test, spec.limit_test),
+                   y_test=ds.y_test[:spec.limit_test], spec=spec)

@@ -33,6 +33,16 @@ def count_alternations(poly, target, interval, max_error: float, tol: float,
     return best
 
 
+def decoded_pool(images: np.ndarray, mean=None, std=None) -> np.ndarray:
+    """The float64 pool that datasets.load_dataset built eagerly before it
+    kept 8-bit images as 8-bit: images / 255, then (x - mean) / std when the
+    spec sets either."""
+    x = images.astype(np.float64) / 255.0
+    if mean is not None or std is not None:
+        x = (x - (mean or 0.0)) / (std or 1.0)
+    return x
+
+
 def discrepancy_grid(x, y, backbone: nn.Network, pann: nn.Network,
                      eps: float, steps: int = 50):
     """Exhaustively scan 2-feature perturbations on a (2*steps+1)² grid.

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,19 @@ def write_config(path, doc):
 
 BLOBS = {"source": "synthetic_blobs", "n": 300, "classes": 3, "dim": 2,
          "seed": 3}
+
+
+def count_loads(monkeypatch, pause: float = 0.0) -> list:
+    """The specs of every datasets.load_dataset call from here on; each
+    call first sleeps pause seconds, so that concurrent calls overlap."""
+    calls, load = [], datasets.load_dataset
+
+    def counted(spec):
+        calls.append(spec)
+        time.sleep(pause)
+        return load(spec)
+    monkeypatch.setattr(datasets, "load_dataset", counted)
+    return calls
 
 
 @pytest.fixture
@@ -390,6 +404,48 @@ class TestSweeps:
         assert all(c["status"] == "cached" for c in doc["cells"])
         assert recs.read_bytes() == before
 
+    @pytest.mark.parametrize("command, doc", [
+        ("sweep-wd", {"sweep": {"wds": [0.0], "seeds": [0], "betas": [6],
+                                "t_primes": [0], "epochs": 2, "lr": 0.1}}),
+        ("sweep-beta", {"sweep": {"wds": [0.0], "seeds": [0], "betas": [6],
+                                  "epochs": 2, "lr": 0.1}}),
+        ("trunc-sweep", {"sweep": {"l_xs": [8], "seeds": [0], "epochs": 2,
+                                   "lr": 0.1}}),
+        ("perturb-exp", {"wds": [0.0], "betas": [8], "seeds": [0],
+                         "epochs": 2, "lr": 0.1})])
+    def test_cached_rerun_loads_no_data(self, tmp_path, capsys, monkeypatch,
+                                        command, doc):
+        cfg = write_config(tmp_path / "c.json",
+                           dict(doc, arch="mlp:8", dataset=BLOBS))
+        plot = tmp_path / "p.csv"
+        argv = [command, "--config", cfg, "--records", tmp_path / "r.csv",
+                "--plot", plot]
+        loads = count_loads(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        fresh = plot.read_bytes()
+        code, out = run(capsys, *argv)
+        assert code == 0 and len(loads) == 1
+        assert [c["status"] for c in out["cells"]] == ["cached"]
+        assert plot.read_bytes() == fresh
+        assert run(capsys, *argv, "--force")[0] == 0
+        assert len(loads) == 2 and plot.read_bytes() == fresh
+
+    def test_cells_on_a_pool_load_the_data_once(self, tmp_path, capsys,
+                                                monkeypatch):
+        sweep = {"seeds": [0], "betas": [6], "t_primes": [0], "epochs": 2,
+                 "lr": 0.1}
+        recs = tmp_path / "r.csv"
+        loads = count_loads(monkeypatch, pause=0.1)
+        for wds in ([0.0], [0.0, 0.01, 0.02]):
+            cfg = write_config(tmp_path / "s.json", {
+                "arch": "mlp:8", "dataset": BLOBS,
+                "sweep": dict(sweep, wds=wds)})
+            code, out = run(capsys, "sweep-wd", "--config", cfg,
+                            "--records", recs, "--workers", 2)
+            assert code == 0
+        assert len(loads) == 2
+        assert [c["status"] for c in out["cells"]] == ["cached", "ok", "ok"]
+
     def test_beta_sweep_row_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "b.json", {
             "arch": "mlp:8", "dataset": BLOBS,
@@ -710,6 +766,22 @@ class TestExit2BeforeTraining:
                          f"config error: config.arch: bad architecture "
                          f"string {arch!r}: ", detail)
         assert not records_csv.exists()
+
+    def test_arch_that_does_not_fit_a_stored_run(self, tmp_path, capsys,
+                                                 no_training):
+        # a store with rows may hold every cell, so the data loads, and the
+        # arch is checked, only when a cell must train
+        recs = tmp_path / "r.csv"
+        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        before = recs.read_bytes()
+        cfg = write_config(tmp_path / "c.json", {
+            "arch": "cnn:4", "dataset": BLOBS,
+            "sweep": {"wds": [0.0], "seeds": [0], "betas": [6]}})
+        self._expect(capsys, ["sweep-wd", "--config", cfg, "--records",
+                              recs],
+                     "config error: config.arch: bad architecture string "
+                     "'cnn:4': ", "a cnn needs [C, H, W] samples")
+        assert recs.read_bytes() == before
 
     def test_config_values(self, tmp_path, capsys, no_training):
         base = {"arch": "mlp:8", "dataset": BLOBS}
