@@ -442,11 +442,14 @@ class TrainSpec(_CellSpec):
 def train_cell(spec: _CellSpec, arch: str, data: Dataset, wd: float,
                seed: int, snapshot_epochs=()) -> training.TrainResult:
     """Train arch, initialised from seed, under the spec's settings at
-    weight decay wd. Raises TrainingDiverged on a non-finite loss."""
-    net0 = nn.build_arch(arch, data.sample_shape, data.n_classes, seed)
+    weight decay wd. Raises TrainingDiverged on a non-finite loss.
+    No name here holds the initial network, so its parameters are freed
+    at the first SGD step."""
     sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd,
                       milestones=spec.milestones, gamma=spec.gamma)
-    return training.train(net0, data, sgd, epochs=spec.epochs,
+    return training.train(nn.build_arch(arch, data.sample_shape,
+                                        data.n_classes, seed),
+                          data, sgd, epochs=spec.epochs,
                           batch_size=spec.batch_size, mixup=spec.mixup,
                           ngnv=spec.ngnv, seed=seed, loss_kind=spec.loss,
                           snapshot_epochs=snapshot_epochs)

@@ -177,6 +177,9 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
     measured during training: ``snapshot_epochs`` keeps a reference to the
     network as of those epochs (networks are immutable), for the caller to
     evaluate.
+    ``net`` as passed in and each step's gradients are dropped once the
+    step that consumes them has run, so the next backward pass holds
+    neither; a caller that keeps ``net`` keeps it alive.
     A non-finite minibatch loss aborts with the epoch index.
     """
     state = sgd.fresh()
@@ -214,6 +217,7 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
                     epoch, f"training diverged at epoch {epoch}: {exc}"
                 ) from exc
             net = nn.sgd_step(net, grads, state)
+            del grads
         if epoch in snapshot_epochs:
             snapshots[epoch] = net
     return TrainResult(net=net, snapshots=snapshots)

@@ -249,8 +249,11 @@ class TestSynthetic:
             images = np.clip(images, 0.0, 1.0)
             return np.round(images * 255.0).astype(np.uint8), y
 
-        # 777 ends on a partial block of DIGITS_BLOCK images
-        for n, seed in ((1800, 3), (1000, 7), (2500, 0), (40, 2), (777, 5)):
+        # 777 ends on a partial block of DIGITS_BLOCK images; the last four
+        # sit on either side of one and two whole blocks
+        b = ds.DIGITS_BLOCK
+        for n, seed in ((1800, 3), (1000, 7), (2500, 0), (40, 2), (777, 5),
+                        (b - 1, 1), (b, 4), (b + 1, 6), (2 * b, 8)):
             img, lab = ds.synthetic_digits(n, seed)
             want_img, want_lab = loop(n, seed)
             assert np.array_equal(img, want_img)
@@ -335,6 +338,18 @@ def byte_sources(tmp_path_factory):
 
 
 class TestByteImages:
+    def test_array_always_copies(self, byte_sources):
+        # decoding makes a new array on every read, so numpy's copy=False
+        # must fail rather than hand back an array detached from raw
+        fields, raw_train, _ = byte_sources["digits"]
+        x = ds.load_dataset(ds.DatasetSpec(**fields)).x_train
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(x, copy=False)
+        for whole in (np.asarray(x), np.array(x), np.asarray(x, copy=True)):
+            assert whole.tobytes() == decoded_pool(raw_train).tobytes()
+            whole[...] = 0.0
+        assert np.array_equal(x.raw, raw_train)
+
     @pytest.mark.parametrize("mean, std", [
         (None, None), (0.5, None), (None, 0.3), (0.1307, 0.3081)])
     @pytest.mark.parametrize("source", ["digits", "idx", "cifar"])

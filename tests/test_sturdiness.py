@@ -15,6 +15,8 @@ from pannkit import sturdiness as sd
 from pannkit import transform as tf
 from pannkit import training as tr
 
+from oracles import traced_peak
+
 
 class TestProbes:
     def test_quadratic_probe_values(self):
@@ -178,6 +180,22 @@ class TestPlateau:
 
     def test_short_curve(self):
         assert sd.detect_plateau([1.0, 0.9]) is None
+
+
+class TestTrainCell:
+    def test_initial_network_is_freed_at_the_first_step(self):
+        # a step holds the network, its gradients, the velocities and the
+        # stepped network: four parameter sets of mlp:256,256 (2.15 MB
+        # each); keeping the initial network alive made that five
+        data = pd.load_dataset(pd.DatasetSpec(
+            source="synthetic_digits", n=128, seed=0, noise=0.25))
+        net = nn.build_arch("mlp:256,256", data.sample_shape, 10)
+        param_bytes = sum(w.nbytes for layer in net.layers
+                          for w in layer.params().values())
+        spec = sd.TrainSpec(epochs=1, batch_size=64)  # 102 samples: 2 steps
+        peak = traced_peak(lambda: sd.train_cell(spec, "mlp:256,256", data,
+                                                 1e-3, 0))
+        assert peak < 5 * param_bytes, (peak, param_bytes)
 
 
 class TestSweep:

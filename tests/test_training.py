@@ -4,6 +4,7 @@ selection rules, gradient leak-through, and trajectory determinism.
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -442,6 +443,23 @@ class TestTrain:
         with pytest.raises(tr.TrainingDiverged) as err:
             tr.train(net, blobs, hot, epochs=5, seed=1)
         assert err.value.epoch >= 1
+
+    def test_a_step_drops_the_gradients_it_consumed(self, blobs,
+                                                    monkeypatch):
+        # the next backward pass must not run while the last step's
+        # gradients are still held: with mlp:256,256 they are 2.15 MB
+        held, last, real_backward = [], [], nn.backward
+
+        def backward(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in last))
+            grads, loss = real_backward(*args, **kwargs)
+            last[:] = [weakref.ref(g) for pg in grads for g in pg.values()]
+            return grads, loss
+
+        monkeypatch.setattr(nn, "backward", backward)
+        net = nn.build_mlp((2,), (8,), 2, seed=0)
+        tr.train(net, blobs, self.SGD, epochs=2, seed=1)
+        assert len(held) == 14 and not any(held), held
 
     def test_template_state_untouched(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
