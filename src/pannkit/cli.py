@@ -205,20 +205,20 @@ def _cmd_train(args) -> int:
     chash = records.config_hash(sd.run_key("train", spec, arch, data))
     store = _open_store(args.records, spec.columns) if args.records else None
     try:
-        result = sd.train_cell(spec, arch, data, spec.wd, spec.seed)
+        net = sd.train_cell(spec, arch, data, spec.wd, spec.seed)
     except training.TrainingDiverged as exc:
         _emit({"config_hash": chash, "status": "failed",
                "diverged_at_epoch": exc.epoch})
         return 1
     # only the final network is reported, so evaluate it once
-    train_loss, _ = training.evaluate(result.net, data.x_train, data.y_train,
+    train_loss, _ = training.evaluate(net, data.x_train, data.y_train,
                                       loss_kind=spec.loss)
-    test_loss, test_acc = training.evaluate(result.net, data.x_test,
-                                            data.y_test, loss_kind=spec.loss)
+    test_loss, test_acc = training.evaluate(net, data.x_test, data.y_test,
+                                            loss_kind=spec.loss)
     if args.out:
         doc = {"config_hash": chash, "arch": arch,
                "dataset": data.spec.source,
-               "network": nn.network_to_dict(result.net)}
+               "network": nn.network_to_dict(net)}
         Path(args.out).write_text(json.dumps(doc))
     written = 0
     if store is not None:  # a stored hash writes nothing unless --force

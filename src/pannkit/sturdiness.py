@@ -13,11 +13,11 @@ seed), turns a divergence into its single ``failed`` row, and otherwise
 evaluates the trained network: at composite precisions past the loss
 plateau (weight-decay sweep; the CLI's precision sweep is this preset at
 the final epoch), at fixed-point widths (truncation sweep), or under
-sign-filtered injection (perturbation sweep). The weight-decay sweep
-calibrates each distinct snapshot once and evaluates it once per precision;
-t' values that cap to the same epoch share that measurement. ``run_cells``
-is the one engine; a cell whose hash is already stored is read back
-instead of trained.
+sign-filtered injection (perturbation sweep). The weight-decay sweep finds
+the plateau as training runs, keeps only the networks its t' pick, and
+calibrates each once; t' values that cap to one epoch share its measurement.
+``run_cells`` is the one engine; a cell whose hash is already stored is
+read back instead of trained.
 """
 
 from __future__ import annotations
@@ -289,10 +289,17 @@ class _CellSpec:
                   for name, v in vars(self).items()
                   if name != "milestones"  # a schedule, not a grid
                   and isinstance(v, (tuple, list))]
+        decay = "wds" if "wds" in self.grid else "wd"
         shared += [("epochs", (self.epochs >= 1, "an integer >= 1")),
                    ("batch_size", (self.batch_size >= 1, "an integer >= 1")),
                    ("loss", (self.loss in nn.LOSS_KINDS,
-                             f"one of {nn.LOSS_KINDS}"))]
+                             f"one of {nn.LOSS_KINDS}")),
+                   ("lr", (self.lr > 0, "a positive number")),
+                   ("momentum", (0 <= self.momentum < 1,
+                                 "a number in [0, 1)")),
+                   ("gamma", (self.gamma > 0, "a positive number")),
+                   (decay, (np.all(np.asarray(getattr(self, decay)) >= 0),
+                            "nonnegative weight decay"))]
         for name, (ok, wanted) in shared + list(checks.items()):
             if not ok:
                 raise nn.FieldError(f"{name}: expected {wanted}, got "
@@ -304,7 +311,7 @@ class SweepSpec(_CellSpec):
     """Grid for the weight-decay and precision experiments.
 
     t_primes are epochs past the detected train-loss plateau at which the
-    model is snapshotted and approximated, each capped at the final epoch;
+    model is kept and approximated, each capped at the final epoch;
     betas are approximant precisions. A spec whose t' are all >= epochs
     only ever evaluates the final network, so it skips the plateau pass.
     """
@@ -440,9 +447,10 @@ class TrainSpec(_CellSpec):
 
 
 def train_cell(spec: _CellSpec, arch: str, data: Dataset, wd: float,
-               seed: int, snapshot_epochs=()) -> training.TrainResult:
-    """Train arch, initialised from seed, under the spec's settings at
-    weight decay wd. Raises TrainingDiverged on a non-finite loss.
+               seed: int, on_epoch=None) -> nn.Network:
+    """The network arch, initialised from seed, trained under the spec's
+    settings at weight decay wd, with ``on_epoch`` as ``training.train``
+    takes it. Raises TrainingDiverged on a non-finite loss.
     No name here holds the initial network, so its parameters are freed
     at the first SGD step."""
     sgd = nn.SgdState(lr=spec.lr, momentum=spec.momentum, weight_decay=wd,
@@ -452,7 +460,7 @@ def train_cell(spec: _CellSpec, arch: str, data: Dataset, wd: float,
                           data, sgd, epochs=spec.epochs,
                           batch_size=spec.batch_size, mixup=spec.mixup,
                           ngnv=spec.ngnv, seed=seed, loss_kind=spec.loss,
-                          snapshot_epochs=snapshot_epochs)
+                          on_epoch=on_epoch)
 
 
 @dataclass(frozen=True)
@@ -505,15 +513,14 @@ def run_key(experiment: str, spec: _CellSpec, arch: str,
 
 def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
               *, store: records.RecordStore | None = None,
-              force: bool = False, workers: int = 1, snapshot_epochs=()):
+              force: bool = False, workers: int = 1):
     """The one experiment-cell engine.
 
     A cell's hash covers its ``run_key`` and its (wd, seed). A cell not in
-    the store runs the spec's ``prepare`` and then trains once; a
-    divergence becomes its single ``failed`` row, and otherwise
-    ``evaluation(result, base)`` turns the trained result into rows that
-    extend ``base``. Returns (rows, rows written, cell statuses in cell
-    order).
+    the store runs the spec's ``prepare`` and then ``evaluation(train,
+    base)``, which trains once with ``train(on_epoch=None) -> Network`` and
+    returns rows that extend ``base``; a divergence becomes the cell's
+    single ``failed`` row. Returns (rows, rows written, statuses) by cell.
     """
     key = run_key(experiment, spec, arch, data)
     cells = spec.cells()
@@ -531,10 +538,10 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
         with preparing:
             spec.prepare()
         try:
-            result = train_cell(spec, arch, data, wd, seed, snapshot_epochs)
+            return evaluation(lambda on_epoch=None: train_cell(
+                spec, arch, data, wd, seed, on_epoch), base)
         except TrainingDiverged as exc:
             return [dict(base, metric="failed", value=float(exc.epoch))]
-        return evaluation(result, base)
 
     results, n_written, cached = _sweep_cells(cells, chash, runner, store,
                                               force, workers)
@@ -577,29 +584,37 @@ def _result(rows, trend, n_written, cells) -> SweepResult:
 def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                        store: records.RecordStore | None = None,
                        force: bool = False, workers: int = 1) -> SweepResult:
-    """Train per (wd, seed) cell, snapshot past the plateau, approximate at
-    each beta, and persist accuracy/loss rows, with a plateau_epoch row
-    unless every t' >= epochs. Each distinct snapshot is calibrated once;
-    t' values that cap to the same epoch repeat its rows' values. Cells
-    already present in the store are read back instead of recomputed
-    (unless force). trend maps beta -> wd -> mean accuracy at the last t'."""
+    """Train per (wd, seed) cell, keep the networks t' epochs past the
+    train-loss plateau, approximate them at each beta, and persist
+    accuracy/loss rows, with a plateau_epoch row unless every t' >= epochs.
+    Each kept network is calibrated once; t' values that cap to the same
+    epoch repeat its rows' values. Cells already present in the store are
+    read back instead of recomputed (unless force). trend maps beta -> wd ->
+    mean accuracy at the last t'."""
 
-    # every t' caps at the final epoch: no plateau to find, one snapshot
+    # every t' caps at the final epoch: no plateau to find, one network
     final_only = min(spec.t_primes) >= spec.epochs
 
-    def evaluation(result, base):
-        plateau, rows = spec.epochs, []
-        if not final_only:
-            plateau = detect_plateau(
-                [evaluate(result.snapshots[e], data.x_train, data.y_train)[0]
-                 for e in range(1, spec.epochs + 1)]) or spec.epochs
-            rows.append(dict(base, metric="plateau_epoch",
-                             value=float(plateau)))
-        measured = {}  # snapshot epoch -> backbone and per-beta (loss, acc)
+    def evaluation(train, base):
+        plateau, losses, kept = None, [], {}  # kept: epoch -> network
+
+        def on_epoch(epoch, net):
+            nonlocal plateau  # found at its own epoch: a t' picks no earlier
+            if plateau is None:
+                losses.append(evaluate(net, data.x_train, data.y_train)[0])
+                plateau = detect_plateau(losses)
+            if plateau is not None and epoch - plateau in spec.t_primes:
+                kept[epoch] = net
+
+        kept[spec.epochs] = train(on_epoch=None if final_only else on_epoch)
+        plateau = plateau or spec.epochs
+        rows = [] if final_only else [dict(base, metric="plateau_epoch",
+                                           value=float(plateau))]
+        measured = {}  # kept epoch -> backbone and per-beta (loss, acc)
         for t_prime in spec.t_primes:
             epoch = min(plateau + int(t_prime), spec.epochs)
-            if epoch not in measured:  # one calibration per snapshot
-                net = result.snapshots[epoch]
+            if epoch not in measured:  # one calibration per network
+                net = kept[epoch]
                 backbone = evaluate(net, data.x_test, data.y_test)
                 bound = tf.calibrate_bound(
                     net, data.x_train[:spec.calib_samples],
@@ -622,9 +637,7 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
 
     rows, n_written, cells = run_cells(
         "wd_sweep", spec, arch, data, evaluation, store=store,
-        force=force, workers=workers,
-        snapshot_epochs=(spec.epochs,) if final_only
-        else range(1, spec.epochs + 1))
+        force=force, workers=workers)
     t_max = max(spec.t_primes)
     trend = {int(beta): {} for beta in spec.betas}
     for wd in spec.wds:
@@ -641,10 +654,11 @@ def truncation_sweep(spec: TruncSpec, arch: str, data: Dataset, *,
     by the truncation-protocol activation at each total bit width l_x.
     trend maps l_x -> mean accuracy."""
 
-    def evaluation(result, base):
+    def evaluation(train, base):
+        net = train()
         # the beta column doubles as the bit width for truncation rows
         return [dict(base, beta=int(l_x), metric="trunc_accuracy",
-                     value=evaluate(tf.transform(result.net, TruncatedReLU(
+                     value=evaluate(tf.transform(net, TruncatedReLU(
                          FixedPointFormat(l_x))), data.x_test,
                          data.y_test)[1])
                 for l_x in spec.l_xs]
@@ -663,12 +677,13 @@ def perturbation_sweep(spec: PerturbSpec, arch: str, data: Dataset, *,
     (beta, sign filter, injection seed) probe and of each probe set's mean.
     Cells report wd and status in spec.wds order; there is no trend."""
 
-    def evaluation(result, base):
+    def evaluation(train, base):
+        net = train()
         return [dict(base, precision=f"beta={int(r['beta'])}",
                      seed=r["seed"], metric=f"delta_loss_{r['sign_filter']}",
                      value=r["delta_loss"])
                 for r in perturbation_loss_experiment(
-                    result.net, data.x_test, data.y_test, betas=spec.betas,
+                    net, data.x_test, data.y_test, betas=spec.betas,
                     sign_filters=spec.sign_filters, mode=spec.mode,
                     seeds=spec.seeds, loss_kind=spec.loss)]
 

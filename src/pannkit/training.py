@@ -13,7 +13,7 @@ is flat there. At evaluation time nothing is perturbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,25 +158,18 @@ def evaluate(net: nn.Network, x: np.ndarray, y: np.ndarray, *,
     return loss_sum / n, correct / n
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    net: nn.Network
-    snapshots: dict = field(default_factory=dict)
-
-
 def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
           epochs: int, batch_size: int = 64,
           mixup: MixupConfig | None = None, ngnv: NgnvConfig | None = None,
           seed: int = 0, loss_kind: str = "cross_entropy",
-          snapshot_epochs=()) -> TrainResult:
+          on_epoch=None) -> nn.Network:
     """Minibatch SGD for ``epochs`` passes; deterministic given ``seed``.
 
     ``sgd`` is a hyperparameter template; velocities always start fresh.
     Shuffling, mixup draws and noise draws come from independent labeled
     streams, so disabling one option never shifts another. Nothing is
-    measured during training: ``snapshot_epochs`` keeps a reference to the
-    network as of those epochs (networks are immutable), for the caller to
-    evaluate.
+    measured during training: ``on_epoch(epoch, net)``, when given, sees
+    the network as each epoch ends (networks are immutable).
     ``net`` as passed in and each step's gradients are dropped once the
     step that consumes them has run, so the next backward pass holds
     neither; a caller that keeps ``net`` keeps it alive.
@@ -195,8 +188,6 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
     n = len(data.x_train)
     if n == 0:
         raise ValueError("empty training set")
-    snapshots = {}
-    snapshot_epochs = set(int(e) for e in snapshot_epochs)
     for epoch in range(1, epochs + 1):
         state.epoch = epoch
         perm = shuffle_rng.permutation(n)
@@ -218,6 +209,6 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
                 ) from exc
             net = nn.sgd_step(net, grads, state)
             del grads
-        if epoch in snapshot_epochs:
-            snapshots[epoch] = net
-    return TrainResult(net=net, snapshots=snapshots)
+        if on_epoch is not None:
+            on_epoch(epoch, net)
+    return net

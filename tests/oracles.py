@@ -8,6 +8,9 @@ import numpy as np
 
 from pannkit import nn
 from pannkit import polyapprox as pa
+from pannkit import sturdiness as sd
+from pannkit import training
+from pannkit import transform as tf
 
 
 def count_alternations(poly, target, interval, max_error: float, tol: float,
@@ -101,6 +104,37 @@ def sgd_step_reference(net: nn.Network, grads: list,
             new_params[name] = w - eta * v
         layers[i] = layer.with_params(new_params)
     return replace(net, layers=tuple(layers))
+
+
+def posthoc_sweep_rows(spec, arch: str, data) -> list:
+    """A weight-decay sweep's rows as (wd, seed, t', beta, metric, value),
+    by the plateau pass run after training: each cell keeps every epoch's
+    network, then detect_plateau reads all their train losses. Each t'
+    calibrates its own picked network."""
+    rows = []
+    for wd, seed in spec.cells():
+        nets = {}
+        sd.train_cell(spec, arch, data, wd, seed, on_epoch=nets.__setitem__)
+        plateau = sd.detect_plateau(
+            [training.evaluate(nets[e], data.x_train, data.y_train)[0]
+             for e in range(1, spec.epochs + 1)]) or spec.epochs
+        rows.append((wd, seed, "", "", "plateau_epoch", float(plateau)))
+        for t_prime in spec.t_primes:
+            net = nets[min(plateau + t_prime, spec.epochs)]
+            bb_loss, bb_acc = training.evaluate(net, data.x_test, data.y_test)
+            bound = tf.calibrate_bound(net, data.x_train[:spec.calib_samples],
+                                       safety=spec.bound_safety)
+            rows.append((wd, seed, t_prime, "", "backbone_accuracy", bb_acc))
+            for beta in spec.betas:
+                loss, acc = training.evaluate(tf.transform(
+                    net, tf.CompositeReLU(pa.build_appsgn(
+                        beta=beta, bound=bound,
+                        max_stage_degree=spec.max_stage_degree))),
+                    data.x_test, data.y_test)
+                rows += [(wd, seed, t_prime, beta, "pann_accuracy", acc),
+                         (wd, seed, t_prime, beta, "delta_test_loss",
+                          loss - bb_loss)]
+    return rows
 
 
 def traced_peak(fn) -> int:

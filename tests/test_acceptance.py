@@ -136,10 +136,10 @@ def _run_mlp_cell(data, wd: float, seed: int) -> list:
     """Train the 2x256 net and measure sign-filtered injection deltas."""
     net0 = nn.build_arch(MLP_ARCH, data.sample_shape, data.n_classes, seed)
     sgd = nn.SgdState(lr=0.05, momentum=0.9, weight_decay=wd)
-    res = training.train(net0, data, sgd, epochs=20, batch_size=64,
+    net = training.train(net0, data, sgd, epochs=20, batch_size=64,
                          seed=seed)
     return sd.perturbation_loss_experiment(
-        res.net, data.x_test, data.y_test, betas=(10,), seeds=(0, 1, 2))
+        net, data.x_test, data.y_test, betas=(10,), seeds=(0, 1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -343,12 +343,16 @@ def test_criterion_10_option_identities(digits_small):
         source="synthetic_blobs", n=240, classes=3, dim=2, seed=5))
     net0 = nn.build_arch("mlp:8", data.sample_shape, data.n_classes, 0)
     sgd = nn.SgdState(lr=0.05, momentum=0.9, weight_decay=1e-3)
-    kw = dict(epochs=3, batch_size=32, seed=4, snapshot_epochs=(1, 2, 3))
-    plain = training.train(net0, data, sgd, **kw)
-    mixed = training.train(net0, data, sgd,
-                           mixup=MixupConfig(enabled=True, fixed_lambda=1.0),
-                           **kw)
-    noisy = training.train(net0, data, sgd, ngnv=NgnvConfig(r=0.0), **kw)
+
+    def run(**options):  # the final network and every epoch's network
+        snaps = {}
+        net = training.train(net0, data, sgd, epochs=3, batch_size=32,
+                             seed=4, on_epoch=snaps.__setitem__, **options)
+        return net, snaps
+
+    plain = run()
+    mixed = run(mixup=MixupConfig(enabled=True, fixed_lambda=1.0))
+    noisy = run(ngnv=NgnvConfig(r=0.0))
 
     def same(a, b):
         return all(
@@ -357,13 +361,13 @@ def test_criterion_10_option_identities(digits_small):
             for ga, gb in [(la.params(), lb.params())]
             for name in ga)
 
-    def metrics(run):  # per-epoch train and test (loss, accuracy)
+    def metrics(snaps):  # per-epoch train and test (loss, accuracy)
         return [(training.evaluate(net, data.x_train, data.y_train),
                  training.evaluate(net, data.x_test, data.y_test))
-                for _, net in sorted(run.snapshots.items())]
+                for _, net in sorted(snaps.items())]
 
-    ok = same(plain.net, mixed.net) and same(plain.net, noisy.net) \
-        and metrics(plain) == metrics(mixed) == metrics(noisy)
+    ok = same(plain[0], mixed[0]) and same(plain[0], noisy[0]) \
+        and metrics(plain[1]) == metrics(mixed[1]) == metrics(noisy[1])
     _report(10, ok, "lambda=1 interpolation and r=0 noise runs are "
             f"bit-identical to vanilla: {ok}")
 

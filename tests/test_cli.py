@@ -833,6 +833,21 @@ class TestExit2BeforeTraining:
             ("perturb-exp", {**base, **perturb, "seed": 3}, "config.seed"),
             ("perturb-exp", {**base, **perturb, "lr": 10 ** 400},
              "config.lr"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, lr=-1)),
+             "config.sweep.lr"),
+            ("perturb-exp", {**base, **perturb, "lr": 0}, "config.lr"),
+            ("trunc-sweep", dict(base, sweep=dict(trunc, momentum=5)),
+             "config.sweep.momentum"),
+            ("train", dict(base, epochs=1, momentum=1.0), "config.momentum"),
+            ("sweep-wd", dict(base, sweep=dict(sweep, wds=[-5.0])),
+             "config.sweep.wds"),
+            ("perturb-exp", {**base, **perturb, "wds": [0.0, -1e-3]},
+             "config.wds"),
+            ("trunc-sweep", dict(base, sweep=dict(trunc, wd=-0.1)),
+             "config.sweep.wd"),
+            ("train", dict(base, epochs=1, wd=-1), "config.wd"),
+            ("train", dict(base, epochs=1, gamma=0), "config.gamma"),
+            ("train", dict(base, epochs=1, gamma=-0.5), "config.gamma"),
         ]
         for command, doc, detail in cases:
             cfg = write_config(tmp_path / "c.json", doc)
@@ -930,13 +945,16 @@ _FUZZ_BASES = {
 _NEVER_VALID = [None, True, "x", [], {}, [None], ["x"], 2.5, -1, 0, 1e300]
 # field -> values its spec rejects
 _BAD_VALUES = {
-    "wds": [[], [True], 0.0], "seeds": [[], [1.5]], "betas": [[0], [-3]],
+    "wds": [[], [True], 0.0, [-5.0]], "seeds": [[], [1.5]],
+    "betas": [[0], [-3]],
     "epochs": [0, -1, 2.0], "batch_size": [0], "calib_samples": [0],
     "max_stage_degree": [2], "method": ["bogus"], "ngnv_r": [2.0],
     "mixup_alpha": [0.0], "bound_safety": [0.0], "l_xs": [[7], [2], [40]],
     "sign_filters": [["bogus"], []], "mode": ["bogus"], "loss": ["bogus"],
-    "t_primes": [[], [-1]], "lr": ["fast", float("nan"), float("inf")],
-    "milestones": [[1.5], ["x"], 2], "gamma": ["x", float("nan")],
+    "t_primes": [[], [-1]],
+    "lr": ["fast", float("nan"), float("inf"), 0, -1.0],
+    "momentum": [5, 1.0, -0.1], "wd": [-1e-3],
+    "milestones": [[1.5], ["x"], 2], "gamma": ["x", float("nan"), 0, -1.0],
     "mixup": [[], "x", {"alpha": 0.0}, {"alpah": 1.0}],
     "ngnv": [[0.3], {"r": 2.0}, {"scale": 1.0}],
 }

@@ -5,6 +5,9 @@ the increment gap 2*eps exactly, the unequal pair makes the ratio 2 - eps
 (first-order rate), and the kinked probe has right slope 1 at the origin.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from pannkit import sturdiness as sd
 from pannkit import transform as tf
 from pannkit import training as tr
 
-from oracles import traced_peak
+from oracles import posthoc_sweep_rows, traced_peak
 
 
 class TestProbes:
@@ -136,7 +139,7 @@ def blobs():
 def trained(blobs):
     net = nn.build_mlp((2,), (12,), 2, seed=0)
     sgd = nn.SgdState(lr=0.05, momentum=0.9, weight_decay=1e-3)
-    return tr.train(net, blobs, sgd, epochs=12, seed=1).net
+    return tr.train(net, blobs, sgd, epochs=12, seed=1)
 
 
 class TestPerturbationExperiment:
@@ -274,28 +277,37 @@ class TestSweep:
         sgd = nn.SgdState(lr=0.05, momentum=0.9, weight_decay=0.0)
         redo = tr.train(net0, blobs, sgd, epochs=min(int(plateau["value"]), 4),
                         batch_size=64, seed=0)
-        _, acc = tr.evaluate(redo.net, blobs.x_test, blobs.y_test)
+        _, acc = tr.evaluate(redo, blobs.x_test, blobs.y_test)
         assert bb["value"] == acc
 
     @pytest.mark.parametrize("t_prime, plateau_evals", [(6, 0), (0, 6)])
     def test_final_epoch_cell_skips_the_plateau_pass(
             self, blobs, monkeypatch, t_prime, plateau_evals):
         # t' >= epochs picks the final network whatever the plateau, so
-        # that cell runs no plateau pass and keeps only the final network
-        calls, snapshots = [], []
+        # that cell passes no on_epoch and keeps only the final network
+        calls, seen, alive = [], [], []
         real_evaluate, real_train = sd.evaluate, tr.train
 
         def counted(*args, **kwargs):
             calls.append(args[1] is blobs.x_train)
             return real_evaluate(*args, **kwargs)
 
-        def kept(*args, **kwargs):
-            result = real_train(*args, **kwargs)
-            snapshots.append(sorted(result.snapshots))
-            return result
+        def watched(*args, on_epoch=None, **kwargs):
+            refs = {}  # epoch -> weak reference to its network
+
+            def hook(epoch, net):
+                refs[epoch] = weakref.ref(net)
+                on_epoch(epoch, net)
+
+            net = real_train(*args, on_epoch=on_epoch and hook, **kwargs)
+            gc.collect()
+            seen.append(sorted(refs))
+            alive.append(sorted(e for e, ref in refs.items()
+                                if ref() is not None))
+            return net
 
         monkeypatch.setattr(sd, "evaluate", counted)
-        monkeypatch.setattr(tr, "train", kept)
+        monkeypatch.setattr(tr, "train", watched)
         betas = (4, 6)
         spec = self._spec(wds=(0.0,), betas=betas, t_primes=(t_prime,))
         res = sd.weight_decay_sweep(spec, "mlp:8", blobs)
@@ -303,7 +315,46 @@ class TestSweep:
         assert calls.count(False) == 1 + len(betas)
         metrics = [r["metric"] for r in res.rows]
         assert metrics.count("plateau_epoch") == (1 if plateau_evals else 0)
-        assert snapshots == [[6] if t_prime else list(range(1, 7))]
+        assert seen == [[] if t_prime else list(range(1, 7))]
+        # when training returns, only the final network is alive
+        assert alive == [[] if t_prime else [6]]
+
+    def test_online_plateau_pass_matches_the_posthoc_one(self, blobs):
+        # lr 1e-9 leaves the loss flat, so the plateau falls at epoch 6 of
+        # 10: t' 0 and 2 pick epochs 6 and 8, t' 4 the final epoch, and
+        # t' 9 caps there
+        spec = self._spec(seeds=(0, 1), betas=(4, 6), t_primes=(0, 2, 4, 9),
+                          epochs=10, lr=1e-9)
+        res = sd.weight_decay_sweep(spec, "mlp:8", blobs)
+        assert [(r["wd"], r["seed"], r["t_prime"], r["beta"], r["metric"],
+                 r["value"]) for r in res.rows] == posthoc_sweep_rows(
+                     spec, "mlp:8", blobs)
+        assert {r["value"] for r in res.rows
+                if r["metric"] == "plateau_epoch"} == {6.0}
+
+    def test_plateau_pass_keeps_only_the_networks_a_t_prime_picks(
+            self, monkeypatch):
+        # every step's input network, the plateau's network and nothing
+        # else: a pass that kept every epoch's network until training
+        # ended held 2.15 MB per epoch of mlp:256,256
+        data = pd.load_dataset(pd.DatasetSpec(
+            source="synthetic_digits", n=128, seed=0, noise=0.25))
+        made, alive, real_step = [], [], nn.sgd_step
+
+        def step(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            net = real_step(*args, **kwargs)
+            made.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(nn, "sgd_step", step)
+        spec = self._spec(wds=(1e-3,), betas=(4,), t_primes=(0,), epochs=8,
+                          lr=1e-9, calib_samples=64)
+        res = sd.weight_decay_sweep(spec, "mlp:256,256", data)
+        assert {r["value"] for r in res.rows
+                if r["metric"] == "plateau_epoch"} == {6.0}
+        assert len(alive) == 16 and max(alive) == 2, alive
 
     @pytest.mark.parametrize("t_primes, evaluations", [((6, 9), 3),
                                                       ((0,), 6 + 3)])

@@ -55,11 +55,17 @@ class Identity:
         return np.ones_like(z)
 
 
-def epoch_metrics(out, data):
-    """Per-epoch (train, test) (loss, accuracy) of a run's snapshots."""
+def train_keeping(*args, **kwargs):
+    """tr.train's final network, and every epoch's network by epoch."""
+    snaps = {}
+    return tr.train(*args, on_epoch=snaps.__setitem__, **kwargs), snaps
+
+
+def epoch_metrics(snaps, data):
+    """Per-epoch (train, test) (loss, accuracy) of a run's kept networks."""
     return [(tr.evaluate(net, data.x_train, data.y_train, batch_size=512),
              tr.evaluate(net, data.x_test, data.y_test, batch_size=512))
-            for _, net in sorted(out.snapshots.items())]
+            for _, net in sorted(snaps.items())]
 
 
 @pytest.fixture(scope="module")
@@ -350,77 +356,74 @@ class TestTrain:
 
     def test_zero_epochs_returns_input(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        out = tr.train(net, blobs, self.SGD, epochs=0, seed=1,
-                       snapshot_epochs=(1,))
-        assert out.net is net and out.snapshots == {}
+        out, snaps = train_keeping(net, blobs, self.SGD, epochs=0, seed=1)
+        assert out is net and snaps == {}
 
     def test_deterministic(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        a = tr.train(net, blobs, self.SGD, epochs=2, seed=5,
-                     snapshot_epochs=(1, 2))
-        b = tr.train(net, blobs, self.SGD, epochs=2, seed=5,
-                     snapshot_epochs=(1, 2))
-        assert nets_equal(a.net, b.net)
-        assert epoch_metrics(a, blobs) == epoch_metrics(b, blobs)
+        a, a_snaps = train_keeping(net, blobs, self.SGD, epochs=2, seed=5)
+        b, b_snaps = train_keeping(net, blobs, self.SGD, epochs=2, seed=5)
+        assert nets_equal(a, b)
+        assert epoch_metrics(a_snaps, blobs) == epoch_metrics(b_snaps, blobs)
         c = tr.train(net, blobs, self.SGD, epochs=2, seed=6)
-        assert not nets_equal(a.net, c.net)
+        assert not nets_equal(a, c)
 
     def test_blobs_accuracy(self, blobs):
         net = nn.build_mlp((2,), (16,), 2, seed=0)
-        out = tr.train(net, blobs, self.SGD, epochs=50, seed=1,
-                       snapshot_epochs=(1, 50))
-        first, final = epoch_metrics(out, blobs)
+        _, snaps = train_keeping(net, blobs, self.SGD, epochs=50, seed=1)
+        first, final = epoch_metrics({e: snaps[e] for e in (1, 50)}, blobs)
         assert final[1][1] >= 0.95
         assert final[0][0] < first[0][0]
 
     def test_mixup_lambda_one_bit_exact_vanilla(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        kw = dict(epochs=3, seed=4, snapshot_epochs=(1, 2, 3))
-        plain = tr.train(net, blobs, self.SGD, **kw)
-        mixed = tr.train(net, blobs, self.SGD, **kw,
-                         mixup=tr.MixupConfig(enabled=True, fixed_lambda=1.0))
-        assert nets_equal(plain.net, mixed.net)
-        assert epoch_metrics(plain, blobs) == epoch_metrics(mixed, blobs)
+        kw = dict(epochs=3, seed=4)
+        plain, plain_snaps = train_keeping(net, blobs, self.SGD, **kw)
+        mixed, mixed_snaps = train_keeping(
+            net, blobs, self.SGD, **kw,
+            mixup=tr.MixupConfig(enabled=True, fixed_lambda=1.0))
+        assert nets_equal(plain, mixed)
+        assert (epoch_metrics(plain_snaps, blobs)
+                == epoch_metrics(mixed_snaps, blobs))
 
     def test_ngnv_r_zero_bit_exact_vanilla(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         plain = tr.train(net, blobs, self.SGD, epochs=3, seed=4)
         noisy = tr.train(net, blobs, self.SGD, epochs=3, seed=4,
                          ngnv=tr.NgnvConfig(r=0.0))
-        assert nets_equal(plain.net, noisy.net)
+        assert nets_equal(plain, noisy)
 
     def test_ngnv_changes_trajectory(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         plain = tr.train(net, blobs, self.SGD, epochs=2, seed=4)
         noisy = tr.train(net, blobs, self.SGD, epochs=2, seed=4,
                          ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05))
-        assert not nets_equal(plain.net, noisy.net)
+        assert not nets_equal(plain, noisy)
 
     def test_combined_options_run(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         out = tr.train(net, blobs, self.SGD, epochs=2, seed=2,
                        mixup=tr.MixupConfig(enabled=True),
                        ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05))
-        assert np.isfinite(tr.evaluate(out.net, blobs.x_test,
-                                       blobs.y_test)[0])
+        assert np.isfinite(tr.evaluate(out, blobs.x_test, blobs.y_test)[0])
 
     def test_snapshot_is_trajectory_prefix(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
-        long = tr.train(net, blobs, self.SGD, epochs=5, seed=7,
-                        snapshot_epochs=(3,))
+        seen = []
+        tr.train(net, blobs, self.SGD, epochs=5, seed=7,
+                 on_epoch=lambda *kept: seen.append(kept))
         short = tr.train(net, blobs, self.SGD, epochs=3, seed=7)
-        assert set(long.snapshots) == {3}
-        assert nets_equal(long.snapshots[3], short.net)
+        assert [epoch for epoch, _ in seen] == [1, 2, 3, 4, 5]
+        assert nets_equal(seen[2][1], short)
 
-    def test_snapshots_keep_trajectory(self, blobs):
+    def test_on_epoch_keeps_trajectory(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         ngnv = tr.NgnvConfig(r=0.3, noise_scale=0.05)
         full = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv)
-        out = tr.train(net, blobs, self.SGD, epochs=3, seed=4, ngnv=ngnv,
-                       snapshot_epochs=(1, 2, 3))
-        assert full.snapshots == {}
-        assert nets_equal(out.net, full.net)
-        assert out.snapshots[3] is out.net
+        out, snaps = train_keeping(net, blobs, self.SGD, epochs=3, seed=4,
+                                   ngnv=ngnv)
+        assert nets_equal(out, full)
+        assert snaps[3] is out
 
     def test_milestone_lr_schedule(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
@@ -430,11 +433,10 @@ class TestTrain:
         assert sgd.lr_at(3) == pytest.approx(0.01)
         # the decay starts with epoch 2: epoch 1 matches the flat schedule
         flat = nn.SgdState(lr=0.1, momentum=0.0)
-        kw = dict(epochs=2, seed=1, snapshot_epochs=(1, 2))
-        out = tr.train(net, blobs, sgd, **kw)
-        ref = tr.train(net, blobs, flat, **kw)
-        assert nets_equal(out.snapshots[1], ref.snapshots[1])
-        assert not nets_equal(out.snapshots[2], ref.snapshots[2])
+        _, out = train_keeping(net, blobs, sgd, epochs=2, seed=1)
+        _, ref = train_keeping(net, blobs, flat, epochs=2, seed=1)
+        assert nets_equal(out[1], ref[1])
+        assert not nets_equal(out[2], ref[2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, blobs):
@@ -467,7 +469,7 @@ class TestTrain:
         assert self.SGD.velocities == {} and self.SGD.epoch == 0
 
 
-# sha256 of the final parameters, and of every snapshot's evaluate tuples
+# sha256 of the final parameters, and of every epoch's evaluate tuples
 # at batch sizes 40 and 512, of a short digits cnn:4,8+32 NGNV run (96
 # train / 96 test samples, 2 epochs, batch 32, r 0.3), alone and with
 # mixup. Taken before the NGNV hook became sparse and evaluate cache-free;
@@ -487,18 +489,17 @@ def test_cnn_hot_loop_bytes_pinned(method):
         source="synthetic_digits", n=192, seed=4, noise=0.25,
         train_fraction=0.5))
     net = nn.build_arch("cnn:4,8+32", data.sample_shape, data.n_classes, 0)
-    out = tr.train(net, data, nn.SgdState(lr=0.05, momentum=0.9,
-                                          weight_decay=1e-3),
-                   epochs=2, batch_size=32, seed=1,
-                   mixup=tr.MixupConfig() if "mixup" in method else None,
-                   ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05),
-                   snapshot_epochs=(1, 2))
+    out, snaps = train_keeping(
+        net, data, nn.SgdState(lr=0.05, momentum=0.9, weight_decay=1e-3),
+        epochs=2, batch_size=32, seed=1,
+        mixup=tr.MixupConfig() if "mixup" in method else None,
+        ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05))
     params = hashlib.sha256()
-    for layer in out.net.layers:
+    for layer in out.layers:
         for _, w in sorted(layer.params().items()):
             params.update(w.tobytes())
     evals = hashlib.sha256()
-    for _, snap in sorted(out.snapshots.items()):
+    for _, snap in sorted(snaps.items()):
         for batch_size in (40, 512):
             loss, acc = tr.evaluate(snap, data.x_test, data.y_test,
                                     batch_size=batch_size)
