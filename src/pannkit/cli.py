@@ -36,10 +36,12 @@ class ConfigError(ValueError):
 
 def _load_json(path, what="config"):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
@@ -162,6 +164,19 @@ def _load_network(path) -> nn.Network:
         raise ConfigError(f"{path}: not a model checkpoint: {exc}")
 
 
+def _data_for(net: nn.Network, path, labels: bool = True):
+    """The config's dataset; exit 2 unless the model takes its samples and,
+    when labels are scored, its labels."""
+    data = datasets.load_dataset(_dataset_spec(_load_json(path)))
+    if data.sample_shape != net.input_shape:
+        raise ConfigError(f"config.dataset: samples {data.sample_shape} do "
+                          f"not fit the model's input {net.input_shape}")
+    if labels and data.y_test.max() >= net.n_classes:
+        raise ConfigError(f"config.dataset: label {data.y_test.max()} is "
+                          f"outside the model's {net.n_classes} classes")
+    return data
+
+
 def _load_pann(backbone: nn.Network, path) -> nn.Network:
     desc = _load_json(path, what="descriptor")
     try:
@@ -198,38 +213,36 @@ def _emit(doc, out_path=None) -> None:
 
 
 def _cmd_train(args) -> int:
-    from . import records, sturdiness as sd, training
+    from . import sturdiness as sd, training
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = _DataOnDemand(_dataset_spec(cfg), arch).load()
-    chash = records.config_hash(sd.run_key("train", spec, arch, data))
     store = _open_store(args.records, spec.columns) if args.records else None
-    try:
-        net = sd.train_cell(spec, arch, data, spec.wd, spec.seed)
-    except training.TrainingDiverged as exc:
-        _emit({"config_hash": chash, "status": "failed",
-               "diverged_at_epoch": exc.epoch})
-        return 1
-    # only the final network is reported, so evaluate it once
-    train_loss, _ = training.evaluate(net, data.x_train, data.y_train,
-                                      loss_kind=spec.loss)
-    test_loss, test_acc = training.evaluate(net, data.x_test, data.y_test,
-                                            loss_kind=spec.loss)
-    if args.out:
-        doc = {"config_hash": chash, "arch": arch,
-               "dataset": data.spec.source,
-               "network": nn.network_to_dict(net)}
-        Path(args.out).write_text(json.dumps(doc))
-    written = 0
-    if store is not None:  # a stored hash writes nothing unless --force
-        base = {"config_hash": chash, "timestamp": records.timestamp(),
-                "arch": arch, "dataset": data.spec.source,
-                "method": spec.method, "wd": spec.wd, "precision": "",
-                "seed": spec.seed}
-        rows = [dict(base, metric="train_loss", value=train_loss),
+
+    def evaluation(train, base):
+        net = train()
+        # only the final network is reported, so evaluate it once
+        train_loss, _ = training.evaluate(net, data.x_train, data.y_train,
+                                          loss_kind=spec.loss)
+        test_loss, test_acc = training.evaluate(
+            net, data.x_test, data.y_test, loss_kind=spec.loss)
+        if args.out:
+            Path(args.out).write_text(json.dumps({
+                "config_hash": base["config_hash"], "arch": arch,
+                "dataset": data.spec.source,
+                "network": nn.network_to_dict(net)}))
+        return [dict(base, metric="train_loss", value=train_loss),
                 dict(base, metric="test_loss", value=test_loss),
                 dict(base, metric="test_accuracy", value=test_acc)]
-        written = store.append_rows(rows, force=args.force)
+
+    rows, _, (cell,) = sd.run_cells("train", spec, arch, data, evaluation)
+    chash = rows[0]["config_hash"]
+    if cell["status"] == "failed":
+        _emit({"config_hash": chash, "status": "failed",
+               "diverged_at_epoch": cell["diverged_at_epoch"]})
+        return 1
+    train_loss, _, test_acc = (r["value"] for r in rows)
+    written = store.append_rows(rows, force=args.force) if store else 0
     _emit({"config_hash": chash, "status": "ok", "epochs": spec.epochs,
            "train_loss": train_loss, "test_accuracy": test_acc,
            "rows_written": written})
@@ -275,8 +288,7 @@ def _cmd_transform(args) -> int:
             if not args.config:
                 raise ConfigError("composite mode needs --bound or "
                                   "--config with a calibration dataset")
-            cfg = _load_json(args.config)
-            data = datasets.load_dataset(_dataset_spec(cfg))
+            data = _data_for(backbone, args.config, labels=False)
             bound = tf.calibrate_bound(backbone,
                                        data.x_train[:args.calib_samples],
                                        safety=args.safety)
@@ -312,8 +324,7 @@ def _cmd_transform(args) -> int:
 def _cmd_eval_pann(args) -> int:
     from . import training
     backbone = _load_network(args.model)
-    cfg = _load_json(args.config)
-    data = datasets.load_dataset(_dataset_spec(cfg))
+    data = _data_for(backbone, args.config)
     bb_loss, bb_acc = training.evaluate(backbone, data.x_test, data.y_test,
                                         batch_size=args.batch_size)
     doc = {"backbone_accuracy": bb_acc, "backbone_loss": bb_loss}
@@ -422,8 +433,7 @@ def _cmd_attack(args) -> int:
         backtrack_depth=args.backtrack_depth)
     backbone = _load_network(args.model)
     pann = _load_pann(backbone, args.pann)
-    cfg = _load_json(args.config)
-    data = datasets.load_dataset(_dataset_spec(cfg))
+    data = _data_for(backbone, args.config)
     preds = nn.predict(backbone, data.x_test)
     picked = [i for i in range(len(data.y_test))
               if preds[i] == data.y_test[i]][:args.samples]

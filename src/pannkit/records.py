@@ -53,8 +53,10 @@ class RecordStore:
     Writes happen through a single store instance per file; concurrent sweep
     cells must funnel their rows through one store (single-writer rule).
     Being the only writer, the store reads its file once, when it opens, and
-    keeps ``rows``: each config hash's rows in file order, typed as a fresh
-    cell makes them. Appends extend it.
+    keeps ``rows``: each config hash's newest generation of rows, typed as a
+    fresh cell makes them. A forced append starts a hash's next generation,
+    as does, on read, a row whose identity (every column but timestamp and
+    value) its hash's rows already hold; the file keeps every generation.
     """
 
     def __init__(self, path, columns=RECORD_COLUMNS):
@@ -64,8 +66,15 @@ class RecordStore:
             raise ValueError("store schema must include config_hash")
         self.rows = {}
         if self.path.exists() and self.path.stat().st_size > 0:
+            seen = {}  # config hash -> identities in its newest generation
             for r in self.read_rows():
-                self.rows.setdefault(r["config_hash"], []).append(r)
+                h = r["config_hash"]
+                ident = tuple(r[c] for c in self.columns
+                              if c not in ("timestamp", "value"))
+                if ident in seen.get(h, ()):
+                    del self.rows[h], seen[h]
+                self.rows.setdefault(h, []).append(r)
+                seen.setdefault(h, set()).add(ident)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("w", newline="") as fh:
@@ -103,8 +112,8 @@ class RecordStore:
     def append_rows(self, rows, force: bool = False) -> int:
         """Write rows whose config_hash is new; returns the count written.
 
-        With force=True, rows are written even when their hash exists
-        (used to redo a cell after a code or environment change).
+        With force=True, rows of a stored hash are written as its next
+        generation (to redo a cell after a code or environment change).
         """
         rows = [dict(r) for r in rows]
         for r in rows:
@@ -122,6 +131,6 @@ class RecordStore:
             writer = csv.DictWriter(fh, fieldnames=self.columns)
             for r in rows:
                 writer.writerow({k: str(r[k]) for k in self.columns})
-        for r in rows:
-            self.rows.setdefault(r["config_hash"], []).append(r)
+        for h in dict.fromkeys(r["config_hash"] for r in rows):
+            self.rows[h] = [r for r in rows if r["config_hash"] == h]
         return len(rows)

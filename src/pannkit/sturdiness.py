@@ -23,7 +23,6 @@ read back instead of trained.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -277,10 +276,6 @@ class _CellSpec:
     columns = records.SWEEP_COLUMNS
     grid = ()  # a spec without a grid is one run
 
-    def prepare(self):
-        """Build, before a cell trains, what its evaluation may fail to
-        build; nothing by default."""
-
     def _check(self, **checks):
         """Raise nn.FieldError for the first field whose (ok, wanted) check
         fails; every grid needs distinct values and every spec must train."""
@@ -357,13 +352,6 @@ class SweepSpec(_CellSpec):
         return NgnvConfig(r=self.ngnv_r if "ngnv" in self.method else 0.0,
                           noise_scale=self.ngnv_scale)
 
-    def prepare(self):
-        """Certify every beta's unit-domain chain, so that an unreachable
-        beta fails first; the calibrated builds after training share these
-        chains (eps0/B is 2^-beta at any bound), so no Remez work is added."""
-        for beta in self.betas:
-            build_appsgn(beta, max_stage_degree=self.max_stage_degree)
-
 
 @dataclass(frozen=True, kw_only=True)
 class TruncSpec(_CellSpec):
@@ -438,6 +426,9 @@ class TrainSpec(_CellSpec):
     def __post_init__(self):
         self._check()
 
+    def cells(self):
+        return [(self.wd, self.seed)]
+
     @property
     def method(self) -> str:
         """The records' label: the options that are on, or vanilla."""
@@ -484,15 +475,11 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     if store is not None and not force:
         cached = {c for c in cells if chash[c] in store.rows}
     to_run = [c for c in cells if c not in cached]
-    results = {}
     if workers > 1 and len(to_run) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [(c, pool.submit(runner, c)) for c in to_run]
-        for c, fut in futs:
-            results[c] = fut.result()
+            results = dict(zip(to_run, pool.map(runner, to_run)))
     else:
-        for c in to_run:
-            results[c] = runner(c)
+        results = {c: runner(c) for c in to_run}
     n_written = 0
     for c in cells:
         if c in cached:
@@ -502,31 +489,22 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
     return results, n_written, cached
 
 
-def run_key(experiment: str, spec: _CellSpec, arch: str,
-            data: Dataset) -> dict:
-    """What names a run: the experiment, the architecture, every field of
-    the dataset's spec and every spec field but the grid ones."""
-    key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
-    key.update(experiment=experiment, arch=arch, dataset=data.spec.key())
-    return key
-
-
 def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
               *, store: records.RecordStore | None = None,
               force: bool = False, workers: int = 1):
     """The one experiment-cell engine.
 
-    A cell's hash covers its ``run_key`` and its (wd, seed). A cell not in
-    the store runs the spec's ``prepare`` and then ``evaluation(train,
-    base)``, which trains once with ``train(on_epoch=None) -> Network`` and
-    returns rows that extend ``base``; a divergence becomes the cell's
-    single ``failed`` row. Returns (rows, rows written, statuses) by cell.
-    """
-    key = run_key(experiment, spec, arch, data)
+    A cell's hash covers the experiment, the arch, the dataset's spec, every
+    non-grid spec field and the cell's (wd, seed). A cell not in the store
+    runs ``evaluation(train, base)``, which trains once with
+    ``train(on_epoch=None) -> Network`` and returns rows that extend
+    ``base``; a divergence becomes the cell's single ``failed`` row.
+    Returns (rows, rows written, statuses) by cell."""
+    key = {k: v for k, v in asdict(spec).items() if k not in spec.grid}
+    key.update(experiment=experiment, arch=arch, dataset=data.spec.key())
     cells = spec.cells()
     chash = {c: records.config_hash(dict(key, wd=c[0], seed=c[1]))
              for c in cells}
-    preparing = threading.Lock()  # one worker prepares, the others wait
 
     def runner(cell):
         wd, seed = cell
@@ -535,8 +513,6 @@ def run_cells(experiment: str, spec, arch: str, data: Dataset, evaluation,
                  "method": spec.method, "wd": wd, "epochs": spec.epochs,
                  "seed": seed}
         base = {k: known.get(k, "") for k in spec.columns}
-        with preparing:
-            spec.prepare()
         try:
             return evaluation(lambda on_epoch=None: train_cell(
                 spec, arch, data, wd, seed, on_epoch), base)
@@ -596,6 +572,10 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
     final_only = min(spec.t_primes) >= spec.epochs
 
     def evaluation(train, base):
+        # an unreachable beta fails before training; the calibrated builds
+        # below share these chains (eps0/B is 2^-beta at any bound)
+        for beta in spec.betas:
+            build_appsgn(beta, max_stage_degree=spec.max_stage_degree)
         plateau, losses, kept = None, [], {}  # kept: epoch -> network
 
         def on_epoch(epoch, net):

@@ -248,6 +248,23 @@ class TestConfigErrors:
         assert cli.main(["train", "--config", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--config", "--model", "--pann"])
+    def test_non_utf8_json_exits_2(self, tmp_path, capsys, train_cfg, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00{")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"network": nn.network_to_dict(
+            nn.build_arch("mlp:16", (2,), 3, seed=0))}))
+        argv = {"--config": ["train", "--config", bad],
+                "--model": ["eval-pann", "--model", bad, "--config",
+                            train_cfg],
+                "--pann": ["eval-pann", "--model", model, "--config",
+                           train_cfg, "--pann", bad]}[flag]
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not UTF-8 text: "), err
+        assert err.count("\n") == 1, err
+
     def test_wrong_type_inside_dataset(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "arch": "mlp:8", "epochs": 3,
@@ -403,6 +420,30 @@ class TestSweeps:
         assert code == 0 and doc["rows_written"] == 0
         assert all(c["status"] == "cached" for c in doc["cells"])
         assert recs.read_bytes() == before
+
+    def test_cached_rerun_reads_the_forced_generation(self, tmp_path, capsys,
+                                                      sweep_cfg):
+        # stale values stored under the cells' hashes: a forced re-run
+        # writes fresh ones, and the cached re-run reads only those
+        recs = tmp_path / "records.csv"
+        argv = ["sweep-wd", "--config", sweep_cfg, "--records", recs]
+        assert run(capsys, *argv)[0] == 0
+        rows = list(csv.DictReader(recs.open()))
+        for r in rows:
+            if r["metric"] == "pann_accuracy":
+                r["value"] = "0.0"
+        with recs.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=records.SWEEP_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        code, forced = run(capsys, *argv, "--force")
+        assert code == 0 and forced["rows_written"] == forced["rows"] == 8
+        code, cached = run(capsys, *argv)
+        assert code == 0
+        assert all(c["status"] == "cached" for c in cached["cells"])
+        assert cached["rows"] == forced["rows"]
+        assert cached["trend"] == forced["trend"]
+        assert len(list(csv.DictReader(recs.open()))) == 16
 
     @pytest.mark.parametrize("command, doc", [
         ("sweep-wd", {"sweep": {"wds": [0.0], "seeds": [0], "betas": [6],
@@ -882,13 +923,48 @@ class TestExit2BeforeTraining:
 
     def test_infeasible_beta_fails_before_training(self, tmp_path, capsys,
                                                    no_training):
+        # with two workers, both cells reach the chain build
         cfg = write_config(tmp_path / "s.json", {
             "arch": "mlp:8", "dataset": BLOBS,
-            "sweep": {"wds": [0.0], "seeds": [0], "betas": [16]}})
+            "sweep": {"wds": [0.0], "seeds": [0, 1], "betas": [16]}})
         for command in ("sweep-beta", "sweep-wd"):
-            self._expect(capsys, [command, "--config", cfg, "--records",
-                                  tmp_path / "r.csv"],
-                         "precision error: beta 16:")
+            for workers in (1, 2):
+                self._expect(capsys, [command, "--config", cfg, "--records",
+                                      tmp_path / "r.csv", "--workers",
+                                      workers], "precision error: beta 16:")
+
+    MLP_ON_BLOBS_2D = nn.build_arch("mlp:4", (2,), 2, seed=0)
+    DIGITS = {"source": "synthetic_digits", "n": 40}
+    SHAPES = "samples (1, 28, 28) do not fit the model's input (2,)"
+
+    @pytest.mark.parametrize("command, dataset, detail", [
+        ("eval-pann", DIGITS, SHAPES),
+        ("transform", DIGITS, SHAPES),
+        ("attack", DIGITS, SHAPES),
+        ("eval-pann", BLOBS, "label 2 is outside the model's 2 classes"),
+        ("attack", BLOBS, "label 2 is outside the model's 2 classes")],
+        ids=["eval-pann-shape", "transform-shape", "attack-shape",
+             "eval-pann-labels", "attack-labels"])
+    def test_model_that_does_not_fit_the_data(self, tmp_path, capsys,
+                                              command, dataset, detail):
+        model, desc = tmp_path / "model.json", tmp_path / "pann.json"
+        net = self.MLP_ON_BLOBS_2D
+        model.write_text(json.dumps({"network": nn.network_to_dict(net)}))
+        desc.write_text(json.dumps(tf.pann_descriptor(net)))
+        cfg = write_config(tmp_path / "c.json",
+                           {"arch": "mlp:4", "dataset": dataset})
+        out = tmp_path / "out.json"
+        argv = {"eval-pann": ["eval-pann", "--model", model, "--config", cfg,
+                              "--pann", desc],
+                "transform": ["transform", "--model", model, "--out", out,
+                              "--mode", "composite", "--beta", 6,
+                              "--config", cfg],
+                "attack": ["attack", "--model", model, "--pann", desc,
+                           "--config", cfg, "--out", out]}[command]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: config.dataset: {detail}\n"
+        assert not out.exists()
 
     def test_records_of_another_command(self, tmp_path, capsys,
                                         no_training):

@@ -82,6 +82,19 @@ class TestRecordStore:
         assert store.append_rows([_record(value=0.9)], force=True) == 1
         assert len(store.read_rows()) == 2
 
+    def test_force_keeps_the_newest_generation(self, tmp_path):
+        # the file keeps both generations; the store, open or reopened,
+        # holds only the forced one
+        path = tmp_path / "r.csv"
+        store = rec.RecordStore(path)
+        old = [_record(seed=0), _record(seed=1), _record(chash="bb" * 8)]
+        store.append_rows(old)
+        new = [_record(seed=0, value=0.9), _record(seed=1, value=0.8)]
+        assert store.append_rows(new, force=True) == 2
+        for opened in (store, rec.RecordStore(path)):
+            assert opened.rows == {"aa" * 8: new, "bb" * 8: old[2:]}
+        assert len(store.read_rows()) == 5
+
     def test_reopen_preserves_rows(self, tmp_path):
         rec.RecordStore(tmp_path / "r.csv").append_rows([_record()])
         store = rec.RecordStore(tmp_path / "r.csv")
