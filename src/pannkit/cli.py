@@ -24,8 +24,7 @@ from . import datasets
 from . import nn
 from . import transform as tf
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import (STAGE_CANDIDATES, PrecisionInfeasible,
-                         approx_to_json, build_appsgn)
+from .polyapprox import PrecisionInfeasible, approx_to_json, build_appsgn
 
 __all__ = ["main", "ConfigError"]
 
@@ -212,12 +211,23 @@ def _emit(doc, out_path=None) -> None:
 # subcommands
 
 
+def _store_after_data(args, data, columns):
+    """The --records store, if asked for. When no stored cell can spare the
+    training, the dataset loads first, so that a bad one fails before the
+    store's file is made."""
+    if args.force or not (args.records and os.path.exists(args.records)):
+        data.load()
+    return _open_store(args.records, columns) if args.records else None
+
+
 def _cmd_train(args) -> int:
     from . import sturdiness as sd, training
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
-    data = _DataOnDemand(_dataset_spec(cfg), arch).load()
-    store = _open_store(args.records, spec.columns) if args.records else None
+    data = _DataOnDemand(_dataset_spec(cfg), arch)
+    store = _store_after_data(args, data, spec.columns)
+    # --out needs the trained network, so it trains even on a stored hash
+    cache = None if args.out else store
 
     def evaluation(train, base):
         net = train()
@@ -235,14 +245,17 @@ def _cmd_train(args) -> int:
                 dict(base, metric="test_loss", value=test_loss),
                 dict(base, metric="test_accuracy", value=test_acc)]
 
-    rows, _, (cell,) = sd.run_cells("train", spec, arch, data, evaluation)
+    rows, written, (cell,) = sd.run_cells("train", spec, arch, data,
+                                          evaluation, store=cache,
+                                          force=args.force)
     chash = rows[0]["config_hash"]
     if cell["status"] == "failed":
         _emit({"config_hash": chash, "status": "failed",
                "diverged_at_epoch": cell["diverged_at_epoch"]})
         return 1
     train_loss, _, test_acc = (r["value"] for r in rows)
-    written = store.append_rows(rows, force=args.force) if store else 0
+    if store is not None and cache is None:
+        written = store.append_rows(rows, force=args.force)
     _emit({"config_hash": chash, "status": "ok", "epochs": spec.epochs,
            "train_loss": train_loss, "test_accuracy": test_acc,
            "rows_written": written})
@@ -250,8 +263,6 @@ def _cmd_train(args) -> int:
 
 
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
-_DEGREE = (lambda v: v >= min(STAGE_CANDIDATES),
-           f"an integer >= {min(STAGE_CANDIDATES)}")
 _POSITIVE = (lambda v: 0 < v < math.inf, "a positive number")
 MAX_PLOT_POINTS = 1_000_000
 _POINTS = (lambda v: 2 <= v <= MAX_PLOT_POINTS,
@@ -259,12 +270,12 @@ _POINTS = (lambda v: 2 <= v <= MAX_PLOT_POINTS,
 # numeric flag (argparse dest) -> (check, what it expects); a flag that a
 # command lacks or leaves unset is skipped
 _FLAG_RANGES = {
-    "beta": _COUNT, "max_stage_degree": _DEGREE, "bound": _POSITIVE,
-    "safety": _POSITIVE, "calib_samples": _COUNT, "batch_size": _COUNT,
-    "samples": _COUNT, "seeds": _COUNT, "workers": _COUNT,
-    "plot_points": _POINTS, "alpha": _POSITIVE, "eps": _POSITIVE,
-    "eps_atk": _POSITIVE, "eps_lim": _POSITIVE, "radius": _POSITIVE,
-    "draws": _COUNT, "max_iters": (lambda v: v >= 0, "an integer >= 0"),
+    "beta": _COUNT, "bound": _POSITIVE, "safety": _POSITIVE,
+    "calib_samples": _COUNT, "batch_size": _COUNT, "samples": _COUNT,
+    "seeds": _COUNT, "workers": _COUNT, "plot_points": _POINTS,
+    "alpha": _POSITIVE, "eps": _POSITIVE, "eps_atk": _POSITIVE,
+    "eps_lim": _POSITIVE, "radius": _POSITIVE, "draws": _COUNT,
+    "max_iters": (lambda v: v >= 0, "an integer >= 0"),
     "backtrack_depth": _COUNT}
 
 
@@ -292,8 +303,7 @@ def _cmd_transform(args) -> int:
             bound = tf.calibrate_bound(backbone,
                                        data.x_train[:args.calib_samples],
                                        safety=args.safety)
-        approx = build_appsgn(beta=args.beta, bound=bound,
-                              max_stage_degree=args.max_stage_degree)
+        approx = build_appsgn(beta=args.beta, bound=bound)
         pann = tf.transform(backbone, tf.CompositeReLU(
             approx, tf.IntervalPolicy(args.overflow)))
     elif args.mode == "injected":
@@ -376,9 +386,7 @@ def _cmd_experiment(args) -> int:
                               "the final epoch; use sweep-wd to set t'")
         spec = dataclasses.replace(spec, t_primes=(spec.epochs,))
     data = _DataOnDemand(_dataset_spec(cfg), arch)
-    if args.force or not (args.records and os.path.exists(args.records)):
-        data.load()  # every cell trains: fail before the store is written
-    store = _open_store(args.records, spec.columns) if args.records else None
+    store = _store_after_data(args, data, spec.columns)
     run = dict(store=store, force=args.force, workers=args.workers)
     # looked up by name per call, so that wrappers installed on the module
     # (the benchmark's tracer) see it
@@ -462,11 +470,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    if args.eps0 is not None and not 0 < args.eps0 < args.bound:
-        raise ConfigError(f"--eps0: expected a number in (0, --bound), got "
-                          f"{args.eps0}")
-    approx = build_appsgn(beta=args.beta, eps0=args.eps0, bound=args.bound,
-                          max_stage_degree=args.max_stage_degree)
+    approx = build_appsgn(beta=args.beta, bound=args.bound)
     Path(args.out).write_text(json.dumps(approx_to_json(approx)))
     if args.plot:
         z = np.linspace(-approx.bound, approx.bound, args.plot_points)
@@ -513,7 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_.add_argument("--config", help="composite: calibration dataset")
     tr_.add_argument("--calib-samples", type=int, default=512)
     tr_.add_argument("--safety", type=float, default=1.2)
-    tr_.add_argument("--max-stage-degree", type=int, default=15)
     tr_.add_argument("--overflow", default="clamp_to_B",
                      choices=tf.OVERFLOW_POLICIES)
     tr_.add_argument("--sign-filter", default="all", choices=tf.SIGN_FILTERS)
@@ -591,8 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="build and certify a sign approximant")
     ap.add_argument("--beta", type=int, required=True)
     ap.add_argument("--bound", type=float, default=1.0)
-    ap.add_argument("--eps0", type=float)
-    ap.add_argument("--max-stage-degree", type=int, default=15)
     ap.add_argument("--out", required=True)
     ap.add_argument("--plot", help="CSV of z, p(z), p(z) - sgn(z)")
     ap.add_argument("--plot-points", type=int, default=2001)

@@ -4,14 +4,15 @@ approximations of sign, certified and serialized.
 The sign approximant is a chain p_k(...p_1(z/B)...) of odd polynomials. Each
 stage is a best L-inf fit of the constant 1 on the current positive interval;
 oddness carries the negative branch for free. Stage 1 eats the hard interval
-[eps0/B, 1]; every later stage contracts [1-e, 1+e] toward 1. The chain stops
-once the stage error clears the 2^-beta target, and the result only ships with
-a dense-grid certificate attached.
+[2^-beta, 1], the unit-domain image of [eps0, B] with eps0 = 2^-beta * B;
+every later stage contracts [1-e, 1+e] toward 1. The chain stops once the
+stage error clears the 2^-beta target, and the result only ships with a
+dense-grid certificate attached.
 
-The chain and its certificate live on the unit domain: they depend on B only
-through eps0/B, so one build per (beta, eps0/B, max stage degree) serves every
-scale, and an approximant is that chain plus its scale B. Every chain, built
-or loaded, passes the same fixed-density audit, once per process.
+The chain and its certificate live on the unit domain and depend on beta
+alone, so one build per beta serves every scale, and an approximant is that
+chain plus its scale B. Every chain, built or loaded, passes the same
+fixed-density audit, once per process.
 
 Precision convention: an approximation is "beta-close" when its absolute
 error is at most 2^-beta everywhere on the certified domain.
@@ -76,8 +77,9 @@ class Polynomial:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.float64)
-        # zeros * z keeps inf and NaN inputs propagating as NaN
-        acc = np.zeros_like(z) * z + self.coeffs[-1]
+        # z * 0.0 keeps inf and NaN inputs propagating as NaN
+        acc = z * 0.0
+        acc += self.coeffs[-1]
         for c in self._horner_adds:
             acc *= z
             if c is not None:
@@ -364,19 +366,18 @@ class PrecisionCertificate:
 
 @dataclass(frozen=True)
 class CompositeSgnApprox:
-    """Odd polynomial chain approximating sign on [-B, -eps0] u [eps0, B].
+    """Odd polynomial chain approximating sign on [-B, -eps0] u [eps0, B],
+    eps0 = 2^-beta * B.
 
     eval(z) scales z by 1/B then applies the chain innermost first. The
-    chain and its certificate live on the unit domain [eps0/B, 1]; B is only
-    the scale. Every instance carries a passing certificate; construction
-    rejects anything else.
+    chain and its certificate live on the unit domain [2^-beta, 1]; B is
+    only the scale. Every instance carries a passing certificate;
+    construction rejects anything else.
     """
 
     chain: tuple
     bound: float
-    eps0: float
     beta: int
-    max_stage_degree: int
     certificate: PrecisionCertificate
 
     def __post_init__(self):
@@ -385,6 +386,21 @@ class CompositeSgnApprox:
         for p in self.chain:
             if not p.is_odd():
                 raise ValueError("chain stages must be odd polynomials")
+        # false for a bound that is not positive and finite, and for one
+        # whose eps0 underflows to 0
+        if not 0 < self.eps0 < self.bound:
+            raise ValueError(f"eps0 = 2^-beta * bound must lie in (0, bound),"
+                             f" got bound {self.bound!r}")
+
+    @property
+    def eps0(self) -> float:
+        """The smallest |z| the certificate covers."""
+        return 2.0 ** -self.beta * self.bound
+
+    @property
+    def max_stage_degree(self) -> int:
+        # an empty chain, the identity, certifies at beta 1
+        return max((p.degree for p in self.chain), default=1)
 
     def eval(self, z):
         """The chain at z / B."""
@@ -410,21 +426,22 @@ def _run_chain(chain, u, du=None):
     return u if du is None else (u, du)
 
 
-# uniformly spaced points of the audit on [t0, 1]; descriptors record it
+# uniformly spaced points of the audit on [t0, 1]
 AUDIT_POINTS = 100_000
 # extrema per block of the audit's refinement windows
 AUDIT_BLOCK = 1024
 
 
 @cache
-def _certify_chain(chain, t0, beta):
+def _certify_chain(chain, beta):
     """Audit the chain on the unit domain: |chain - 1| on AUDIT_POINTS
-    uniformly spaced points of [t0, 1], on 64 cosine-clustered points
-    around every extremum among them (AUDIT_BLOCK extrema at a time) and
-    on a log-spaced sweep that resolves crowding toward t0, plus
-    |chain - 1| on the band [0, t0]. A NaN anywhere fails the audit. One
-    audit per (chain, t0, beta) and process: builds and loads of the same
-    chain share it."""
+    uniformly spaced points of [t0, 1], t0 = 2^-beta, on 64
+    cosine-clustered points around every extremum among them (AUDIT_BLOCK
+    extrema at a time) and on a log-spaced sweep that resolves crowding
+    toward t0, plus |chain - 1| on the band [0, t0]. A NaN anywhere fails
+    the audit. One audit per (chain, beta) and process: builds and loads of
+    the same chain share it."""
+    t0 = 2.0 ** -beta
     grid = np.linspace(t0, 1.0, AUDIT_POINTS)
     signed = _run_chain(chain, grid) - 1.0
     err = np.abs(signed)
@@ -459,55 +476,44 @@ def _stage_depth(degree: int) -> int:
     return max(1, math.ceil(math.log2(degree + 1)))
 
 
-# odd stage degrees the builder picks from; max_stage_degree below the
-# smallest leaves none
+# odd stage degrees the builder picks from
 STAGE_CANDIDATES = (7, 15)
 MAX_STAGES = 24
 
 
-def build_appsgn(beta: int, eps0: float | None = None, bound: float = 1.0,
-                 max_stage_degree: int = 15) -> CompositeSgnApprox:
-    """Construct a certified beta-close composite sign approximant.
+def build_appsgn(beta: int, bound: float = 1.0) -> CompositeSgnApprox:
+    """Construct a certified beta-close composite sign approximant on
+    [-B, -eps0] u [eps0, B], B = bound and eps0 = 2^-beta * B, which keeps
+    the smooth ReLU's absolute error at most 2^-beta * B even inside the
+    uncertified band.
 
-    eps0 defaults to 2^-beta * bound, which keeps the smooth ReLU's absolute
-    error at most 2^-beta * bound even inside the uncertified band.
-
-    Stages are chosen greedily from the STAGE_CANDIDATES up to
-    max_stage_degree: if some candidate already reaches the target error it
-    takes the cheapest one, otherwise the candidate with the best interval
-    contraction per unit of multiplicative depth. Raises PrecisionInfeasible
-    when no candidate makes progress or the chain fails its audit.
+    Stages are chosen greedily from the STAGE_CANDIDATES: if some candidate
+    already reaches the target error it takes the cheapest one, otherwise
+    the candidate with the best interval contraction per unit of
+    multiplicative depth. Raises PrecisionInfeasible when no candidate makes
+    progress or the chain fails its audit.
 
     The unit-domain chain and its certificate are built once per process for
-    each (beta, eps0/bound, max_stage_degree) and shared by every bound.
+    each beta and shared by every bound.
     """
     # an integer of one type, so that equal keys give equal approximants
     beta = int(check_number("beta", beta, 1, integer=True))
-    if eps0 is None:
-        eps0 = 2.0 ** -beta * bound
-    if not 0 < eps0 < bound:
-        raise ValueError(f"eps0 must lie in (0, bound), got {eps0}")
-    cands = tuple(d for d in STAGE_CANDIDATES if d <= max_stage_degree)
-    if not cands:
-        raise ValueError("no stage candidates within max_stage_degree")
-    chain, cert = _unit_chain(beta, eps0 / bound, cands)
-    return CompositeSgnApprox(chain=chain, bound=float(bound),
-                              eps0=float(eps0), beta=beta,
-                              max_stage_degree=int(max_stage_degree),
+    chain, cert = _unit_chain(beta)
+    return CompositeSgnApprox(chain=chain, bound=float(bound), beta=beta,
                               certificate=cert)
 
 
 @cache
-def _unit_chain(beta, t0, cands):
-    """The certified chain on [t0, 1] and its certificate."""
+def _unit_chain(beta):
+    """The certified chain on [2^-beta, 1] and its certificate."""
     target = 2.0 ** -beta * 0.995  # small slack for grid capture and roundoff
     tol = 2.0 ** -(beta + 6)
-    lo, hi = t0, 1.0
+    lo, hi = 2.0 ** -beta, 1.0
     chain: list[Polynomial] = []
     err = 1.0
     for _ in range(MAX_STAGES):
         fits = {}
-        for d in cands:
+        for d in STAGE_CANDIDATES:
             try:
                 fits[d] = remez_minimax(SGN_POSITIVE_BRANCH, (lo, hi), d,
                                         tol=tol)
@@ -538,8 +544,8 @@ def _unit_chain(beta, t0, cands):
         if t_next <= t_cur * (1.0 + 1e-9):
             achieved = -math.log2(max(err, 1e-300))
             raise PrecisionInfeasible(
-                f"beta {beta}: stage degrees {cands} stall at about "
-                f"2^-{achieved:.1f} on [{lo:.3e}, {hi:.3e}]")
+                f"beta {beta}: stage degrees {STAGE_CANDIDATES} stall at "
+                f"about 2^-{achieved:.1f} on [{lo:.3e}, {hi:.3e}]")
         chain.append(poly)
         lo, hi = 1.0 - err, 1.0 + err
     else:
@@ -549,7 +555,7 @@ def _unit_chain(beta, t0, cands):
             f"2^-{achieved:.1f}")
 
     chain = tuple(chain)
-    cert = _certify_chain(chain, t0, beta)
+    cert = _certify_chain(chain, beta)
     if not cert.passed:
         raise PrecisionInfeasible(
             f"beta {beta}: certification failed: audit error "
@@ -579,21 +585,22 @@ def check_number(name: str, value, lo=-math.inf, hi=math.inf,
 # serialization: decimal coefficients, 17 significant digits round-trip
 
 
+# the approximant file layout; a file of another version is refused
+APPROX_VERSION = 2
+
+
 def approx_to_json(approx: CompositeSgnApprox) -> dict:
     # coefficients go out as 17-significant-digit decimal strings, which
     # round-trip float64 exactly and stay grep-friendly
     cert = approx.certificate
     return {
         "format": "pannkit-sgn-approx",
-        "version": 1,
+        "version": APPROX_VERSION,
         "beta": approx.beta,
         "bound": approx.bound,
-        "eps0": approx.eps0,
-        "max_stage_degree": approx.max_stage_degree,
         "chain": [[f"{c:.17g}" for c in p.coeffs] for p in approx.chain],
         "certificate": {
             "beta": cert.beta,
-            "grid_points": AUDIT_POINTS,
             "max_error": cert.max_error,
             "argmax_u": cert.argmax_u,
             "band_max_error": cert.band_max_error,
@@ -604,26 +611,21 @@ def approx_to_json(approx: CompositeSgnApprox) -> dict:
 
 def approx_from_json(doc: dict, recertify: bool = True) -> CompositeSgnApprox:
     """The stored approximant with its certificate measured again by the
-    fixed audit of _certify_chain at t0 = eps0 / bound. No stored
-    certificate value is trusted, whatever ``recertify`` says; the stored
-    audit size must be the one the audit uses."""
+    fixed audit of _certify_chain. No stored certificate value is trusted,
+    whatever ``recertify`` says."""
     if doc.get("format") != "pannkit-sgn-approx":
         raise ValueError("not a sign-approximant file")
+    if doc.get("version") != APPROX_VERSION:
+        raise ValueError(f"approximant version {doc.get('version')!r} is not "
+                         f"{APPROX_VERSION}; re-run pannkit transform to "
+                         "write it again")
     chain = tuple(Polynomial(tuple(stage)) for stage in doc["chain"])
     beta = int(check_number("beta", doc["beta"], 1, integer=True))
-    check_number("max_stage_degree", doc["max_stage_degree"],
-                 max((p.degree for p in chain), default=1), integer=True)
-    if not 0 < doc["eps0"] < doc["bound"]:
-        raise ValueError(f"eps0 must lie in (0, bound), got eps0 "
-                         f"{doc['eps0']!r}, bound {doc['bound']!r}")
-    points = doc["certificate"]["grid_points"]
-    if type(points) is not int or points != AUDIT_POINTS:
-        raise ValueError(f"grid_points must be the integer {AUDIT_POINTS}, "
-                         f"got {points!r}")
-    cert = _certify_chain(chain, doc["eps0"] / doc["bound"], beta)
+    bound = float(check_number("bound", doc["bound"]))
+    if not isinstance(doc["certificate"], dict):  # kept, but never trusted
+        raise ValueError("certificate: expected an object")
+    cert = _certify_chain(chain, beta)
     if not cert.passed:
         raise ValueError("stored approximant fails re-certification")
-    return CompositeSgnApprox(chain=chain, bound=float(doc["bound"]),
-                              eps0=float(doc["eps0"]), beta=beta,
-                              max_stage_degree=int(doc["max_stage_degree"]),
+    return CompositeSgnApprox(chain=chain, bound=bound, beta=beta,
                               certificate=cert)

@@ -34,7 +34,7 @@ from . import training
 from . import transform as tf
 from .datasets import Dataset
 from .fixedpoint import FixedPointFormat, TruncatedReLU
-from .polyapprox import STAGE_CANDIDATES, build_appsgn
+from .polyapprox import build_appsgn
 from .training import MixupConfig, NgnvConfig, TrainingDiverged, evaluate
 
 
@@ -320,19 +320,15 @@ class SweepSpec(_CellSpec):
     ngnv_r: float = 0.3
     ngnv_scale: float = 0.05
     bound_safety: float = 1.2
-    max_stage_degree: int = 15
     calib_samples: int = 512
 
     grid = ("wds", "seeds")
 
     def __post_init__(self):
-        least = min(STAGE_CANDIDATES)
         self._check(
             method=(self.method in SWEEP_METHODS, f"one of {SWEEP_METHODS}"),
             betas=(all(b >= 1 for b in self.betas), "integers >= 1"),
             t_primes=(all(t >= 0 for t in self.t_primes), "integers >= 0"),
-            max_stage_degree=(self.max_stage_degree >= least,
-                              f"an integer >= {least}"),
             calib_samples=(self.calib_samples >= 1, "an integer >= 1"),
             bound_safety=(self.bound_safety > 0, "a positive number"),
             mixup_alpha=(self.mixup_alpha > 0, "a positive number"),
@@ -573,9 +569,9 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
 
     def evaluation(train, base):
         # an unreachable beta fails before training; the calibrated builds
-        # below share these chains (eps0/B is 2^-beta at any bound)
+        # below share these chains, which depend on beta alone
         for beta in spec.betas:
-            build_appsgn(beta, max_stage_degree=spec.max_stage_degree)
+            build_appsgn(beta)
         plateau, losses, kept = None, [], {}  # kept: epoch -> network
 
         def on_epoch(epoch, net):
@@ -600,9 +596,7 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                     net, data.x_train[:spec.calib_samples],
                     safety=spec.bound_safety)
                 measured[epoch] = backbone, [evaluate(tf.transform(
-                    net, tf.CompositeReLU(build_appsgn(
-                        beta=beta, bound=bound,
-                        max_stage_degree=spec.max_stage_degree))),
+                    net, tf.CompositeReLU(build_appsgn(beta, bound))),
                     data.x_test, data.y_test) for beta in spec.betas]
             (bb_loss, bb_acc), panns = measured[epoch]
             rows.append(dict(base, t_prime=t_prime,

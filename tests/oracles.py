@@ -127,9 +127,7 @@ def posthoc_sweep_rows(spec, arch: str, data) -> list:
             rows.append((wd, seed, t_prime, "", "backbone_accuracy", bb_acc))
             for beta in spec.betas:
                 loss, acc = training.evaluate(tf.transform(
-                    net, tf.CompositeReLU(pa.build_appsgn(
-                        beta=beta, bound=bound,
-                        max_stage_degree=spec.max_stage_degree))),
+                    net, tf.CompositeReLU(pa.build_appsgn(beta, bound))),
                     data.x_test, data.y_test)
                 rows += [(wd, seed, t_prime, beta, "pann_accuracy", acc),
                          (wd, seed, t_prime, beta, "delta_test_loss",

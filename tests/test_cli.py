@@ -4,6 +4,7 @@ re-runs, dotted-path config diagnostics, and byte-identical record files."""
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +112,40 @@ class TestTrain:
         assert code == 0 and doc["rows_written"] == 0
         assert recs.read_bytes() == before
 
+    def test_stored_run_is_read_back(self, tmp_path, capsys, train_cfg,
+                                     monkeypatch, request):
+        # without --out or --force a stored hash neither trains nor loads
+        recs = tmp_path / "runs.csv"
+        code, first = run(capsys, "train", "--config", train_cfg,
+                          "--records", recs)
+        assert code == 0 and first["rows_written"] == 3
+        before = recs.read_bytes()
+        request.getfixturevalue("no_training")
+        loads = count_loads(monkeypatch)
+        code, again = run(capsys, "train", "--config", train_cfg,
+                          "--records", recs)
+        assert code == 0 and loads == []
+        assert again == dict(first, rows_written=0)
+        assert recs.read_bytes() == before
+
+    def test_out_and_force_still_train(self, tmp_path, capsys, train_cfg,
+                                       monkeypatch):
+        recs, model = tmp_path / "runs.csv", tmp_path / "model.json"
+        run(capsys, "train", "--config", train_cfg, "--records", recs)
+        trained, train = [], training.train
+
+        def counted(*args, **kwargs):
+            trained.append(1)
+            return train(*args, **kwargs)
+        monkeypatch.setattr(training, "train", counted)
+        code, doc = run(capsys, "train", "--config", train_cfg,
+                        "--records", recs, "--out", model)
+        assert (code, doc["rows_written"], len(trained)) == (0, 0, 1)
+        assert model.exists()
+        code, doc = run(capsys, "train", "--config", train_cfg,
+                        "--records", recs, "--force")
+        assert (code, doc["rows_written"], len(trained)) == (0, 3, 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_writes_nothing(self, tmp_path, capsys, train_cfg):
         cfg = write_config(tmp_path / "d.json", dict(
@@ -148,9 +183,9 @@ class TestPinnedHashes:
     config parsing must leave them as they are."""
 
     TINY = {
-        "sweep-wd": ("0b58ca01bd8a410e", {"sweep": {
+        "sweep-wd": ("38e96fb7370aa823", {"sweep": {
             "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
-        "sweep-beta": ("8ccf2eea103d5ecd", {"sweep": {
+        "sweep-beta": ("b22bce7c9903d808", {"sweep": {
             "wds": [0.0], "seeds": [0], "betas": [6], "epochs": 1}}),
         "trunc-sweep": ("3a1b0432413c98da", {"sweep": {
             "l_xs": [8], "seeds": [0], "epochs": 1}}),
@@ -296,11 +331,11 @@ class TestConfigErrors:
                               dict(doc, slots=[{}] * len(doc["slots"])))
         nondict = write_config(tmp_path / "nondict.json",
                                dict(doc, slots=[[]] * len(doc["slots"])))
-        cert = {"beta": 6, "grid_points": 8, "max_error": 0.0,
-                "argmax_u": 0.0, "band_max_error": 0.0, "passed": True}
-        approx = {"format": "pannkit-sgn-approx", "chain": [[0.0, 1.0]],
-                  "certificate": cert, "bound": 1.0, "eps0": 0.1,
-                  "beta": float("inf"), "max_stage_degree": 3}
+        cert = {"beta": 6, "max_error": 0.0, "argmax_u": 0.0,
+                "band_max_error": 0.0, "passed": True}
+        approx = {"format": "pannkit-sgn-approx", "version": 2,
+                  "chain": [[0.0, 1.0]], "certificate": cert, "bound": 1.0,
+                  "beta": float("inf")}
         infbeta = write_config(tmp_path / "infbeta.json", dict(
             doc, slots=[{"kind": "composite_relu", "policy": "clamp_to_B",
                          "approx": approx}] * len(doc["slots"])))
@@ -326,18 +361,12 @@ class TestConfigErrors:
             stage = slot["approx"]["chain"][0]
             stage[1] = repr(float(stage[1]) * 1.5)
 
-        def set_grid(n):
-            return lambda slot: slot["approx"]["certificate"].update(
-                grid_points=n)
-
         fails = "stored approximant fails re-certification"
         tampered("nochain", comp,
                  lambda slot: slot["approx"].update(chain=[]), fails)
         tampered("negbound", comp,
                  lambda slot: slot["approx"].update(bound=-1), "eps0")
         tampered("coeff", comp, scale_coeff, fails)
-        tampered("hugegrid", comp, set_grid(10 ** 12), "grid_points")
-        tampered("fracgrid", comp, set_grid(1.5), "grid_points")
         tampered("strbits", trunc, lambda slot: slot.update(total_bits="x"),
                  "total_bits")
         tampered("floatbits", trunc,
@@ -355,7 +384,8 @@ class TestConfigErrors:
     def test_tampered_chain_fails_whatever_grid_it_names(self, tmp_path,
                                                          capsys, train_cfg):
         """A stored grid size cannot soften the audit: a chain 7x over its
-        2^-10 bound fails it, and a file naming a coarse grid is refused."""
+        2^-10 bound fails it, also in a file that names a coarse grid,
+        since the audit's size is not read from the file."""
         model, desc = tmp_path / "model.json", tmp_path / "b10.json"
         run(capsys, "train", "--config", train_cfg, "--out", model)
         run(capsys, "transform", "--model", model, "--out", desc, "--mode",
@@ -364,7 +394,7 @@ class TestConfigErrors:
         for slot in doc["slots"]:
             stage = slot["approx"]["chain"][1]
             stage[11] = repr(float(stage[11]) * (1 + 1e-6))
-        for grid, detail in ((2, "grid_points"),
+        for grid, detail in ((2, "fails re-certification"),
                              (100_000, "fails re-certification")):
             for slot in doc["slots"]:
                 slot["approx"]["certificate"]["grid_points"] = grid
@@ -374,6 +404,30 @@ class TestConfigErrors:
                                  str(train_cfg), "--pann", str(bad)]) == 2
                 err = capsys.readouterr().err
                 assert "slots[0]: " in err and detail in err, err
+
+    def test_version_1_approximant_exits_2(self, tmp_path, capsys,
+                                           train_cfg):
+        """An approximant written before beta alone named the chain is
+        refused, with a message that says how to write it again."""
+        model, desc = tmp_path / "model.json", tmp_path / "v2.json"
+        run(capsys, "train", "--config", train_cfg, "--out", model)
+        run(capsys, "transform", "--model", model, "--out", desc, "--mode",
+            "composite", "--beta", 6, "--bound", 4.0)
+        doc = json.loads(desc.read_text())
+        for slot in doc["slots"]:
+            approx = slot["approx"]
+            approx.update(version=1, eps0=2.0 ** -6 * 4.0,
+                          max_stage_degree=15)
+            approx["certificate"]["grid_points"] = 100_000
+        old = write_config(tmp_path / "v1.json", doc)
+        for cmd in ("eval-pann", "attack"):
+            assert cli.main([cmd, "--model", str(model), "--config",
+                             str(train_cfg), "--pann", str(old)]) == 2
+            err = capsys.readouterr().err
+            assert f"{old}: slots[0]: approximant version 1 " in err, err
+            assert "re-run pannkit transform" in err, err
+        assert run(capsys, "eval-pann", "--model", model, "--config",
+                   train_cfg, "--pann", desc)[0] == 0
 
     def test_interval_overflow_exits_2(self, tmp_path, capsys, train_cfg):
         model, desc = tmp_path / "model.json", tmp_path / "tight.json"
@@ -671,10 +725,6 @@ class TestExit2BeforeTraining:
     def test_approx_and_transform_flags(self, tmp_path, capsys, train_cfg):
         out = tmp_path / "appr.json"
         self._expect(capsys, ["approx", "--beta", 0, "--out", out], "--beta")
-        self._expect(capsys, ["approx", "--beta", 6, "--max-stage-degree",
-                              2, "--out", out], "--max-stage-degree")
-        self._expect(capsys, ["approx", "--beta", 6, "--eps0", 2.0,
-                              "--out", out], "--eps0")
         assert not out.exists()
         model = tmp_path / "model.json"
         run(capsys, "train", "--config", train_cfg, "--out", model)
@@ -854,7 +904,7 @@ class TestExit2BeforeTraining:
             ("sweep-wd", dict(base, sweep=dict(sweep, wd=0.1)),
              "config.sweep.wd"),
             ("sweep-beta", dict(base, sweep=dict(sweep, max_stage_degree=2)),
-             "config.sweep.max_stage_degree"),
+             "config.sweep.max_stage_degree: unknown field"),
             ("sweep-beta", dict(base, sweep=dict(sweep, t_primes=[1])),
              "config.sweep.t_primes"),
             ("sweep-wd", dict(base, sweep=dict(sweep, t_primes=[-5])),
@@ -1024,7 +1074,7 @@ _BAD_VALUES = {
     "wds": [[], [True], 0.0, [-5.0]], "seeds": [[], [1.5]],
     "betas": [[0], [-3]],
     "epochs": [0, -1, 2.0], "batch_size": [0], "calib_samples": [0],
-    "max_stage_degree": [2], "method": ["bogus"], "ngnv_r": [2.0],
+    "method": ["bogus"], "ngnv_r": [2.0],
     "mixup_alpha": [0.0], "bound_safety": [0.0], "l_xs": [[7], [2], [40]],
     "sign_filters": [["bogus"], []], "mode": ["bogus"], "loss": ["bogus"],
     "t_primes": [[], [-1]],
@@ -1087,15 +1137,12 @@ _SLOT_BAD_VALUES = {
         ("policy",): [None, 3, "x", "widen_and_recertify", _MISSING],
         ("approx",): [None, 3, "x", [], _MISSING],
         ("approx", "format"): [None, "x", _MISSING],
+        ("approx", "version"): [None, "x", 1, 3, _MISSING],
         ("approx", "beta"): [None, "x", True, 0, 2.5, 12, 1e300, _MISSING],
-        ("approx", "bound"): [None, "x", -1, 0, 1e300, _MISSING],
-        ("approx", "eps0"): [None, "x", -1, 0, 1e300, _MISSING],
-        ("approx", "max_stage_degree"): [None, "x", 2.5, 2, _MISSING],
+        ("approx", "bound"): [None, "x", -1, 0, math.inf, _MISSING],
         ("approx", "chain"): [None, "x", 3, [], [[]], [["x"]], [[None]],
                               [3], _MISSING],
-        ("approx", "certificate"): [None, "x", [], _MISSING],
-        ("approx", "certificate", "grid_points"): [None, "x", True, 1.5, 1,
-                                                   10 ** 12, _MISSING]},
+        ("approx", "certificate"): [None, "x", [], _MISSING]},
     "injected_relu": {
         ("beta",): [None, "x", True, 0, -3, 2.5, [], _MISSING],
         ("sign_filter",): [None, 3, "x", _MISSING],
