@@ -211,21 +211,12 @@ def _emit(doc, out_path=None) -> None:
 # subcommands
 
 
-def _store_after_data(args, data, columns):
-    """The --records store, if asked for. When no stored cell can spare the
-    training, the dataset loads first, so that a bad one fails before the
-    store's file is made."""
-    if args.force or not (args.records and os.path.exists(args.records)):
-        data.load()
-    return _open_store(args.records, columns) if args.records else None
-
-
 def _cmd_train(args) -> int:
     from . import sturdiness as sd, training
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = _DataOnDemand(_dataset_spec(cfg), arch)
-    store = _store_after_data(args, data, spec.columns)
+    store = _open_store(args.records, spec.columns) if args.records else None
     # --out needs the trained network, so it trains even on a stored hash
     cache = None if args.out else store
 
@@ -271,7 +262,7 @@ _POINTS = (lambda v: 2 <= v <= MAX_PLOT_POINTS,
 # command lacks or leaves unset is skipped
 _FLAG_RANGES = {
     "beta": _COUNT, "bound": _POSITIVE, "safety": _POSITIVE,
-    "calib_samples": _COUNT, "batch_size": _COUNT, "samples": _COUNT,
+    "calib_samples": _COUNT, "samples": _COUNT,
     "seeds": _COUNT, "workers": _COUNT, "plot_points": _POINTS,
     "alpha": _POSITIVE, "eps": _POSITIVE, "eps_atk": _POSITIVE,
     "eps_lim": _POSITIVE, "radius": _POSITIVE, "draws": _COUNT,
@@ -300,10 +291,16 @@ def _cmd_transform(args) -> int:
                 raise ConfigError("composite mode needs --bound or "
                                   "--config with a calibration dataset")
             data = _data_for(backbone, args.config, labels=False)
-            bound = tf.calibrate_bound(backbone,
-                                       data.x_train[:args.calib_samples],
-                                       safety=args.safety)
-        approx = build_appsgn(beta=args.beta, bound=bound)
+            try:
+                bound = tf.calibrate_bound(backbone,
+                                           data.x_train[:args.calib_samples],
+                                           safety=args.safety)
+            except ValueError as exc:
+                raise ConfigError(f"--config: {exc}")
+        try:
+            approx = build_appsgn(beta=args.beta, bound=bound)
+        except ValueError as exc:  # a bound the chain cannot be scaled to
+            raise ConfigError(f"bound: {exc}")
         pann = tf.transform(backbone, tf.CompositeReLU(
             approx, tf.IntervalPolicy(args.overflow)))
     elif args.mode == "injected":
@@ -313,8 +310,7 @@ def _cmd_transform(args) -> int:
             args.beta, args.sign_filter, args.inj_mode, args.seed))
     elif args.mode == "partial":
         try:
-            mode = tf.PartialReplaceReLU(c=args.mix_c,
-                                         binarized=args.binarized)
+            mode = tf.PartialReplaceReLU(c=args.mix_c)
         except ValueError as exc:
             raise ConfigError(f"--mix-c: {exc}")
         pann = tf.transform(backbone, mode)
@@ -335,13 +331,11 @@ def _cmd_eval_pann(args) -> int:
     from . import training
     backbone = _load_network(args.model)
     data = _data_for(backbone, args.config)
-    bb_loss, bb_acc = training.evaluate(backbone, data.x_test, data.y_test,
-                                        batch_size=args.batch_size)
+    bb_loss, bb_acc = training.evaluate(backbone, data.x_test, data.y_test)
     doc = {"backbone_accuracy": bb_acc, "backbone_loss": bb_loss}
     if args.pann:
         pann = _load_pann(backbone, args.pann)
-        p_loss, p_acc = training.evaluate(pann, data.x_test, data.y_test,
-                                          batch_size=args.batch_size)
+        p_loss, p_acc = training.evaluate(pann, data.x_test, data.y_test)
         doc.update(pann_accuracy=p_acc, pann_loss=p_loss,
                    accuracy_drop=bb_acc - p_acc)
     _emit(doc, args.out)
@@ -386,7 +380,7 @@ def _cmd_experiment(args) -> int:
                               "the final epoch; use sweep-wd to set t'")
         spec = dataclasses.replace(spec, t_primes=(spec.epochs,))
     data = _DataOnDemand(_dataset_spec(cfg), arch)
-    store = _store_after_data(args, data, spec.columns)
+    store = _open_store(args.records, spec.columns) if args.records else None
     run = dict(store=store, force=args.force, workers=args.workers)
     # looked up by name per call, so that wrappers installed on the module
     # (the benchmark's tracer) see it
@@ -524,7 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=tf.INJECTION_MODES)
     tr_.add_argument("--seed", type=int, default=0)
     tr_.add_argument("--mix-c", type=float, default=0.5)
-    tr_.add_argument("--binarized", action="store_true")
     tr_.add_argument("--bits", type=int, default=16,
                      help="truncated: total fixed-point bits")
     tr_.set_defaults(handler=_cmd_transform)
@@ -534,7 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--config", required=True)
     e.add_argument("--pann", help="descriptor JSON; omit for backbone only")
-    e.add_argument("--batch-size", type=int, default=512)
     e.add_argument("--out")
     e.set_defaults(handler=_cmd_eval_pann)
 

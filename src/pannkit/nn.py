@@ -631,6 +631,8 @@ def _dec(d: dict) -> np.ndarray:
         raise ValueError(
             f"tensor payload holds {a.size} values, shape {d['shape']} "
             f"needs {expected}")
+    if not np.isfinite(a).all():
+        raise ValueError("tensor payload holds a NaN or infinite value")
     return a.reshape(d["shape"])
 
 

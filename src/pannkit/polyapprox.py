@@ -49,6 +49,8 @@ class Polynomial:
             raise ValueError(f"coefficients must be a non-empty list of "
                              f"numbers, got {self.coeffs!r}")
         c = tuple(float(v) for v in self.coeffs)
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"coefficients must be finite, got {c!r}")
         while len(c) > 1 and c[-1] == 0.0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

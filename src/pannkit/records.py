@@ -57,6 +57,8 @@ class RecordStore:
     fresh cell makes them. A forced append starts a hash's next generation,
     as does, on read, a row whose identity (every column but timestamp and
     value) its hash's rows already hold; the file keeps every generation.
+    A new file is made with its first row, so a run that writes no row
+    leaves none.
     """
 
     def __init__(self, path, columns=RECORD_COLUMNS):
@@ -75,10 +77,6 @@ class RecordStore:
                     del self.rows[h], seen[h]
                 self.rows.setdefault(h, []).append(r)
                 seen.setdefault(h, set()).add(ident)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("w", newline="") as fh:
-                csv.writer(fh).writerow(self.columns)
 
     def read_rows(self) -> list[dict]:
         """Every stored row, typed as a fresh cell makes it: wd and value as
@@ -127,8 +125,11 @@ class RecordStore:
             rows = [r for r in rows if r["config_hash"] not in self.rows]
         if not rows:
             return 0
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=self.columns)
+            if fh.tell() == 0:  # a new or empty file
+                writer.writeheader()
             for r in rows:
                 writer.writerow({k: str(r[k]) for k in self.columns})
         for h in dict.fromkeys(r["config_hash"] for r in rows):

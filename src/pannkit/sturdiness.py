@@ -340,8 +340,8 @@ class SweepSpec(_CellSpec):
 
     @property
     def mixup(self):
-        return MixupConfig(enabled="mixup" in self.method,
-                           alpha=self.mixup_alpha)
+        return (MixupConfig(alpha=self.mixup_alpha) if "mixup" in self.method
+                else None)
 
     @property
     def ngnv(self):
@@ -428,9 +428,10 @@ class TrainSpec(_CellSpec):
     @property
     def method(self) -> str:
         """The records' label: the options that are on, or vanilla."""
-        return "+".join(name for name, opt in (("mixup", self.mixup),
-                                               ("ngnv", self.ngnv))
-                        if opt is not None and opt.enabled) or "vanilla"
+        return "+".join(name for name, on in (
+            ("mixup", self.mixup is not None),
+            ("ngnv", self.ngnv is not None and self.ngnv.enabled))
+            if on) or "vanilla"
 
 
 def train_cell(spec: _CellSpec, arch: str, data: Dataset, wd: float,
@@ -568,8 +569,10 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
     final_only = min(spec.t_primes) >= spec.epochs
 
     def evaluation(train, base):
-        # an unreachable beta fails before training; the calibrated builds
+        # the first use of the data loads it and checks the arch; then an
+        # unreachable beta fails before training. The calibrated builds
         # below share these chains, which depend on beta alone
+        x_train = data.x_train
         for beta in spec.betas:
             build_appsgn(beta)
         plateau, losses, kept = None, [], {}  # kept: epoch -> network
@@ -577,7 +580,7 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
         def on_epoch(epoch, net):
             nonlocal plateau  # found at its own epoch: a t' picks no earlier
             if plateau is None:
-                losses.append(evaluate(net, data.x_train, data.y_train)[0])
+                losses.append(evaluate(net, x_train, data.y_train)[0])
                 plateau = detect_plateau(losses)
             if plateau is not None and epoch - plateau in spec.t_primes:
                 kept[epoch] = net
@@ -593,7 +596,7 @@ def weight_decay_sweep(spec: SweepSpec, arch: str, data: Dataset, *,
                 net = kept[epoch]
                 backbone = evaluate(net, data.x_test, data.y_test)
                 bound = tf.calibrate_bound(
-                    net, data.x_train[:spec.calib_samples],
+                    net, x_train[:spec.calib_samples],
                     safety=spec.bound_safety)
                 measured[epoch] = backbone, [evaluate(tf.transform(
                     net, tf.CompositeReLU(build_appsgn(beta, bound))),

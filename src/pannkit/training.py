@@ -28,19 +28,19 @@ class MixupConfig:
 
     lam is drawn per batch from Beta(alpha, alpha) unless fixed_lambda pins
     it (fixed_lambda=1.0 makes the method an exact identity, used as a
-    harness check). A config is on unless it says otherwise; ``train``
-    without one trains without mixup.
+    harness check). ``train`` with a config mixes; without one it does not.
     """
 
-    enabled: bool = True
     alpha: float = 0.5
     fixed_lambda: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.alpha > 0:
+            raise nn.FieldError(f"alpha: expected a positive number, got "
+                                f"{self.alpha!r}")
         if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
-            raise ValueError("fixed_lambda must lie in [0, 1]")
+            raise nn.FieldError(f"fixed_lambda: expected a number in [0, 1], "
+                                f"got {self.fixed_lambda!r}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,11 @@ class NgnvConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [0, 1]")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+            raise nn.FieldError(f"r: expected a number in [0, 1], got "
+                                f"{self.r!r}")
+        if not self.noise_scale >= 0:
+            raise nn.FieldError(f"noise_scale: expected a nonnegative "
+                                f"number, got {self.noise_scale!r}")
 
     @property
     def enabled(self) -> bool:
@@ -195,7 +197,7 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
             idx = perm[s:s + batch_size]
             xb = data.x_train[idx]
             yb = data.y_train[idx]
-            if mixup is not None and mixup.enabled:
+            if mixup is not None:
                 lam = draw_mixup_lambda(mixup, mixup_rng)
                 pair = mixup_rng.permutation(len(idx))
                 yh = nn.one_hot(yb, data.n_classes)

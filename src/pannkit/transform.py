@@ -160,39 +160,31 @@ def default_quadratic_replacement() -> Polynomial:
 class PartialReplaceReLU:
     """Mix sigma(z) = c * relu(z) + (1 - c) * p(z).
 
-    With binarized=True the slot runs exactly one branch (c must be 0 or 1),
-    which keeps the c=1 case bit-identical to the backbone.
+    At c = 0 or 1 the slot runs only the branch it keeps, so the c=1 case is
+    bit-identical to the backbone even where p(z) overflows.
     """
 
-    def __init__(self, p: Polynomial | None = None, c: float = 0.5,
-                 binarized: bool = False):
+    def __init__(self, p: Polynomial | None = None, c: float = 0.5):
         self.p = p if p is not None else default_quadratic_replacement()
-        if type(binarized) is not bool:
-            raise ValueError(f"binarized must be true or false, got "
-                             f"{binarized!r}")
+        self.dp = self.p.derivative  # whose coefficients must be finite too
         self.c = float(check_number("c", c, 0.0, 1.0))
-        self.binarized = binarized
-        if self.binarized and self.c not in (0.0, 1.0):
-            raise ValueError("binarized slots need c in {0, 1}")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        if self.binarized:
-            return np.maximum(z, 0.0) if self.c == 1.0 else self.p(z)
+        if self.c in (0.0, 1.0):
+            return np.maximum(z, 0.0) if self.c else self.p(z)
         return self.c * np.maximum(z, 0.0) + (1.0 - self.c) * self.p(z)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        dp = self.p.derivative
-        if self.binarized:
-            return (z > 0).astype(np.float64) if self.c == 1.0 else dp(z)
-        return self.c * (z > 0) + (1.0 - self.c) * dp(z)
+        if self.c in (0.0, 1.0):
+            return (z > 0).astype(np.float64) if self.c else self.dp(z)
+        return self.c * (z > 0) + (1.0 - self.c) * self.dp(z)
 
     def descriptor(self) -> dict:
         return {"kind": "partial_replace_relu",
-                "coeffs": [f"{v:.17g}" for v in self.p.coeffs],
-                "c": self.c, "binarized": self.binarized}
+                "coeffs": [f"{v:.17g}" for v in self.p.coeffs], "c": self.c}
 
     def __repr__(self):
-        return f"PartialReplaceReLU(c={self.c}, binarized={self.binarized})"
+        return f"PartialReplaceReLU(c={self.c})"
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +210,16 @@ def transform(net: nn.Network, mode) -> nn.Network:
 
 def calibrate_bound(net: nn.Network, x: np.ndarray,
                     safety: float = 1.2) -> float:
-    """B = safety * max |pre-activation| over the given inputs."""
+    """B = safety * max |pre-activation| over the given inputs. Raises
+    ValueError when that peak is zero or not finite."""
     peaks = [0.0]
     for i in range(0, x.shape[0], 512):  # Dense bytes depend on the row count
         nn.infer(net, x[i:i + 512],
                  lambda _, z: peaks.append(float(np.max(np.abs(z)))))
-    worst = max(peaks)
-    if worst == 0.0:
-        raise ValueError("calibration inputs produced all-zero activations")
+    worst = float(np.max(peaks))  # NaN-propagating, unlike max()
+    if worst == 0.0 or not np.isfinite(worst):
+        raise ValueError(f"calibration inputs produced activations peaking "
+                         f"at {worst}; a bound needs a finite, nonzero peak")
     return safety * worst
 
 
@@ -252,6 +246,9 @@ def apply_descriptor(backbone: nn.Network, desc: dict) -> nn.Network:
     if not isinstance(desc, dict) or \
             desc.get("format") != "pannkit-pann-descriptor":
         raise ValueError("not a pann descriptor")
+    if desc.get("version") != 1:
+        raise ValueError(f"version: unsupported pann descriptor version "
+                         f"{desc.get('version')!r}")
     slots = desc.get("slots")
     acts = backbone.activation_indices()
     if not isinstance(slots, list) or len(slots) != len(acts):
@@ -278,7 +275,7 @@ MODES = {
         d["beta"], d["sign_filter"], d["mode"], d["seed"],
         slot=d.get("slot", 0)),
     "partial_replace_relu": lambda d: PartialReplaceReLU(
-        Polynomial(tuple(d["coeffs"])), c=d["c"], binarized=d["binarized"]),
+        Polynomial(tuple(d["coeffs"])), c=d["c"]),
     "truncated_relu": lambda d: TruncatedReLU(
         FixedPointFormat(d["total_bits"])),
 }

@@ -351,7 +351,7 @@ def test_criterion_10_option_identities(digits_small):
         return net, snaps
 
     plain = run()
-    mixed = run(mixup=MixupConfig(enabled=True, fixed_lambda=1.0))
+    mixed = run(mixup=MixupConfig(fixed_lambda=1.0))
     noisy = run(ngnv=NgnvConfig(r=0.0))
 
     def same(a, b):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, exit codes, idempotent
 re-runs, dotted-path config diagnostics, and byte-identical record files."""
 
+import base64
 import csv
 import dataclasses
 import json
@@ -34,6 +35,12 @@ def run(capsys, *argv):
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
+    return path
+
+
+def header_only(path, columns):
+    """A record file of the columns' schema that holds no row yet."""
+    path.write_text(",".join(columns) + "\r\n")
     return path
 
 
@@ -155,7 +162,7 @@ class TestTrain:
                         "--records", recs)
         assert code == 1
         assert doc["status"] == "failed" and doc["diverged_at_epoch"] == 1
-        assert records.RecordStore(recs).read_rows() == []
+        assert not recs.exists()
         assert not model.exists()
 
     def test_empty_milestones_train(self, tmp_path, capsys, train_cfg):
@@ -165,11 +172,11 @@ class TestTrain:
         assert code == 0 and doc["status"] == "ok"
 
     @pytest.mark.parametrize("options, method", [
-        ({"mixup": {}}, "mixup"), ({"mixup": {"enabled": False}}, "vanilla"),
+        ({"mixup": {}}, "mixup"), ({"mixup": None}, "vanilla"),
         ({"mixup": {"alpha": 0.4}, "ngnv": {"r": 0.3}}, "mixup+ngnv"),
         ({"ngnv": {"r": 0.0}}, "vanilla")])
     def test_method_label(self, tmp_path, capsys, options, method):
-        # a mixup object turns mixup on unless it says otherwise
+        # a mixup object turns mixup on; null or no object leaves it off
         cfg = write_config(tmp_path / "m.json", {
             "arch": "mlp:8", "epochs": 1, "dataset": BLOBS, **options})
         recs = tmp_path / "runs.csv"
@@ -440,6 +447,31 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("overflow error: layers[1]: |z| reached ")
             assert err.endswith(" > certified bound 0.01\n"), err
+
+    @pytest.mark.parametrize("scale, safety, detail", [
+        (0.0, 1.2, "activations peaking at 0.0"),
+        (1e308, 1.2, "a bound needs a finite, nonzero peak"),
+        (1e300, 1e300, "got bound inf")],
+        ids=["zero", "overflowing-peak", "overflowing-bound"])
+    def test_calibration_finds_no_bound(self, tmp_path, capsys, train_cfg,
+                                        scale, safety, detail):
+        # a valid checkpoint whose first Dense maps every input to 0, or
+        # to a peak that B = safety * peak cannot hold
+        net = nn.build_arch("mlp:16", (2,), 3, seed=0)
+        dense = net.layers[0]
+        net = net.replace_layer(0, nn.Dense(W=np.full_like(dense.W, scale),
+                                            b=np.full_like(dense.b, scale)))
+        model, desc = tmp_path / "model.json", tmp_path / "d.json"
+        model.write_text(json.dumps({"network": nn.network_to_dict(net)}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["transform", "--model", str(model), "--out",
+                             str(desc), "--mode", "composite", "--beta", "6",
+                             "--config", str(train_cfg), "--safety",
+                             str(safety)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: "), err
+        assert err.count("\n") == 1 and detail in err, err
+        assert not desc.exists()
 
     def test_missing_model_file(self, tmp_path, capsys, train_cfg):
         assert cli.main(["eval-pann", "--model",
@@ -752,13 +784,9 @@ class TestExit2BeforeTraining:
         partial = ["transform", "--model", model, "--out", desc, "--mode",
                    "partial"]
         self._expect(capsys, partial + ["--mix-c", 2], "--mix-c")
-        self._expect(capsys, partial + ["--mix-c", 0.5, "--binarized"],
-                     "--mix-c")
         assert not desc.exists()
         self._expect(capsys, ["approx", "--beta", 6, "--out", out,
                               "--plot-points", -3], "--plot-points")
-        self._expect(capsys, ["eval-pann", "--model", model, "--config",
-                              train_cfg, "--batch-size", 0], "--batch-size")
         run(capsys, "transform", "--model", model, "--out", desc, "--mode",
             "exact")
         attack = ["attack", "--model", model, "--pann", desc, "--config",
@@ -862,8 +890,7 @@ class TestExit2BeforeTraining:
                                                  no_training):
         # a store with rows may hold every cell, so the data loads, and the
         # arch is checked, only when a cell must train
-        recs = tmp_path / "r.csv"
-        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        recs = header_only(tmp_path / "r.csv", records.SWEEP_COLUMNS)
         before = recs.read_bytes()
         cfg = write_config(tmp_path / "c.json", {
             "arch": "cnn:4", "dataset": BLOBS,
@@ -885,8 +912,20 @@ class TestExit2BeforeTraining:
              "config.mixup.alpah"),
             ("train", dict(base, epochs=1, ngnv={"r": 0.3, "scale": 1.0}),
              "config.ngnv.scale"),
-            ("train", dict(base, epochs=1, mixup={"alpha": 0.0}),
-             "config.mixup"),
+            ("train", dict(base, epochs=1, mixup={"alpha": 0}),
+             "config error: config.mixup.alpha: expected a positive number, "
+             "got 0.0\n"),
+            ("train", dict(base, epochs=1, mixup={"fixed_lambda": 1.5}),
+             "config error: config.mixup.fixed_lambda: expected a number in "
+             "[0, 1], got 1.5\n"),
+            ("train", dict(base, epochs=1, mixup={"enabled": False}),
+             "config error: config.mixup.enabled: unknown field\n"),
+            ("train", dict(base, epochs=1, ngnv={"r": 2}),
+             "config error: config.ngnv.r: expected a number in [0, 1], "
+             "got 2.0\n"),
+            ("train", dict(base, epochs=1, ngnv={"noise_scale": -1}),
+             "config error: config.ngnv.noise_scale: expected a nonnegative "
+             "number, got -1.0\n"),
             ("train", dict(base, epoch=1), "config.epoch"),
             ("train", dict(base, epochs=1, milestones=[1.5]),
              "config.milestones[0]"),
@@ -982,6 +1021,7 @@ class TestExit2BeforeTraining:
                 self._expect(capsys, [command, "--config", cfg, "--records",
                                       tmp_path / "r.csv", "--workers",
                                       workers], "precision error: beta 16:")
+                assert not (tmp_path / "r.csv").exists()
 
     MLP_ON_BLOBS_2D = nn.build_arch("mlp:4", (2,), 2, seed=0)
     DIGITS = {"source": "synthetic_digits", "n": 40}
@@ -1018,8 +1058,7 @@ class TestExit2BeforeTraining:
 
     def test_records_of_another_command(self, tmp_path, capsys,
                                         no_training):
-        recs = tmp_path / "r.csv"
-        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        recs = header_only(tmp_path / "r.csv", records.SWEEP_COLUMNS)
         cfg = write_config(tmp_path / "p.json", {
             "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0], "betas": [8]})
         self._expect(capsys, ["perturb-exp", "--config", cfg, "--records",
@@ -1027,8 +1066,8 @@ class TestExit2BeforeTraining:
 
     def test_train_opens_records_before_training(self, tmp_path, capsys,
                                                  no_training, train_cfg):
-        recs, model = tmp_path / "sweep.csv", tmp_path / "model.json"
-        records.RecordStore(recs, columns=records.SWEEP_COLUMNS)
+        model = tmp_path / "model.json"
+        recs = header_only(tmp_path / "sweep.csv", records.SWEEP_COLUMNS)
         self._expect(capsys, ["train", "--config", train_cfg, "--out", model,
                               "--records", recs],
                      "--records", "does not match schema")
@@ -1150,12 +1189,19 @@ _SLOT_BAD_VALUES = {
         ("seed",): [None, "x", True, 2.5, []],
         ("slot",): [None, "x", True, 2.5, -1]},
     "partial_replace_relu": {
-        ("coeffs",): [None, 3, "x", [], ["x"], [None], [True], _MISSING],
-        ("c",): [None, "x", "0.5", True, 2.0, -1, _MISSING],
-        ("binarized",): [None, "x", 1, _MISSING]},
+        ("coeffs",): [None, 3, "x", [], ["x"], [None], [True], [math.inf],
+                      [0.28, math.nan], [0.0, 0.0, 1.5e308], _MISSING],
+        ("c",): [None, "x", "0.5", True, 2.0, -1, _MISSING]},
     "truncated_relu": {
         ("total_bits",): [None, "x", True, 7, 8.0, 2, 40, [], _MISSING]},
 }
+
+
+def _payload(value, n=32):
+    """A tensor's data field: n copies of value (the first W holds 32)."""
+    return base64.b64encode(np.full(n, value, dtype="<f8").tobytes()).decode()
+
+
 # a checkpoint field path -> values no checkpoint accepts there
 _CHECKPOINT_BAD_VALUES = {
     ("format",): [None, "x", _MISSING],
@@ -1169,11 +1215,15 @@ _CHECKPOINT_BAD_VALUES = {
     ("layers", 0, "W"): [None, "x", [], {}, _MISSING],
     ("layers", 0, "W", "shape"): [None, "x", [], [2], [3, 2], [2.5, 16],
                                   ["x"], _MISSING],
-    ("layers", 0, "W", "data"): [None, 3, "x!", "AAAA", _MISSING],
+    ("layers", 0, "W", "data"): [None, 3, "x!", "AAAA", _payload(math.nan),
+                                 _payload(math.inf), _payload(-math.inf),
+                                 _MISSING],
     ("layers", 1, "mode"): [None, "x", [], {}, _MISSING],
     ("layers", 1, "mode", "kind"): ["injected_relu", "truncated_relu"],
     ("layers", 2, "b", "shape"): [[4], _MISSING],
 }
+# a pann descriptor field path -> values no descriptor accepts there
+_DESCRIPTOR_BAD_VALUES = {("version",): [None, "x", 2, 99, _MISSING]}
 
 
 def _set_path(doc, path, value):
@@ -1202,10 +1252,12 @@ def fuzz_model(tmp_path_factory):
 
 @st.composite
 def _malformed_artefact(draw):
-    if draw(st.booleans()):
-        path = draw(st.sampled_from(sorted(_CHECKPOINT_BAD_VALUES, key=str)))
-        return "checkpoint", None, path, draw(st.sampled_from(
-            _CHECKPOINT_BAD_VALUES[path]))
+    what = draw(st.sampled_from(("checkpoint", "descriptor", "slot")))
+    if what != "slot":
+        table = (_CHECKPOINT_BAD_VALUES if what == "checkpoint"
+                 else _DESCRIPTOR_BAD_VALUES)
+        path = draw(st.sampled_from(sorted(table, key=str)))
+        return what, None, path, draw(st.sampled_from(table[path]))
     kind = draw(st.sampled_from(sorted(_SLOT_BAD_VALUES)))
     path = draw(st.sampled_from(sorted(_SLOT_BAD_VALUES[kind], key=str)))
     return "slot", kind, path, draw(st.sampled_from(
@@ -1229,6 +1281,13 @@ class TestArtefactFuzz:
     # a removed overflow policy is rejected, never run as another policy
     @example(case=("slot", "composite_relu", ("policy",),
                    "widen_and_recertify"))
+    # non-finite values, and a descriptor version, are checked on load
+    @example(case=("checkpoint", None, ("layers", 0, "W", "data"),
+                   _payload(math.nan)))
+    @example(case=("descriptor", None, ("version",), 99))
+    @example(case=("slot", "partial_replace_relu", ("coeffs",), [math.inf]))
+    @example(case=("slot", "partial_replace_relu", ("coeffs",),
+                   [0.0, 0.0, 1.5e308]))  # its derivative overflows
     def test_malformed_artefacts_exit_2(self, tmp_path, capsys, no_training,
                                         fuzz_model, train_cfg, case):
         what, kind, path, value = case
@@ -1241,12 +1300,16 @@ class TestArtefactFuzz:
             argv[2] = str(write_config(tmp_path / "m.json", doc))
             named = path[0] if len(path) == 1 else f"layers[{path[1]}]"
         else:
-            slot = json.loads(json.dumps(slots[kind]))
-            _set_path(slot, path, value)
-            argv += ["--pann", str(write_config(tmp_path / "d.json", {
-                "format": "pannkit-pann-descriptor", "version": 1,
-                "slots": [slot]}))]
-            named = "slots[0]"
+            desc = {"format": "pannkit-pann-descriptor", "version": 1,
+                    "slots": [slots[kind or "truncated_relu"]]}
+            desc = json.loads(json.dumps(desc))
+            if what == "descriptor":
+                _set_path(desc, path, value)
+                named = path[0]
+            else:
+                _set_path(desc["slots"][0], path, value)
+                named = "slots[0]"
+            argv += ["--pann", str(write_config(tmp_path / "d.json", desc))]
         assert cli.main(argv) == 2, (case, capsys.readouterr())
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err, (case, err)

@@ -55,10 +55,19 @@ def _record(chash="aa" * 8, seed=0, value=0.5):
 
 class TestRecordStore:
     def test_creates_header(self, tmp_path):
-        store = rec.RecordStore(tmp_path / "r.csv")
-        text = (tmp_path / "r.csv").read_text()
-        assert text.strip() == ",".join(rec.RECORD_COLUMNS)
-        assert store.read_rows() == []
+        # no file until a row is written; the header comes with the first
+        path = tmp_path / "new" / "r.csv"
+        store = rec.RecordStore(path)
+        assert store.append_rows([]) == 0 and not path.exists()
+        store.append_rows([_record()])
+        header, row = path.read_text().splitlines()
+        assert header == ",".join(rec.RECORD_COLUMNS)
+        assert row.startswith("aa" * 8 + ",")
+        assert rec.RecordStore(path).read_rows() == store.read_rows()
+        empty = tmp_path / "empty.csv"  # an empty file is a new one
+        empty.touch()
+        rec.RecordStore(empty).append_rows([_record()])
+        assert empty.read_bytes() == path.read_bytes()
 
     def test_append_and_read_back(self, tmp_path):
         store = rec.RecordStore(tmp_path / "r.csv")
@@ -113,7 +122,7 @@ class TestRecordStore:
         assert reads == []
 
     def test_schema_mismatch_rejected(self, tmp_path):
-        rec.RecordStore(tmp_path / "r.csv", columns=rec.RECORD_COLUMNS)
+        rec.RecordStore(tmp_path / "r.csv").append_rows([_record()])
         with pytest.raises(ValueError, match="does not match schema"):
             rec.RecordStore(tmp_path / "r.csv", columns=rec.SWEEP_COLUMNS)
 
@@ -130,7 +139,7 @@ class TestRecordStore:
 
     def test_sweep_int_columns_read_typed(self, tmp_path):
         path = tmp_path / "s.csv"
-        rec.RecordStore(path, columns=rec.SWEEP_COLUMNS)
+        path.write_text(",".join(rec.SWEEP_COLUMNS) + "\n")
         with path.open("a") as fh:
             fh.write("aa,t,mlp,blobs,vanilla,0.0,6,,8,0,pann_accuracy,0.5\n")
         store = rec.RecordStore(path, columns=rec.SWEEP_COLUMNS)

@@ -114,7 +114,7 @@ class TestMixup:
                            np.array([0]), np.array([1]), 0.5)
 
     def test_drawn_lambda_in_unit_interval(self):
-        cfg = tr.MixupConfig(enabled=True, alpha=0.5)
+        cfg = tr.MixupConfig(alpha=0.5)
         rng = np.random.default_rng(0)
         draws = [tr.draw_mixup_lambda(cfg, rng) for _ in range(2000)]
         assert all(0.0 <= l <= 1.0 for l in draws)
@@ -122,7 +122,7 @@ class TestMixup:
         assert np.mean(np.asarray(draws) < 0.1) > 0.1
 
     def test_fixed_lambda_skips_rng(self):
-        cfg = tr.MixupConfig(enabled=True, fixed_lambda=0.3)
+        cfg = tr.MixupConfig(fixed_lambda=0.3)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state["state"]["state"]
         assert tr.draw_mixup_lambda(cfg, rng) == 0.3
@@ -381,7 +381,7 @@ class TestTrain:
         plain, plain_snaps = train_keeping(net, blobs, self.SGD, **kw)
         mixed, mixed_snaps = train_keeping(
             net, blobs, self.SGD, **kw,
-            mixup=tr.MixupConfig(enabled=True, fixed_lambda=1.0))
+            mixup=tr.MixupConfig(fixed_lambda=1.0))
         assert nets_equal(plain, mixed)
         assert (epoch_metrics(plain_snaps, blobs)
                 == epoch_metrics(mixed_snaps, blobs))
@@ -403,7 +403,7 @@ class TestTrain:
     def test_combined_options_run(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         out = tr.train(net, blobs, self.SGD, epochs=2, seed=2,
-                       mixup=tr.MixupConfig(enabled=True),
+                       mixup=tr.MixupConfig(),
                        ngnv=tr.NgnvConfig(r=0.3, noise_scale=0.05))
         assert np.isfinite(tr.evaluate(out, blobs.x_test, blobs.y_test)[0])
 

@@ -130,13 +130,13 @@ class TestPartialReplace:
         assert p(-1.0) == pytest.approx(-0.08)
 
     def test_binarized_c1_is_backbone(self, backbone, eval_x):
-        mode = tf.PartialReplaceReLU(c=1.0, binarized=True)
+        mode = tf.PartialReplaceReLU(c=1.0)
         pann = tf.transform(backbone, mode)
         np.testing.assert_array_equal(nn.forward(pann, eval_x)[0],
                                       nn.forward(backbone, eval_x)[0])
 
     def test_binarized_c0_is_polynomial_net(self, backbone, eval_x):
-        mode = tf.PartialReplaceReLU(c=0.0, binarized=True)
+        mode = tf.PartialReplaceReLU(c=0.0)
         pann = tf.transform(backbone, mode)
         p = tf.default_quadratic_replacement()
         h = eval_x
@@ -147,9 +147,27 @@ class TestPartialReplace:
                 h = layer.forward(h)
         np.testing.assert_array_equal(nn.forward(pann, eval_x)[0], h)
 
-    def test_binarized_requires_binary_c(self):
-        with pytest.raises(ValueError):
-            tf.PartialReplaceReLU(c=0.5, binarized=True)
+    def test_binary_c_runs_one_branch(self):
+        # bit for bit the slot that a binary c used to need a binarized
+        # flag for, kept here as the reference; the mixed formula differs
+        # where 0 * p(z) is not finite: |z| >~ 1e154, +-inf, grad at NaN
+        p = tf.default_quadratic_replacement()
+
+        def binarized(c, z):  # (apply, grad)
+            if c == 1.0:
+                return np.maximum(z, 0.0), (z > 0).astype(np.float64)
+            return p(z), p.derivative(z)
+
+        z = np.concatenate([derive_rng(5, "z").normal(scale=1e3, size=64),
+                            [0.0, -0.0, 1e200, -1e200, np.inf, -np.inf,
+                             np.nan, -np.nan]])
+        with np.errstate(all="ignore"):  # p overflows at the large inputs
+            for c in (0.0, 1.0):
+                mode = tf.PartialReplaceReLU(p, c=c)
+                for got, want in zip((mode.apply(z), mode.grad(z)),
+                                     binarized(c, z)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
     def test_replacement_error_formulas(self):
         """Rounding toward g leaves (1-c)(g-p); toward p leaves c(p-g)."""
@@ -157,17 +175,17 @@ class TestPartialReplace:
         p = tf.default_quadratic_replacement()
         g, c = np.maximum(z, 0.0), 0.7
         mixed = tf.PartialReplaceReLU(p, c).apply(z)
-        to_g = tf.PartialReplaceReLU(p, c=1.0, binarized=True).apply(z) - mixed
-        to_p = tf.PartialReplaceReLU(p, c=0.0, binarized=True).apply(z) - mixed
+        to_g = tf.PartialReplaceReLU(p, c=1.0).apply(z) - mixed
+        to_p = tf.PartialReplaceReLU(p, c=0.0).apply(z) - mixed
         np.testing.assert_allclose(to_g, (1 - c) * (g - p(z)), atol=1e-15)
         np.testing.assert_allclose(to_p, c * (p(z) - g), atol=1e-15)
         # a point with g = 2, p = 1.5 gives the frozen values
         q = pa.Polynomial((1.5,))
         two = np.array([2.0])
         mixed = tf.PartialReplaceReLU(q, c).apply(two)
-        assert (tf.PartialReplaceReLU(q, c=1.0, binarized=True).apply(two)
+        assert (tf.PartialReplaceReLU(q, c=1.0).apply(two)
                 - mixed)[0] == pytest.approx(0.3 * 0.5)
-        assert (tf.PartialReplaceReLU(q, c=0.0, binarized=True).apply(two)
+        assert (tf.PartialReplaceReLU(q, c=0.0).apply(two)
                 - mixed)[0] == pytest.approx(0.7 * -0.5)
 
     def test_mix_interpolates(self):
