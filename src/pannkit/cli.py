@@ -200,8 +200,20 @@ def _plot_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _finite(v):
+    """v with every float that is not finite as None, so that the JSON
+    holds null where a bare NaN or Infinity would not be JSON."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _emit(doc, out_path=None) -> None:
-    blob = json.dumps(doc, indent=2)
+    blob = json.dumps(_finite(doc), indent=2)
     if out_path:
         Path(out_path).write_text(blob + "\n")
     print(blob)
@@ -331,15 +343,23 @@ def _cmd_eval_pann(args) -> int:
     from . import training
     backbone = _load_network(args.model)
     data = _data_for(backbone, args.config)
-    bb_loss, bb_acc = training.evaluate(backbone, data.x_test, data.y_test)
-    doc = {"backbone_accuracy": bb_acc, "backbone_loss": bb_loss}
-    if args.pann:
-        pann = _load_pann(backbone, args.pann)
-        p_loss, p_acc = training.evaluate(pann, data.x_test, data.y_test)
-        doc.update(pann_accuracy=p_acc, pann_loss=p_loss,
-                   accuracy_drop=bb_acc - p_acc)
+    pann = _load_pann(backbone, args.pann) if args.pann else None
+    # a loss that is not finite is reported below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        bb_loss, bb_acc = training.evaluate(backbone, data.x_test,
+                                            data.y_test)
+        doc = {"backbone_accuracy": bb_acc, "backbone_loss": bb_loss}
+        if pann is not None:
+            p_loss, p_acc = training.evaluate(pann, data.x_test, data.y_test)
+            doc.update(pann_accuracy=p_acc, pann_loss=p_loss,
+                       accuracy_drop=bb_acc - p_acc)
     _emit(doc, args.out)
-    return 0
+    lost = [k for k in ("backbone_loss", "pann_loss")
+            if k in doc and not math.isfinite(doc[k])]
+    if lost:
+        print(f"numeric error: not finite: {', '.join(lost)}",
+              file=sys.stderr)
+    return 1 if lost else 0
 
 
 # command -> sturdiness spec class, the config object holding it ("" for

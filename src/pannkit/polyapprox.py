@@ -5,9 +5,10 @@ The sign approximant is a chain p_k(...p_1(z/B)...) of odd polynomials. Each
 stage is a best L-inf fit of the constant 1 on the current positive interval;
 oddness carries the negative branch for free. Stage 1 eats the hard interval
 [2^-beta, 1], the unit-domain image of [eps0, B] with eps0 = 2^-beta * B;
-every later stage contracts [1-e, 1+e] toward 1. The chain stops once the
-stage error clears the 2^-beta target, and the result only ships with a
-dense-grid certificate attached.
+every later stage contracts [1-e, 1+e] toward 1, where e is the previous
+stage's error. The stage degrees for each beta are taken from
+STAGE_DEGREES, and the result only ships with a dense-grid certificate
+attached.
 
 The chain and its certificate live on the unit domain and depend on beta
 alone, so one build per beta serves every scale, and an approximant is that
@@ -470,17 +471,15 @@ def _certify_chain(chain, beta):
 
 
 class PrecisionInfeasible(RuntimeError):
-    """The degree budget cannot reach the requested precision."""
+    """No chain in STAGE_DEGREES reaches the requested precision."""
 
 
-def _stage_depth(degree: int) -> int:
-    # multiplications needed to run the odd Horner ladder x * q(x^2)
-    return max(1, math.ceil(math.log2(degree + 1)))
-
-
-# odd stage degrees the builder picks from
-STAGE_CANDIDATES = (7, 15)
-MAX_STAGES = 24
+# the odd degree of each stage, innermost first, of the chain for each beta
+STAGE_DEGREES = {
+    1: (7,), 2: (7,), 3: (15,), 4: (15, 7), 5: (15, 15), 6: (15, 7, 7),
+    7: (15, 7, 15), 8: (15, 15, 15), 9: (15, 15, 7, 7), 10: (15, 15, 7, 15),
+    11: (15, 15, 7, 7, 7), 12: (15, 15, 15, 7, 7), 13: (15, 15, 15, 7, 7),
+    14: (15, 15, 15, 7, 15)}
 
 
 def build_appsgn(beta: int, bound: float = 1.0) -> CompositeSgnApprox:
@@ -489,11 +488,9 @@ def build_appsgn(beta: int, bound: float = 1.0) -> CompositeSgnApprox:
     the smooth ReLU's absolute error at most 2^-beta * B even inside the
     uncertified band.
 
-    Stages are chosen greedily from the STAGE_CANDIDATES: if some candidate
-    already reaches the target error it takes the cheapest one, otherwise
-    the candidate with the best interval contraction per unit of
-    multiplicative depth. Raises PrecisionInfeasible when no candidate makes
-    progress or the chain fails its audit.
+    The stage degrees are taken from STAGE_DEGREES. Raises
+    PrecisionInfeasible for a beta it does not name, or when the chain
+    fails its audit.
 
     The unit-domain chain and its certificate are built once per process for
     each beta and shared by every bound.
@@ -508,53 +505,21 @@ def build_appsgn(beta: int, bound: float = 1.0) -> CompositeSgnApprox:
 @cache
 def _unit_chain(beta):
     """The certified chain on [2^-beta, 1] and its certificate."""
-    target = 2.0 ** -beta * 0.995  # small slack for grid capture and roundoff
+    if beta not in STAGE_DEGREES:
+        raise PrecisionInfeasible(
+            f"beta {beta}: the stage table covers beta "
+            f"{min(STAGE_DEGREES)}-{max(STAGE_DEGREES)} only")
     tol = 2.0 ** -(beta + 6)
     lo, hi = 2.0 ** -beta, 1.0
-    chain: list[Polynomial] = []
-    err = 1.0
-    for _ in range(MAX_STAGES):
-        fits = {}
-        for d in STAGE_CANDIDATES:
-            try:
-                fits[d] = remez_minimax(SGN_POSITIVE_BRANCH, (lo, hi), d,
-                                        tol=tol)
-            except RemezNonConvergence as exc:
-                if exc.last_polynomial is not None:
-                    fits[d] = (exc.last_polynomial, exc.last_max_error)
-        if not fits:
-            raise PrecisionInfeasible(
-                f"beta {beta}: no stage fit converged on "
-                f"[{lo:.3e}, {hi:.3e}]")
-        finishers = {d: fe for d, fe in fits.items() if fe[1] <= target}
-        if finishers:
-            d = min(finishers)
-            poly, err = finishers[d]
-            chain.append(poly)
-            break
-        t_cur = lo / hi
-
-        def gain(item):
-            d, (_, e) = item
-            e = min(e, 1.0 - 1e-12)
-            t_next = (1.0 - e) / (1.0 + e)
-            return (math.log(t_next) - math.log(t_cur)) / _stage_depth(d)
-
-        d, (poly, err) = max(fits.items(), key=gain)
-        e = min(err, 1.0 - 1e-12)
-        t_next = (1.0 - e) / (1.0 + e)
-        if t_next <= t_cur * (1.0 + 1e-9):
-            achieved = -math.log2(max(err, 1e-300))
-            raise PrecisionInfeasible(
-                f"beta {beta}: stage degrees {STAGE_CANDIDATES} stall at "
-                f"about 2^-{achieved:.1f} on [{lo:.3e}, {hi:.3e}]")
+    chain = []
+    for d in STAGE_DEGREES[beta]:
+        try:
+            poly, err = remez_minimax(SGN_POSITIVE_BRANCH, (lo, hi), d,
+                                      tol=tol)
+        except RemezNonConvergence as exc:  # the audit decides
+            poly, err = exc.last_polynomial, exc.last_max_error
         chain.append(poly)
         lo, hi = 1.0 - err, 1.0 + err
-    else:
-        achieved = -math.log2(max(err, 1e-300))
-        raise PrecisionInfeasible(
-            f"beta {beta}: {MAX_STAGES} stages reached about "
-            f"2^-{achieved:.1f}")
 
     chain = tuple(chain)
     cert = _certify_chain(chain, beta)

@@ -213,9 +213,11 @@ def calibrate_bound(net: nn.Network, x: np.ndarray,
     """B = safety * max |pre-activation| over the given inputs. Raises
     ValueError when that peak is zero or not finite."""
     peaks = [0.0]
-    for i in range(0, x.shape[0], 512):  # Dense bytes depend on the row count
-        nn.infer(net, x[i:i + 512],
-                 lambda _, z: peaks.append(float(np.max(np.abs(z)))))
+    # a non-finite peak is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, x.shape[0], 512):  # Dense bytes depend on rows
+            nn.infer(net, x[i:i + 512],
+                     lambda _, z: peaks.append(float(np.max(np.abs(z)))))
     worst = float(np.max(peaks))  # NaN-propagating, unlike max()
     if worst == 0.0 or not np.isfinite(worst):
         raise ValueError(f"calibration inputs produced activations peaking "

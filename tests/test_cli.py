@@ -87,12 +87,21 @@ class TestApprox:
         assert err == p - np.sign(z)
 
     def test_infeasible_precision_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "appr.json"
-        assert cli.main(["approx", "--beta", "16", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("precision error: beta 16: ")
-        assert err.count("\n") == 1, err
-        assert not out.exists()
+        # 15 and 16 lie just past the stage table, 64 far past it
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"network": nn.network_to_dict(
+            nn.build_arch("mlp:4", (2,), 2, seed=0))}))
+        out = tmp_path / "out.json"
+        for beta in (15, 16, 64):
+            for argv in (["approx", "--beta", beta, "--out", out],
+                         ["transform", "--model", model, "--out", out,
+                          "--mode", "composite", "--beta", beta,
+                          "--bound", 2]):
+                assert cli.main([str(a) for a in argv]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"precision error: beta {beta}: "), err
+                assert err.count("\n") == 1, err
+                assert not out.exists()
 
 
 class TestTrain:
@@ -262,7 +271,7 @@ class TestTransformEval:
         assert code == 0
         assert doc["backbone_accuracy"] - doc["pann_accuracy"] <= 0.02
 
-    def test_partial_descriptor(self, tmp_path, capsys, train_cfg):
+    def test_partial_descriptor(self, tmp_path, capsys, recwarn, train_cfg):
         model = tmp_path / "model.json"
         run(capsys, "train", "--config", train_cfg, "--out", model)
         desc = tmp_path / "partial.json"
@@ -275,6 +284,26 @@ class TestTransformEval:
         code, doc = run(capsys, "eval-pann", "--model", model,
                         "--config", train_cfg, "--pann", desc)
         assert code == 0 and 0.0 <= doc["pann_accuracy"] <= 1.0
+        # finite coefficients whose p(z) overflows the logits: the loss is
+        # reported as null, never as a bare NaN, and the command fails
+        slots[0]["coeffs"] = ["0", "0", "1e307"]
+        desc.write_text(json.dumps({"format": "pannkit-pann-descriptor",
+                                    "version": 1, "slots": slots}))
+        out = tmp_path / "eval.json"
+        assert cli.main(["eval-pann", "--model", str(model), "--config",
+                         str(train_cfg), "--pann", str(desc), "--out",
+                         str(out)]) == 1
+        std = capsys.readouterr()
+        assert std.err == "numeric error: not finite: pann_loss\n", std.err
+
+        def strict(text):
+            return json.loads(text, parse_constant=pytest.fail)
+        assert strict(std.out) == strict(out.read_text())
+        doc = strict(std.out)
+        assert doc["pann_loss"] is None
+        assert math.isfinite(doc["backbone_loss"])
+        assert not [str(w.message) for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
 
 
 class TestConfigErrors:
@@ -453,8 +482,8 @@ class TestConfigErrors:
         (1e308, 1.2, "a bound needs a finite, nonzero peak"),
         (1e300, 1e300, "got bound inf")],
         ids=["zero", "overflowing-peak", "overflowing-bound"])
-    def test_calibration_finds_no_bound(self, tmp_path, capsys, train_cfg,
-                                        scale, safety, detail):
+    def test_calibration_finds_no_bound(self, tmp_path, capsys, recwarn,
+                                        train_cfg, scale, safety, detail):
         # a valid checkpoint whose first Dense maps every input to 0, or
         # to a peak that B = safety * peak cannot hold
         net = nn.build_arch("mlp:16", (2,), 3, seed=0)
@@ -463,15 +492,17 @@ class TestConfigErrors:
                                             b=np.full_like(dense.b, scale)))
         model, desc = tmp_path / "model.json", tmp_path / "d.json"
         model.write_text(json.dumps({"network": nn.network_to_dict(net)}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["transform", "--model", str(model), "--out",
-                             str(desc), "--mode", "composite", "--beta", "6",
-                             "--config", str(train_cfg), "--safety",
-                             str(safety)])
+        code = cli.main(["transform", "--model", str(model), "--out",
+                         str(desc), "--mode", "composite", "--beta", "6",
+                         "--config", str(train_cfg), "--safety",
+                         str(safety)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("config error: "), err
         assert err.count("\n") == 1 and detail in err, err
         assert not desc.exists()
+        # the error line is all the command says: no numpy warning first
+        assert not [str(w.message) for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_model_file(self, tmp_path, capsys, train_cfg):
         assert cli.main(["eval-pann", "--model",
@@ -1016,12 +1047,17 @@ class TestExit2BeforeTraining:
         cfg = write_config(tmp_path / "s.json", {
             "arch": "mlp:8", "dataset": BLOBS,
             "sweep": {"wds": [0.0], "seeds": [0, 1], "betas": [16]}})
-        for command in ("sweep-beta", "sweep-wd"):
-            for workers in (1, 2):
-                self._expect(capsys, [command, "--config", cfg, "--records",
-                                      tmp_path / "r.csv", "--workers",
-                                      workers], "precision error: beta 16:")
-                assert not (tmp_path / "r.csv").exists()
+        for beta in (16, 64):
+            doc = json.loads(cfg.read_text())
+            doc["sweep"]["betas"] = [beta]
+            write_config(cfg, doc)
+            for command in ("sweep-beta", "sweep-wd"):
+                for workers in (1, 2):
+                    self._expect(capsys, [command, "--config", cfg,
+                                          "--records", tmp_path / "r.csv",
+                                          "--workers", workers],
+                                 f"precision error: beta {beta}:")
+                    assert not (tmp_path / "r.csv").exists()
 
     MLP_ON_BLOBS_2D = nn.build_arch("mlp:4", (2,), 2, seed=0)
     DIGITS = {"source": "synthetic_digits", "n": 40}

@@ -296,8 +296,8 @@ class TestCompositeSgn:
         # the memo is keyed on beta alone and may already hold beta 12 from
         # a build before the patch, or keep one made under it
         pa._unit_chain.cache_clear()
-        monkeypatch.setattr(pa, "STAGE_CANDIDATES", (3,))
-        monkeypatch.setattr(pa, "MAX_STAGES", 2)
+        # one degree-15 stage reaches about 2^-3.7, far short of 2^-12
+        monkeypatch.setitem(pa.STAGE_DEGREES, 12, (15,))
         try:
             with pytest.raises(pa.PrecisionInfeasible):
                 pa.build_appsgn(12)
@@ -430,8 +430,11 @@ class TestUnitChainMemo:
         unit = pa.build_appsgn(6, bound=1.0)
         built = len(calls)
         assert calls[0] == (2.0 ** -6, 1.0)
+        # one fit per stage, each on the previous stage's [1 - e, 1 + e]
+        assert built == len(pa.STAGE_DEGREES[6]) == 3
+        assert all(lo + hi == 2.0 for lo, hi in calls[1:])
         scaled = pa.build_appsgn(6, bound=3.7)
-        assert built > 0 and len(calls) == built
+        assert len(calls) == built
         assert scaled.chain is unit.chain
         assert (scaled.bound, scaled.eps0) == (3.7, 2.0 ** -6 * 3.7)
         # the certificate is scale-free: re-measured at B = 3.7 it agrees
@@ -440,17 +443,23 @@ class TestUnitChainMemo:
         # a float that equals a cached key is still no beta
         with pytest.raises(ValueError, match="beta"):
             pa.build_appsgn(6.0)
+        # a beta the stage table does not name fails before any fit
+        del calls[:]
+        for beta in (15, 64):
+            with pytest.raises(pa.PrecisionInfeasible, match=f"^beta {beta}: "):
+                pa.build_appsgn(beta)
+        assert calls == []
 
 
 # sha256 of the JSON list of each stage's .17g coefficient strings, first
 # 16 hex digits, for build_appsgn(beta); a change of the chain designer
 # shows up as a deliberate diff here
 CHAIN_PINS = {
-    2: "054ab1fa14899816", 3: "677fa895c2a41cfc", 4: "8fcae3fda14b014f",
-    5: "21eec3dc194f2f6c", 6: "f6cc3da399c53c35", 7: "de70d5a7e0ed17ff",
-    8: "aac60d35b6ec1070", 9: "831938329c00e56b", 10: "1975232add04b09e",
-    11: "9efa63f76001388e", 12: "979084f0de62a98e", 13: "a4641812077d5813",
-    14: "3de8a8ac71ad18f6"}
+    1: "ee6a95fb7d33c8af", 2: "054ab1fa14899816", 3: "677fa895c2a41cfc",
+    4: "8fcae3fda14b014f", 5: "21eec3dc194f2f6c", 6: "f6cc3da399c53c35",
+    7: "de70d5a7e0ed17ff", 8: "aac60d35b6ec1070", 9: "831938329c00e56b",
+    10: "1975232add04b09e", 11: "9efa63f76001388e", 12: "979084f0de62a98e",
+    13: "a4641812077d5813", 14: "3de8a8ac71ad18f6"}
 
 
 @pytest.mark.parametrize("beta", sorted(CHAIN_PINS))
