@@ -192,6 +192,16 @@ def _open_store(path, columns) -> "records.RecordStore":
         raise ConfigError(f"--records: {exc}")
 
 
+def _check_timestamp() -> None:
+    """Exit 2 naming SOURCE_DATE_EPOCH when it pins no time, before a
+    command that records rows trains anything."""
+    from . import records
+    try:
+        records.timestamp()
+    except ValueError as exc:
+        raise ConfigError(exc)
+
+
 def _plot_csv(path, header, rows) -> None:
     import csv
     with open(path, "w", newline="") as fh:
@@ -225,6 +235,7 @@ def _emit(doc, out_path=None) -> None:
 
 def _cmd_train(args) -> int:
     from . import sturdiness as sd, training
+    _check_timestamp()
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, sd.TrainSpec, "")
     data = _DataOnDemand(_dataset_spec(cfg), arch)
@@ -391,6 +402,7 @@ def _plot_rows(res) -> list:
 
 def _cmd_experiment(args) -> int:
     from . import sturdiness as sd
+    _check_timestamp()
     spec_cls, section, preset, plot_header = _EXPERIMENTS[args.command]
     cfg = _load_json(args.config)
     arch, spec = _spec(cfg, getattr(sd, spec_cls), section)

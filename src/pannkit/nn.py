@@ -3,6 +3,8 @@
 Everything runs in float64 on numpy arrays. Networks are immutable snapshots:
 an optimizer step returns a new network and never touches the parameters of
 the old one, so references held elsewhere (checkpoints, sweeps) stay valid.
+The step consumes the gradients it is given instead: their buffers may
+become the parameters of the network it returns.
 
 The activation slot is pluggable: a mode object only has to provide
 ``apply(z)`` and ``grad(z)``. The exact ReLU lives here; polynomial and
@@ -427,7 +429,9 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray,
     """Gradients of the batch loss for every parameter.
 
     Returns ``(grads, loss)``; grads is a per-layer list of dicts whose
-    entries match the layer's parameter shapes exactly.
+    entries match the layer's parameter shapes exactly. They are fresh
+    arrays that ``sgd_step`` consumes: it may write the new parameters into
+    them, and it never writes ``net``.
     """
     grads, _, loss, _ = _backprop(net, x, target, loss_kind, act_hook,
                                   input_grad=False)
@@ -484,8 +488,15 @@ SGD_BLOCK = 32_768  # values per block of sgd_step's scratch buffer
 
 
 def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
-    """One optimizer step; returns a new network, old parameter arrays
-    untouched. The velocity buffers in ``state`` are updated in place.
+    """One optimizer step; returns a new network and never writes ``net``.
+    The velocity buffers in ``state`` are updated in place.
+
+    The gradients are consumed: each new parameter is written into the
+    buffer of its gradient when that is a writeable, C-contiguous float64
+    array of the parameter's shape that shares memory with no parameter of
+    ``net``, no velocity and no other gradient, and into a fresh array
+    otherwise. So a buffer passed in may become a parameter of the network
+    returned, and a caller that keeps ``grads`` must not read them again.
 
     Each parameter streams in flat blocks of SGD_BLOCK values through one
     scratch buffer, with the roundings of the whole-array step:
@@ -494,6 +505,9 @@ def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
     eta = state.lr_at(state.epoch)
     scratch = np.empty(SGD_BLOCK, dtype=DTYPE)
     layers = list(net.layers)
+    held = [w for layer in layers for w in layer.params().values()]
+    held += state.velocities.values()
+    given = [g for pg in grads for g in pg.values()]
     for i, layer in enumerate(layers):
         pg = grads[i]
         if not pg:
@@ -504,9 +518,15 @@ def sgd_step(net: Network, grads: list, state: SgdState) -> Network:
             first = key not in state.velocities
             if first:  # the state owns its buffers from the first step on
                 state.velocities[key] = np.empty(w.shape, dtype=DTYPE)
-            w_flat, g_flat = w.reshape(-1), pg[name].reshape(-1)
+            g = pg[name]
+            # each block of g is read before its new value is written
+            own = (g.dtype == DTYPE and g.shape == w.shape
+                   and g.flags.c_contiguous and g.flags.writeable
+                   and not any(np.may_share_memory(g, h) for h in held)
+                   and sum(np.may_share_memory(g, h) for h in given) == 1)
+            new = g if own else np.empty(w.shape, dtype=DTYPE)
+            w_flat, g_flat = w.reshape(-1), g.reshape(-1)
             v_flat = state.velocities[key].reshape(-1)
-            new = np.empty(w.shape, dtype=DTYPE)
             new_flat = new.reshape(-1)
             for s in range(0, w.size, SGD_BLOCK):
                 blk = slice(s, s + SGD_BLOCK)

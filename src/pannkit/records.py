@@ -41,10 +41,18 @@ def config_hash(config: dict) -> str:
 
 
 def timestamp() -> str:
-    """ISO-8601 UTC; pinned by SOURCE_DATE_EPOCH when set."""
+    """ISO-8601 UTC; pinned by SOURCE_DATE_EPOCH when set and not empty.
+    A value that is not a representable integer count of seconds raises
+    ValueError naming the variable."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else datetime.now(timezone.utc).timestamp()
-    return datetime.fromtimestamp(int(t), tz=timezone.utc).isoformat()
+    if not epoch:
+        t = int(datetime.now(timezone.utc).timestamp())
+        return datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"SOURCE_DATE_EPOCH: expected an integer count of "
+                         f"seconds, got {epoch!r}") from exc
 
 
 class RecordStore:

@@ -23,7 +23,6 @@ read back instead of trained.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -473,6 +472,7 @@ def _sweep_cells(cells, chash, runner, store, force, workers):
         cached = {c for c in cells if chash[c] in store.rows}
     to_run = [c for c in cells if c not in cached]
     if workers > 1 and len(to_run) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(to_run, pool.map(runner, to_run)))
     else:

@@ -172,9 +172,12 @@ def train(net: nn.Network, data: Dataset, sgd: nn.SgdState, *,
     streams, so disabling one option never shifts another. Nothing is
     measured during training: ``on_epoch(epoch, net)``, when given, sees
     the network as each epoch ends (networks are immutable).
-    ``net`` as passed in and each step's gradients are dropped once the
-    step that consumes them has run, so the next backward pass holds
-    neither; a caller that keeps ``net`` keeps it alive.
+    Each step's gradients are consumed by ``nn.sgd_step``: their buffers
+    become the parameters of the network it returns, and no network passed
+    in is written. ``net`` as passed in and each step's gradients are
+    dropped once that step has run, so the next backward pass holds no
+    parameters but those of the current network; a caller that keeps
+    ``net`` keeps it alive.
     A non-finite minibatch loss aborts with the epoch index.
     """
     state = sgd.fresh()

@@ -129,9 +129,13 @@ class InjectedReLU:
         return z < 0 if self.sign_filter == "neg_only" else z > 0
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        e = self._errors(z.shape)
-        mask = self._mask(z)
-        return np.maximum(z, 0.0) + np.where(mask, e * z / 2.0, 0.0)
+        # max(z, 0) + where(mask, e * z / 2, 0), built in one output
+        # buffer plus one scratch array, with the same roundings
+        out = np.multiply(self._errors(z.shape), z)
+        np.divide(out, 2.0, out=out)
+        if self.sign_filter != "all":
+            np.copyto(out, 0.0, where=~self._mask(z))
+        return np.add(np.maximum(z, 0.0), out, out=out)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         e = self._errors(z.shape)

@@ -1041,6 +1041,33 @@ class TestExit2BeforeTraining:
         assert f"config error: config.dataset.{field}: " in err, err
         assert "Traceback" not in err, err
 
+    @pytest.mark.parametrize("epoch", ["abc", "1e9"])
+    def test_malformed_source_date_epoch(self, tmp_path, capsys, no_training,
+                                         train_cfg, sweep_cfg, monkeypatch,
+                                         epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        recs = tmp_path / "r.csv"
+        perturb = write_config(tmp_path / "p.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0], "betas": [8]})
+        for argv in (["train", "--config", train_cfg],
+                     ["train", "--config", train_cfg, "--records", recs],
+                     ["sweep-wd", "--config", sweep_cfg, "--records", recs,
+                      "--workers", 2],
+                     ["sweep-beta", "--config", sweep_cfg, "--records", recs],
+                     ["perturb-exp", "--config", perturb]):
+            assert cli.main([str(a) for a in argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.splitlines() == [
+                f"config error: SOURCE_DATE_EPOCH: expected an integer "
+                f"count of seconds, got {epoch!r}"], err
+        assert not recs.exists()
+
+    def test_empty_source_date_epoch_is_unset(self, capsys, train_cfg,
+                                              monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        code, doc = run(capsys, "train", "--config", train_cfg)
+        assert code == 0 and doc["status"] == "ok"
+
     def test_infeasible_beta_fails_before_training(self, tmp_path, capsys,
                                                    no_training):
         # with two workers, both cells reach the chain build
@@ -1464,16 +1491,35 @@ class TestImports:
              "--pann", desc],
             ["transform", "--model", model, "--out", tmp_path / "t.json",
              "--mode", "truncated"]]
-        argv = json.dumps([self.UNUSED, [list(map(str, c))
-                                         for c in commands]])
+        assert self._loaded(self.UNUSED, commands) == [[], [], []]
+
+    def test_one_worker_commands_load_no_pool(self, tmp_path, train_cfg,
+                                              sweep_cfg):
+        # only a sweep that runs cells on two workers starts a thread pool
+        perturb = write_config(tmp_path / "p.json", {
+            "arch": "mlp:8", "dataset": BLOBS, "wds": [0.0, 0.001],
+            "betas": [8], "epochs": 2, "lr": 0.1})
+        commands = [
+            ["train", "--config", train_cfg],
+            ["perturb-exp", "--config", perturb],
+            ["sweep-wd", "--config", sweep_cfg, "--records",
+             tmp_path / "one.csv", "--workers", 1],
+            ["sweep-wd", "--config", sweep_cfg, "--records",
+             tmp_path / "two.csv", "--workers", 2]]
+        pool = ["concurrent.futures"]
+        assert self._loaded(pool, commands) == [[], [], [], [], pool]
+
+    def _loaded(self, unused, commands) -> list:
+        """Which of the modules ``unused`` one fresh process has loaded
+        after importing the CLI and after each command."""
+        argv = json.dumps([unused, [list(map(str, c)) for c in commands]])
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, argv],
                               env=env, capture_output=True, text=True,
                               check=True)
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert loaded == [[], [], []]
+        return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestTracer:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -444,19 +445,70 @@ class TestSgd:
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
 
-    def test_velocity_updated_in_place_params_fresh(self):
+    def test_velocity_updated_in_place_params_donated(self):
         net = nn.build_mlp((3,), [4], 2, seed=0)
         state = nn.SgdState(lr=0.5, momentum=0.9)
         x, y = np.ones((2, 3)), np.array([0, 1])
         grads, _ = nn.backward(net, x, y)
         net1 = nn.sgd_step(net, grads, state)
+        assert net1.layers[0].W is grads[0]["W"]
         v = state.velocities[(0, "W")]
+        grads, _ = nn.backward(net, x, y)  # the first step consumed its own
         expect = 0.9 * v + grads[0]["W"]
+        donated = grads[0]["W"]
         net2 = nn.sgd_step(net1, grads, state)
         assert state.velocities[(0, "W")] is v
         assert np.array_equal(v, expect)
         assert net2.layers[0].W is not net1.layers[0].W
+        assert net2.layers[0].W is donated
         assert np.array_equal(net2.layers[0].W, net1.layers[0].W - 0.5 * v)
+
+    @staticmethod
+    def _snapshot(net) -> list:
+        return [w.tobytes() for l in net.layers for w in l.params().values()]
+
+    @staticmethod
+    def _copies(grads) -> list:
+        return [{k: g.copy() for k, g in pg.items()} for pg in grads]
+
+    def test_step_writes_only_gradients_it_may_own(self):
+        # gradients that alias the input network's parameters (as the same
+        # list does when passed again, once a step made its buffers the
+        # parameters), the velocities or one another, and read-only,
+        # Fortran-order or float32 ones, are read, never written: each
+        # step gives the reference step's bytes on copies
+        x, y = np.ones((2, 4)), np.array([0, 1])
+        net = nn.build_mlp((4,), [4], 4, seed=0)
+        state = nn.SgdState(lr=0.5, momentum=0.9, weight_decay=1e-3)
+        grads, _ = nn.backward(net, x, y)
+        net = nn.sgd_step(net, grads, state)
+        pg, _, _ = nn.backward(net, x, y)[0]
+        cases = {
+            "parameters": lambda st: [l.params() for l in net.layers],
+            "the same list again": lambda st: grads,
+            "velocities": lambda st: [{k: st.velocities[i, k]
+                                       for k in l.params()}
+                                      for i, l in enumerate(net.layers)],
+            "one another": lambda st: [pg, {}, dict(pg)],
+            "read-only": lambda st: [{k: np.frombuffer(g.tobytes()).reshape(
+                g.shape) for k, g in d.items()} for d in grads],
+            "Fortran order": lambda st: [{k: np.asfortranarray(g)
+                                          for k, g in d.items()}
+                                         for d in grads],
+            "float32": lambda st: [{k: g.astype(np.float32)
+                                    for k, g in d.items()} for d in grads]}
+        before = self._snapshot(net)
+        for case, make in cases.items():
+            got_state, want_state = (replace(state, velocities={
+                k: v.copy() for k, v in state.velocities.items()})
+                for _ in range(2))
+            want = sgd_step_reference(net, self._copies(make(want_state)),
+                                      want_state)
+            got = nn.sgd_step(net, make(got_state), got_state)
+            assert self._snapshot(net) == before, case
+            assert self._snapshot(got) == self._snapshot(want), case
+            assert all(got_state.velocities[k].tobytes() == v.tobytes()
+                       for k, v in want_state.velocities.items()), case
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -477,26 +529,30 @@ class TestSgd:
             grads = [{"W": rng.standard_normal((256, 784))
                       * 10.0 ** rng.integers(-4, 4, size=(256, 784)),
                       "b": rng.standard_normal(256)}]
+            # taken before the step, which writes into its gradients
+            want_grads = self._copies(grads)
             got_net = nn.sgd_step(got_net, grads, got_state)
-            want_net = sgd_step_reference(want_net, grads, want_state)
+            want_net = sgd_step_reference(want_net, want_grads, want_state)
             for name, w in got_net.layers[0].params().items():
                 assert w.tobytes() == \
                     want_net.layers[0].params()[name].tobytes()
                 assert got_state.velocities[0, name].tobytes() == \
                     want_state.velocities[0, name].tobytes()
 
-    def test_second_step_peak_is_its_parameters(self):
-        # the new parameters are 2.15 MB; a whole-array step adds two
-        # temporaries of each parameter's size (4.8 MB in all)
+    def test_second_step_peak_is_its_scratch(self):
+        # a step on fresh gradients writes the new parameters into them,
+        # so it allocates only its SGD_BLOCK scratch (the parameters are
+        # 2.15 MB; a step into fresh arrays peaked at 2.4 MB)
         net = nn.build_arch("mlp:256,256", (1, 28, 28), 10, seed=0)
         x = np.random.default_rng(0).standard_normal((32, 1, 28, 28))
-        grads, _ = nn.backward(net, x, np.arange(32) % 10)
+        y = np.arange(32) % 10
+        grads, _ = nn.backward(net, x, y)
         state = nn.SgdState(lr=0.1, momentum=0.9, weight_decay=1e-3)
         net = nn.sgd_step(net, grads, state)
-        param_bytes = sum(w.nbytes for layer in net.layers
-                          for w in layer.params().values())
+        grads, _ = nn.backward(net, x, y)
+        scratch = nn.SGD_BLOCK * np.dtype(nn.DTYPE).itemsize
         peak = traced_peak(lambda: nn.sgd_step(net, grads, state))
-        assert peak < param_bytes + 1e6, (peak, param_bytes)
+        assert peak < scratch + 50_000, (peak, scratch)
 
     def test_lr_schedule_milestones(self):
         s = nn.SgdState(lr=0.1, milestones=(10, 20), gamma=0.1)

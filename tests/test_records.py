@@ -45,6 +45,17 @@ class TestTimestamp:
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         assert rec.timestamp().endswith("+00:00")
 
+    def test_empty_pin_is_unset(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        assert rec.timestamp().endswith("+00:00")
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "9" * 20])
+    def test_malformed_pin_names_the_variable(self, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ValueError, match=f"^SOURCE_DATE_EPOCH: .*"
+                                             f"got '{epoch}'$"):
+            rec.timestamp()
+
 
 def _record(chash="aa" * 8, seed=0, value=0.5):
     return {"config_hash": chash, "timestamp": "2024-01-01T00:00:00+00:00",

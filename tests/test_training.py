@@ -449,19 +449,27 @@ class TestTrain:
     def test_a_step_drops_the_gradients_it_consumed(self, blobs,
                                                     monkeypatch):
         # the next backward pass must not run while the last step's
-        # gradients are still held: with mlp:256,256 they are 2.15 MB
-        held, last, real_backward = [], [], nn.backward
+        # gradients are held beside its network: every gradient buffer
+        # still alive then is a parameter of the network that step
+        # returned (with mlp:256,256 a spare set is 2.15 MB)
+        stray, donated, last, real_backward = [], [], [], nn.backward
 
-        def backward(*args, **kwargs):
-            held.append(sum(ref() is not None for ref in last))
-            grads, loss = real_backward(*args, **kwargs)
+        def backward(net, *args, **kwargs):
+            params = [w for layer in net.layers
+                      for w in layer.params().values()]
+            alive = [g for g in (ref() for ref in last) if g is not None]
+            stray.append(sum(all(g is not w for w in params) for g in alive))
+            donated.append(len(alive))
+            del alive
+            grads, loss = real_backward(net, *args, **kwargs)
             last[:] = [weakref.ref(g) for pg in grads for g in pg.values()]
             return grads, loss
 
         monkeypatch.setattr(nn, "backward", backward)
         net = nn.build_mlp((2,), (8,), 2, seed=0)
         tr.train(net, blobs, self.SGD, epochs=2, seed=1)
-        assert len(held) == 14 and not any(held), held
+        assert len(stray) == 14 and not any(stray), stray
+        assert donated == [0] + [4] * 13, donated
 
     def test_template_state_untouched(self, blobs):
         net = nn.build_mlp((2,), (8,), 2, seed=0)

@@ -255,6 +255,34 @@ class TestInjectedMode:
         z = np.ones((2, 50))
         assert not np.array_equal(m0.apply(z), m1.apply(z))
 
+    @staticmethod
+    def _inputs():
+        z = derive_rng(7, "z").normal(size=(64, 40))
+        # signed zeros, NaNs of both signs and infinities in every unit
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+        z[:, :6] = special
+        z[::5, 6:12] = special
+        return z
+
+    @pytest.mark.parametrize("mode", tf.INJECTION_MODES)
+    @pytest.mark.parametrize("sign_filter", tf.SIGN_FILTERS)
+    def test_apply_bytes_are_the_plain_expression(self, sign_filter, mode):
+        inj = tf.InjectedReLU(6, sign_filter, mode, seed=3, slot=1)
+        z = self._inputs()
+        e, mask = inj._errors(z.shape), inj._mask(z)
+        with np.errstate(invalid="ignore"):  # inf + -inf where e < 0
+            want = np.maximum(z, 0.0) + np.where(mask, e * z / 2.0, 0.0)
+            got = inj.apply(z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sign_filter", tf.SIGN_FILTERS)
+    def test_apply_peak_is_two_outputs_and_the_mask(self, sign_filter):
+        inj = tf.InjectedReLU(6, sign_filter, seed=3)
+        z = derive_rng(8, "z").normal(size=(512, 256))
+        peak = traced_peak(lambda: inj.apply(z))
+        assert peak <= 2 * z.nbytes + z.size, (peak, z.nbytes)
+
     def test_gradient_matches_fd(self, backbone, eval_x):
         pann = tf.transform(backbone, tf.InjectedReLU(5, seed=1))
         y = np.zeros(eval_x.shape[0], dtype=int)
